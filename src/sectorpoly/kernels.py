@@ -1,25 +1,18 @@
-"""Hot numeric kernels with numba-compiled and pure-numpy twins.
+"""Hot numeric kernels: the simultaneous root iteration and the minor sums.
 
 Two inner loops dominate the randomized campaigns: the simultaneous
 (Aberth-Ehrlich) root iteration and the 2^n principal-minor enumeration.
-Each has a pure-numpy implementation (always available) and an ``@njit``
-twin compiled at import unless numba is missing or disabled by setting
-``SECTORPOLY_DISABLE_NUMBA=1``. The dispatch names ``aberth_iterate`` and
-``minor_sums`` point at the selected variant; both variants stay importable
-so ``benchmarks/bench_kernels.py`` and the backend-equivalence tests can
-compare them in one process.
-
-Both twins implement the same update rule (simultaneous Jacobi-style sweep,
-same guards), so they agree to rounding on every input.
+Both are numpy code, one implementation each. The iteration starts from
+Bini's Newton-polygon points (``initial_guesses``), which put every start
+near the modulus of a root, so the sweep count stays small at every degree
+and coefficient scale.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
-
-ENV_FLAG = "SECTORPOLY_DISABLE_NUMBA"
 
 # Extra sweeps after the residual tolerance trips. The stopping rule scales
 # |p(z)| by sum|a| * max(1,|z|)^deg, which is generous near large-modulus
@@ -27,28 +20,49 @@ ENV_FLAG = "SECTORPOLY_DISABLE_NUMBA"
 # them at the stopping threshold. Reverted if they do not help.
 POLISH_SWEEPS = 3
 
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
+# Angular offset of the starting points (Bini's sigma): keeps the starts of
+# binomials such as t^n + c off the axes and off the roots of unity.
+_START_ROTATION = 0.7
 
 
 def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
-    """Starting points on a circle of radius 1 + max|a_i/a_n|.
+    """Starting points from the Newton polygon of the coefficients.
 
-    The rotation offset keeps the start away from the axes and from roots of
-    unity, breaking the symmetry of binomials such as t^n + c.
+    Following Bini (Numer. Algorithms 13, 1996), take the upper convex hull of
+    the points (i, log|a_i|) over the nonzero coefficients. A hull edge from
+    vertex a to vertex b places b - a points on the circle of radius
+    (|a_a| / |a_b|)^(1/(b-a)), the modulus the roots of a_a t^a + a_b t^b
+    share. Each circle is rotated by 2*pi*b/deg plus a fixed offset, so that
+    the circles do not line up and no start lies on an axis.
+
+    Each leading zero coefficient (a_0 = 0, a_1 = 0, ...) is an exact zero
+    root; its start is 0 itself, where p vanishes exactly.
     """
     deg = coeffs.size - 1
-    radius = 1.0 + float(np.max(np.abs(coeffs[:-1] / coeffs[-1])))
-    angles = 2.0 * np.pi * np.arange(deg) / deg + np.pi / (2.0 * deg) + 0.4
-    return radius * np.exp(1j * angles)
+    nonzero = np.flatnonzero(coeffs)
+    logs = np.log(np.abs(coeffs[nonzero])).tolist()
+    hull: list[tuple[int, float]] = []
+    for point in zip(nonzero.tolist(), logs):
+        # pop the last vertex while it lies on or below the chord to `point`
+        while len(hull) >= 2:
+            (i0, y0), (i1, y1) = hull[-2], hull[-1]
+            if (i1 - i0) * (point[1] - y0) < (point[0] - i0) * (y1 - y0):
+                break
+            hull.pop()
+        hull.append(point)
+    zero_roots = hull[0][0]       # the index of the first nonzero coefficient
+    radii = [0.0] * zero_roots
+    angles = [0.0] * zero_roots
+    for (a, ya), (b, yb) in zip(hull, hull[1:]):
+        count = b - a
+        radius = math.exp((ya - yb) / count)
+        offset = 2.0 * math.pi * b / deg + _START_ROTATION
+        radii += [radius] * count
+        angles += [2.0 * math.pi * m / count + offset for m in range(count)]
+    return np.asarray(radii) * np.exp(1j * np.asarray(angles))
 
 
-# --------------------------------------------------------------------------
-# pure-numpy path
-# --------------------------------------------------------------------------
-
-def aberth_iterate_numpy(coeffs, z0, max_iters, tol):
+def aberth_iterate(coeffs, z0, max_iters, tol):
     """Simultaneous root iteration; returns (roots, residuals, iterations).
 
     ``coeffs`` are ascending complex128 coefficients with nonzero leading
@@ -58,50 +72,60 @@ def aberth_iterate_numpy(coeffs, z0, max_iters, tol):
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1
-    dcoeffs = coeffs[1:] * np.arange(1, deg + 1)
+    # column 0 evaluates p, column 1 evaluates p', from one powers matrix
+    pair = np.zeros((deg + 1, 2), dtype=np.complex128)
+    pair[:, 0] = coeffs
+    pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
     coeff_sum = float(np.sum(np.abs(coeffs)))
+    powers = np.ones((deg, deg + 1), dtype=np.complex128)
     z = np.array(z0, dtype=np.complex128)
 
     def _eval(zz):
-        p = np.zeros(deg, dtype=np.complex128)
-        for c in coeffs[::-1]:
-            p = p * zz + c
-        dp = np.zeros(deg, dtype=np.complex128)
-        for c in dcoeffs[::-1]:
-            dp = dp * zz + c
-        resid = np.abs(p) / (coeff_sum * np.maximum(1.0, np.abs(zz)) ** deg)
+        powers[:, 1:] = zz[:, None]
+        powers.cumprod(axis=1, out=powers)
+        p, dp = powers.dot(pair).T
+        # |z^deg| stands in for |z|^deg: they differ by rounding only
+        resid = np.abs(p) / (coeff_sum * np.maximum(1.0, np.abs(powers[:, -1])))
         return p, dp, resid
 
     def _sweep(zz, p, dp):
-        diff = zz[:, None] - zz[None, :]
-        np.fill_diagonal(diff, np.inf)
-        diff[diff == 0] = np.inf
-        s = np.sum(1.0 / diff, axis=1)
-        bad_dp = dp == 0
-        w = p / np.where(bad_dp, 1.0, dp)
+        diff = zz[:, None] - zz
+        diff[diff == 0] = np.inf      # the diagonal and coincident iterates
+        s = (1.0 / diff).sum(1)
+        # the guards build new arrays only when a zero actually occurs
+        safe_dp = dp if dp.all() else np.where(dp == 0, 1.0, dp)
+        w = p / safe_dp
         den = 1.0 - w * s
-        den = np.where(den == 0, 1.0, den)
-        # stalled iterate (p' vanished exactly): nudge deterministically
-        return np.where(bad_dp, zz * (1.0 + 1e-8) + 1e-8, zz - w / den)
+        if not den.all():
+            den = np.where(den == 0, 1.0, den)
+        znew = zz - w / den
+        if safe_dp is dp:
+            return znew
+        # p' vanished: an exact root (p = 0) stays, any other iterate is
+        # nudged deterministically
+        return np.where((dp == 0) & (p != 0), zz * (1.0 + 1e-8) + 1e-8, znew)
 
     p, dp, resid = _eval(z)
     iters = 0
-    while iters < max_iters and float(np.max(resid)) > tol:
+    while iters < max_iters and resid.max() > tol:
         z = _sweep(z, p, dp)
         iters += 1
         p, dp, resid = _eval(z)
-    if float(np.max(resid)) <= tol:
+    if resid.max() <= tol:
+        # Residuals below the rounding error of evaluating p do not rank
+        # iterates, so a polish sweep is reverted only when it rises above both.
+        noise = 2.0 * deg * np.finfo(np.float64).eps
         best_z, best_resid = z, resid
         for _ in range(POLISH_SWEEPS):
             z = _sweep(z, p, dp)
             p, dp, resid = _eval(z)
-            if float(np.max(resid)) <= float(np.max(best_resid)):
+            if resid.max() <= max(best_resid.max(), noise):
                 best_z, best_resid = z, resid
         z, resid = best_z, best_resid
     return z, resid, iters
 
 
-def minor_sums_numpy(a):
+def minor_sums(a):
     """Principal-minor aggregates of a complex square matrix.
 
     Returns ``(e_sums, min_re, max_im)`` where ``e_sums[k-1]`` is the sum of
@@ -133,188 +157,6 @@ def minor_sums_numpy(a):
     return e_sums, min_re, max_im
 
 
-# --------------------------------------------------------------------------
-# numba path (same semantics, scalar loops)
-# --------------------------------------------------------------------------
-
-def _aberth_loops(coeffs, z0, max_iters, tol):
-    deg = coeffs.size - 1
-    ncoef = coeffs.size
-    coeff_sum = 0.0
-    for i in range(ncoef):
-        coeff_sum += abs(coeffs[i])
-
-    z = z0.copy()
-    znew = np.empty(deg, dtype=np.complex128)
-    p = np.empty(deg, dtype=np.complex128)
-    dp = np.empty(deg, dtype=np.complex128)
-    resid = np.empty(deg, dtype=np.float64)
-
-    worst = 0.0
-    for i in range(deg):
-        pv = 0.0 + 0.0j
-        dv = 0.0 + 0.0j
-        for m in range(ncoef - 1, -1, -1):
-            dv = dv * z[i] + pv
-            pv = pv * z[i] + coeffs[m]
-        p[i] = pv
-        dp[i] = dv
-        resid[i] = abs(pv) / (coeff_sum * max(1.0, abs(z[i])) ** deg)
-        if resid[i] > worst:
-            worst = resid[i]
-
-    iters = 0
-    while iters < max_iters and worst > tol:
-        for i in range(deg):
-            if dp[i] == 0:
-                znew[i] = z[i] * (1.0 + 1e-8) + 1e-8
-                continue
-            s = 0.0 + 0.0j
-            for j in range(deg):
-                if j != i:
-                    d = z[i] - z[j]
-                    if d != 0:
-                        s += 1.0 / d
-            w = p[i] / dp[i]
-            den = 1.0 - w * s
-            if den == 0:
-                den = 1.0 + 0.0j
-            znew[i] = z[i] - w / den
-        for i in range(deg):
-            z[i] = znew[i]
-        iters += 1
-        worst = 0.0
-        for i in range(deg):
-            pv = 0.0 + 0.0j
-            dv = 0.0 + 0.0j
-            for m in range(ncoef - 1, -1, -1):
-                dv = dv * z[i] + pv
-                pv = pv * z[i] + coeffs[m]
-            p[i] = pv
-            dp[i] = dv
-            resid[i] = abs(pv) / (coeff_sum * max(1.0, abs(z[i])) ** deg)
-            if resid[i] > worst:
-                worst = resid[i]
-
-    if worst <= tol:
-        best_z = z.copy()
-        best_resid = resid.copy()
-        best_worst = worst
-        for _ in range(POLISH_SWEEPS):
-            for i in range(deg):
-                if dp[i] == 0:
-                    znew[i] = z[i] * (1.0 + 1e-8) + 1e-8
-                    continue
-                s = 0.0 + 0.0j
-                for j in range(deg):
-                    if j != i:
-                        d = z[i] - z[j]
-                        if d != 0:
-                            s += 1.0 / d
-                w = p[i] / dp[i]
-                den = 1.0 - w * s
-                if den == 0:
-                    den = 1.0 + 0.0j
-                znew[i] = z[i] - w / den
-            for i in range(deg):
-                z[i] = znew[i]
-            worst = 0.0
-            for i in range(deg):
-                pv = 0.0 + 0.0j
-                dv = 0.0 + 0.0j
-                for m in range(ncoef - 1, -1, -1):
-                    dv = dv * z[i] + pv
-                    pv = pv * z[i] + coeffs[m]
-                p[i] = pv
-                dp[i] = dv
-                resid[i] = abs(pv) / (coeff_sum * max(1.0, abs(z[i])) ** deg)
-                if resid[i] > worst:
-                    worst = resid[i]
-            if worst <= best_worst:
-                for i in range(deg):
-                    best_z[i] = z[i]
-                    best_resid[i] = resid[i]
-                best_worst = worst
-        z = best_z
-        resid = best_resid
-    return z, resid, iters
-
-
-def _minor_loops(a):
-    n = a.shape[0]
-    e_sums = np.zeros(n, dtype=np.complex128)
-    min_re = np.full(n, np.inf)
-    max_im = np.zeros(n)
-    idx = np.empty(n, dtype=np.int64)
-    lu = np.empty((n, n), dtype=np.complex128)
-    for mask in range(1, 1 << n):
-        k = 0
-        for i in range(n):
-            if mask & (1 << i):
-                idx[k] = i
-                k += 1
-        for r in range(k):
-            for c in range(k):
-                lu[r, c] = a[idx[r], idx[c]]
-        # in-place LU with partial pivoting; det = sign * prod(diag)
-        det = 1.0 + 0.0j
-        singular = False
-        for col in range(k):
-            piv = col
-            big = abs(lu[col, col])
-            for r in range(col + 1, k):
-                mag = abs(lu[r, col])
-                if mag > big:
-                    big = mag
-                    piv = r
-            if big == 0.0:
-                det = 0.0 + 0.0j
-                singular = True
-                break
-            if piv != col:
-                for c in range(col, k):
-                    tmp = lu[col, c]
-                    lu[col, c] = lu[piv, c]
-                    lu[piv, c] = tmp
-                det = -det
-            det *= lu[col, col]
-            for r in range(col + 1, k):
-                factor = lu[r, col] / lu[col, col]
-                for c in range(col + 1, k):
-                    lu[r, c] -= factor * lu[col, c]
-        if singular:
-            det = 0.0 + 0.0j
-        e_sums[k - 1] += det
-        re = det.real
-        im = abs(det.imag)
-        if re < min_re[k - 1]:
-            min_re[k - 1] = re
-        if im > max_im[k - 1]:
-            max_im[k - 1] = im
-    return e_sums, min_re, max_im
-
-
-aberth_iterate_numba = None
-minor_sums_numba = None
-USING_NUMBA = False
-
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        aberth_iterate_numba = njit(cache=True)(_aberth_loops)
-        minor_sums_numba = njit(cache=True)(_minor_loops)
-        USING_NUMBA = True
-
-if USING_NUMBA:
-    aberth_iterate = aberth_iterate_numba
-    minor_sums = minor_sums_numba
-else:
-    aberth_iterate = aberth_iterate_numpy
-    minor_sums = minor_sums_numpy
-
-
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the kernel implementation, reported by the CLI and benchmark."""
+    return "numpy"

@@ -33,9 +33,10 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS,
                tol: float = DEFAULT_ROOT_TOL) -> RootSet:
     """Find all complex roots (with multiplicity) of a real polynomial.
 
-    Simultaneous Aberth-Ehrlich iteration from symmetric starting points with
-    an off-axis rotation. Non-convergence within ``max_iters`` sweeps is not
-    an error: the best-effort roots are returned with ``converged=False``.
+    Simultaneous Aberth-Ehrlich iteration from Newton-polygon starting points
+    (``kernels.initial_guesses``). Non-convergence within ``max_iters``
+    sweeps is not an error: the best-effort roots are returned with
+    ``converged=False``.
 
     Raises DegenerateInput for degree-0 input.
     """

@@ -124,6 +124,19 @@ class TestBinomialRoots:
         np.testing.assert_allclose(np.abs(rs.roots), radius, rtol=1e-10)
         np.testing.assert_allclose(got_args, expected_args, atol=1e-10)
 
+    @pytest.mark.parametrize("r", [0.1, 1.0, 10.0])
+    def test_modulus_holds_at_every_scale(self, r):
+        # t^n + r^n: the starts must follow the scale r. A start circle of
+        # radius 1 + r^n passes the residual test at once for r = 10, n = 12,
+        # with every root at modulus 7e11.
+        for n in range(1, 13):
+            coeffs = np.zeros(n + 1)
+            coeffs[0] = r ** n
+            coeffs[n] = 1.0
+            rs = find_roots(coeffs)
+            assert rs.converged, n
+            assert float(np.max(np.abs(np.abs(rs.roots) - r))) <= 1e-10 * r, n
+
 
 class TestMinArgDefect:
     def test_cyclotomic_margin(self):
