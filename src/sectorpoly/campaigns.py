@@ -15,12 +15,12 @@ import numpy as np
 from .errors import SectorPolyError
 from .pmatrix import (
     MatrixClass,
-    aux_poly,
     eigen_witness,
     eigenvalues,
     generate_p_matrix,
     kellogg_admissible,
     principal_minors,
+    spectrum_aux_poly,
     spectrum_feasible,
     wedge_angle,
 )
@@ -189,9 +189,10 @@ def run_kellogg_suite(cases: int, seed: int) -> SuiteReport:
         mseed = int(rng.integers(0, 2**63))
         bad = []
         a = generate_p_matrix(n, mseed)
-        if principal_minors(a).matrix_class is not MatrixClass.P:
+        minors = principal_minors(a)
+        if minors.matrix_class is not MatrixClass.P:
             bad.append("class")
-        if classify_signs(aux_poly(a)) is not SignClass.POSITIVE:
+        if classify_signs(minors.aux_poly()) is not SignClass.POSITIVE:
             bad.append("aux_signs")
         rs = eigenvalues(a)
         max_root_residual = max(max_root_residual, float(np.max(rs.residuals)))
@@ -282,9 +283,7 @@ def run_witness_suite(cases: int, seed: int) -> SuiteReport:
 def _is_binomial_spectrum(values) -> bool:
     """True if prod (t + v) is a binomial: every interior coefficient
     vanishes relative to its natural magnitude C(n, m) * max|v|^m."""
-    q = np.array([1.0 + 0.0j])
-    for v in values:
-        q = np.convolve(q, np.array([v, 1.0 + 0.0j]))
+    q = spectrum_aux_poly(values)
     n = len(values)
     r = float(np.max(np.abs(values)))
     for k in range(1, n):

@@ -20,8 +20,6 @@ from .campaigns import SUITE_NAMES, run_suite
 from .errors import DomainError, SectorPolyError, ZeroLambda
 from .pmatrix import (
     MatrixClass,
-    aux_poly,
-    char_poly,
     eigenvalues,
     kellogg_admissible,
     principal_minors,
@@ -151,8 +149,8 @@ def _cmd_classify(args) -> int:
         "min_real_minor": report.min_real_minor,
         "max_abs_imag_minor": report.max_abs_imag_minor,
     }
-    p = char_poly(a, cap=args.cap)
-    q = aux_poly(a, cap=args.cap)
+    p = report.char_poly()
+    q = report.aux_poly()
     rs = eigenvalues(a, cap=args.cap)
     n = int(a.shape[0])
     eigen_rows = []

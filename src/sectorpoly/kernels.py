@@ -143,14 +143,11 @@ def minor_sums(a):
     max_im = np.zeros(n)
     chunk = 4096
     for k in range(1, n + 1):
-        subs = list(combinations(range(n), k))
+        subs = np.array(list(combinations(range(n), k)))
         for lo in range(0, len(subs), chunk):
-            batch = subs[lo : lo + chunk]
-            stack = np.empty((len(batch), k, k), dtype=np.complex128)
-            for m, idx in enumerate(batch):
-                ix = np.asarray(idx)
-                stack[m] = a[np.ix_(ix, ix)]
-            dets = np.linalg.det(stack)
+            part = subs[lo : lo + chunk]
+            # one gather builds the whole (len(part), k, k) stack of submatrices
+            dets = np.linalg.det(a[part[:, :, None], part[:, None, :]])
             e_sums[k - 1] += dets.sum()
             min_re[k - 1] = min(min_re[k - 1], float(dets.real.min()))
             max_im[k - 1] = max(max_im[k - 1], float(np.abs(dets.imag).max()))

@@ -8,6 +8,11 @@ q(t) = (-1)^n p(-t) = prod (t + lambda_k) has positive (nonnegative)
 coefficients exactly when the eigenvalue multiset is a P (P0) spectrum.
 That turns eigenvalue-region questions into coefficient-sign questions,
 which the synthesis module answers constructively.
+
+One enumeration of the 2^n - 1 principal minors (``principal_minors``)
+yields a ``MinorReport``; the class, p and q are all read off it. A size-k
+minor is judged against tol * (max row norm)^k, which scales as c^k under
+A -> cA exactly as the minor does, so positive scaling keeps the class.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from . import kernels
 from .errors import (
     ComplexCharPoly,
     DimensionCap,
+    DomainError,
     FeasibleButUnwitnessed,
     NotAdmissible,
     NotConjugateClosed,
@@ -58,6 +64,26 @@ class MinorReport:
     min_real_minor: float
     max_abs_imag_minor: float
     matrix_class: MatrixClass
+    tolerances: np.ndarray      # size-k tolerance tol * (max row norm)^k
+
+    def aux_poly(self) -> np.ndarray:
+        """prod (t + lambda_k) = (-1)^n p(-t): coefficient of t^k is E_(n-k).
+
+        Raises ComplexCharPoly when an E_k has an imaginary part beyond its
+        tolerance (a complex matrix without a real characteristic polynomial).
+        """
+        imag = np.abs(self.e_sums.imag)
+        if np.any(imag > self.tolerances):
+            raise ComplexCharPoly(
+                f"minor sums are not real (max |imag| = {float(np.max(imag))!r})"
+            )
+        return np.append(self.e_sums.real[::-1], 1.0)
+
+    def char_poly(self) -> np.ndarray:
+        """Monic det(tI - A), ascending: coefficient of t^k is (-1)^(n-k) E_(n-k)."""
+        q = self.aux_poly()
+        # + 0.0 turns the -0.0 of a zero E_k into 0.0
+        return q * (-1.0) ** np.arange(q.size - 1, -1, -1) + 0.0
 
 
 @dataclass(frozen=True)
@@ -70,33 +96,36 @@ def _as_square(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise PreconditionError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("matrix entries must be finite")
     return arr
-
-
-def _minor_tolerances(a: np.ndarray, tol: float) -> np.ndarray:
-    """Per-size determinant tolerance: tol * (1 + max row norm)^k."""
-    n = a.shape[0]
-    row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    return tol * (1.0 + row_norm) ** np.arange(1, n + 1)
 
 
 def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> MinorReport:
     """Enumerate every nonempty principal minor and classify the matrix.
 
     Each determinant comes from a partially pivoted LU of its principal
-    submatrix. Minors are judged against a size-scaled tolerance
-    tol * (1 + max row norm)^k; P needs every real part above it and every
-    imaginary part within it, P0 relaxes the real parts to >= -tolerance.
+    submatrix. Size-k minors are judged against tol * (max row norm)^k, which
+    scales as c^k under A -> cA like the minors do, so c*A keeps the class of
+    A. P needs every real part above it and every imaginary part within it,
+    P0 relaxes the real parts to >= -tolerance.
 
     Raises DimensionCap beyond ``cap`` (hard limit 20): the enumeration is
-    exponential by construction.
+    exponential by construction. Raises DomainError for non-finite entries
+    and for a nonzero matrix whose minors overflow or underflow float64.
     """
     a = _as_square(a)
     n = a.shape[0]
     if n > min(cap, HARD_DIM_CAP):
         raise DimensionCap(f"n={n} exceeds minor-enumeration cap {min(cap, HARD_DIM_CAP)}")
     e_sums, min_re, max_im = kernels.minor_sums(a)
-    tols = _minor_tolerances(a, tol)
+    row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
+    bounds = row_norm ** np.arange(1, n + 1)    # |size-k minor| <= row_norm^k
+    # a finite E_k means every size-k minor is finite
+    if row_norm > 0 and not (np.all(np.isfinite(e_sums))
+                             and 0 < bounds.min() and bounds.max() < math.inf):
+        raise DomainError("principal minors overflow or underflow float64")
+    tols = tol * bounds
     imag_ok = bool(np.all(max_im <= tols))
     if imag_ok and np.all(min_re > tols):
         cls = MatrixClass.P
@@ -109,55 +138,23 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> M
         min_real_minor=float(np.min(min_re)),
         max_abs_imag_minor=float(np.max(max_im)),
         matrix_class=cls,
+        tolerances=tols,
     )
 
 
-def _real_e_sums(a: np.ndarray, cap: int, tol: float) -> np.ndarray:
-    report = principal_minors(a, cap=cap, tol=tol)
-    tols = _minor_tolerances(a, tol)
-    imag = np.abs(report.e_sums.imag)
-    if np.any(imag > tols):
-        raise ComplexCharPoly(
-            f"minor sums are not real (max |imag| = {float(np.max(imag))!r})"
-        )
-    return report.e_sums.real
-
-
 def char_poly(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> np.ndarray:
-    """Monic characteristic polynomial det(tI - A), ascending coefficients.
-
-    Raises ComplexCharPoly when the minor sums carry imaginary parts beyond
-    tolerance (complex-entry matrix without a real characteristic polynomial).
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    e = _real_e_sums(a, cap, tol)
-    coeffs = np.empty(n + 1)
-    coeffs[n] = 1.0
-    for k in range(n):
-        coeffs[k] = (-1.0) ** (n - k) * e[n - k - 1] + 0.0
-    return coeffs
+    """Monic characteristic polynomial det(tI - A); see MinorReport.char_poly."""
+    return principal_minors(a, cap=cap, tol=tol).char_poly()
 
 
 def aux_poly(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> np.ndarray:
-    """Sign-flipped reflection of char_poly: coefficient of t^k is E_(n-k).
-
-    Equals (-1)^n * p(-t) = prod (t + lambda_k); its coefficient signs decide
-    P / P0 membership of the spectrum.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    e = _real_e_sums(a, cap, tol)
-    coeffs = np.empty(n + 1)
-    coeffs[n] = 1.0
-    for k in range(n):
-        coeffs[k] = e[n - k - 1]
-    return coeffs
+    """prod (t + lambda_k), the reflected char_poly; see MinorReport.aux_poly."""
+    return principal_minors(a, cap=cap, tol=tol).aux_poly()
 
 
 def eigenvalues(a, cap: int = DEFAULT_DIM_CAP):
     """Eigenvalues as roots of the characteristic polynomial."""
-    return find_roots(char_poly(a, cap=cap))
+    return find_roots(principal_minors(a, cap=cap).char_poly())
 
 
 def wedge_angle(lam: complex) -> float:
@@ -189,6 +186,15 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass,
     return defect >= -angle_tol
 
 
+def spectrum_aux_poly(values) -> np.ndarray:
+    """prod (t + v) over the multiset, ascending complex coefficients: the
+    aux_poly of any matrix with that spectrum."""
+    q = np.array([1.0 + 0.0j])
+    for v in values:
+        q = np.convolve(q, np.array([v, 1.0 + 0.0j]))
+    return q
+
+
 def spectrum_feasible(values, imag_tol: float = SPECTRUM_IMAG_TOL) -> MatrixClass:
     """Decide whether a multiset is a P spectrum, a P0 spectrum, or neither.
 
@@ -199,9 +205,7 @@ def spectrum_feasible(values, imag_tol: float = SPECTRUM_IMAG_TOL) -> MatrixClas
     vals = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if vals.size < 1:
         raise PreconditionError("spectrum must contain at least one value")
-    q = np.array([1.0 + 0.0j])
-    for lam in vals:
-        q = np.convolve(q, np.array([lam, 1.0 + 0.0j]))
+    q = spectrum_aux_poly(vals)
     scale = float(np.max(np.abs(q)))
     if float(np.max(np.abs(q.imag))) > imag_tol * scale:
         raise NotConjugateClosed(

@@ -36,9 +36,12 @@ class SignClass(enum.Enum):
 def canonical(coeffs) -> np.ndarray:
     """Return ascending coefficients with trailing (top-power) zeros trimmed.
 
-    Raises DomainError for the all-zero vector, which has no canonical form.
+    Raises DomainError for the all-zero vector, which has no canonical form,
+    and for non-finite coefficients.
     """
     arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64)).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("coefficients must be finite")
     nonzero = np.flatnonzero(arr)
     if nonzero.size == 0:
         raise DomainError("the zero polynomial has no canonical form")

@@ -13,6 +13,7 @@ integer, via an average of the k-1 trinomials.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -222,16 +223,25 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     construction.
 
     Raises ZeroModulus, DegreeOne, AngleTooSmall or PiOverAlphaInteger when
-    the hypothesis fails.
+    the hypothesis fails, and DomainError for a non-finite mu or one whose
+    |mu|^n overflows or underflows to 0 in float64.
     """
     if mode not in (SignClass.NONNEGATIVE, SignClass.POSITIVE):
         raise PreconditionError(f"mode must be nonnegative or positive, not {mode}")
     if n < 1:
         raise PreconditionError(f"degree must be >= 1, got {n}")
     mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise DomainError(f"mu={mu!r} is not finite")
     r = abs(mu)
     if r == 0.0:
         raise ZeroModulus("mu = 0 cannot be a zero of q with q(0) != 0")
+    try:
+        r_n = r**n
+    except OverflowError:
+        r_n = math.inf
+    if not 0.0 < r_n < math.inf:
+        raise DomainError(f"|mu|^n = {r!r}^{n} is outside the float64 range")
     alpha_signed = principal_arg(mu)
     conjugated = alpha_signed < 0.0
     alpha = abs(alpha_signed)

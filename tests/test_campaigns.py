@@ -1,5 +1,6 @@
 import pytest
 
+from sectorpoly import kernels
 from sectorpoly.campaigns import (
     run_kellogg_suite,
     run_suite,
@@ -39,6 +40,21 @@ def test_different_seeds_differ():
     a = run_kellogg_suite(20, 1).to_dict()
     b = run_kellogg_suite(20, 2).to_dict()
     assert a["metrics"] != b["metrics"]
+
+
+def test_kellogg_enumerates_minors_three_times_per_matrix(monkeypatch):
+    # generate_p_matrix, principal_minors (class and aux signs) and eigenvalues
+    calls = []
+    minor_sums = kernels.minor_sums
+
+    def counted(a):
+        calls.append(a)
+        return minor_sums(a)
+
+    monkeypatch.setattr(kernels, "minor_sums", counted)
+    report = run_kellogg_suite(12, 4)
+    assert report.failures == 0
+    assert len(calls) == 3 * 12
 
 
 def test_zero_cases_vacuous_pass():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sectorpoly import kernels
 from sectorpoly.cli import main
 from sectorpoly.pmatrix import MatrixClass, kellogg_admissible
 from sectorpoly.poly import from_polar
@@ -58,6 +59,18 @@ class TestSynthesizeCommand:
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("r, n, mode", [
+        ("nan", "3", "nonneg"),
+        ("inf", "3", "nonneg"),
+        ("1e30", "12", "positive"),     # r^n overflows
+        ("1e-200", "12", "positive"),   # r^n underflows to 0
+    ])
+    def test_modulus_out_of_range_exits_2(self, capsys, r, n, mode):
+        code, out = _run(capsys, "synthesize", "--r", r, "--alpha", "2",
+                         "--n", n, "--mode", mode)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
 
 class TestVerifyCommand:
     def test_pass_with_margin(self, capsys):
@@ -74,6 +87,11 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["status"] == "pass"
         assert report["binomial"] is True
+
+    def test_nan_coefficient_exits_2(self, capsys):
+        code, out = _run(capsys, "verify", "--poly", "[1, NaN, 1]")
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
 
     def test_mixed_signs_exit_2(self, capsys):
         code, out = _run(capsys, "verify", "--poly", "[-1,1]")
@@ -128,6 +146,29 @@ class TestClassifyCommand:
         code, out = _run(capsys, "classify", "--matrix", path)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    def test_nan_entry_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text('{"n": 2, "rows": [[1, NaN], [0, 1]]}')
+        code, out = _run(capsys, "classify", "--matrix", str(path))
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_enumerates_minors_at_most_twice(self, capsys, tmp_path, monkeypatch):
+        # principal_minors serves class, char_poly and aux_poly; eigenvalues
+        # runs its own enumeration
+        calls = []
+        minor_sums = kernels.minor_sums
+
+        def counted(a):
+            calls.append(a)
+            return minor_sums(a)
+
+        monkeypatch.setattr(kernels, "minor_sums", counted)
+        path = self._write(tmp_path, {"n": 3, "rows": np.eye(3).tolist()})
+        code, _ = _run(capsys, "classify", "--matrix", path)
+        assert code == 0
+        assert len(calls) <= 2
 
 
 class TestRegionCommand:

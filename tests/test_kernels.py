@@ -1,6 +1,8 @@
 import math
+from itertools import combinations
 
 import numpy as np
+import pytest
 
 from sectorpoly import campaigns, find_roots, kernels
 
@@ -61,6 +63,41 @@ class TestNumpyPath:
         np.testing.assert_allclose(e, [4, 6, 4, 1], atol=1e-14)
         np.testing.assert_allclose(min_re, [1, 1, 1, 1], atol=1e-14)
         assert float(np.max(max_im)) == 0.0
+
+
+def _minor_sums_by_loop(a):
+    """Reference: each submatrix gathered on its own with np.ix_, in the
+    subset order and 4096-subset chunks of minor_sums."""
+    n = a.shape[0]
+    e_sums = np.zeros(n, dtype=np.complex128)
+    min_re = np.full(n, np.inf)
+    max_im = np.zeros(n)
+    for k in range(1, n + 1):
+        subs = list(combinations(range(n), k))
+        for lo in range(0, len(subs), 4096):
+            batch = subs[lo : lo + 4096]
+            stack = np.empty((len(batch), k, k), dtype=np.complex128)
+            for m, idx in enumerate(batch):
+                ix = np.asarray(idx)
+                stack[m] = a[np.ix_(ix, ix)]
+            dets = np.linalg.det(stack)
+            e_sums[k - 1] += dets.sum()
+            min_re[k - 1] = min(min_re[k - 1], float(dets.real.min()))
+            max_im[k - 1] = max(max_im[k - 1], float(np.abs(dets.imag).max()))
+    return e_sums, min_re, max_im
+
+
+class TestMinorSumsGather:
+    @pytest.mark.parametrize("n", [*range(1, 9), 15])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bitwise_equal_to_loop(self, n, kind):
+        # n = 15 has C(15, 7) = 6435 subsets of size 7, which crosses a chunk
+        rng = np.random.default_rng(100 + n)
+        a = rng.normal(size=(n, n)).astype(np.complex128)
+        if kind == "complex":
+            a += 1j * rng.normal(size=(n, n))
+        for got, want in zip(kernels.minor_sums(a), _minor_sums_by_loop(a)):
+            assert np.array_equal(got, want)
 
 
 class TestSweepCount:

@@ -7,6 +7,7 @@ import pytest
 from sectorpoly import (
     ComplexCharPoly,
     DimensionCap,
+    DomainError,
     FeasibleButUnwitnessed,
     MatrixClass,
     NotAdmissible,
@@ -88,6 +89,30 @@ class TestPrincipalMinors:
         rep = principal_minors([[1j]])
         assert rep.matrix_class is MatrixClass.NEITHER
         assert rep.max_abs_imag_minor == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("a, expected", [
+        (np.eye(3), MatrixClass.P),
+        (ROTATION, MatrixClass.P0),
+        ([[1, 2], [3, 4]], MatrixClass.NEITHER),
+        *[(generate_p_matrix(6, seed), MatrixClass.P) for seed in (0, 1, 2)],
+    ])
+    def test_positive_scaling_keeps_the_class(self, a, expected, scale):
+        # a size-k minor and its tolerance both scale as c^k under A -> cA
+        assert principal_minors(scale * np.asarray(a)).matrix_class is expected
+
+    def test_zero_matrix_is_weakly_positive(self):
+        assert principal_minors(np.zeros((3, 3))).matrix_class is MatrixClass.P0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.inf)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(DomainError):
+            principal_minors([[1.0, bad], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_minors_beyond_float64_raise(self, scale):
+        with pytest.raises(DomainError):
+            principal_minors(scale * np.eye(3))
 
 
 class TestCharAndAuxPoly:
