@@ -14,10 +14,8 @@ import math
 
 import numpy as np
 
-# Extra sweeps after the residual tolerance trips. The stopping rule scales
-# |p(z)| by sum|a| * max(1,|z|)^deg, which is generous near large-modulus
-# roots; polishing pushes iterates to machine accuracy instead of leaving
-# them at the stopping threshold. Reverted if they do not help.
+# Extra sweeps after the residual tolerance trips: they push the iterates
+# from the stopping threshold to machine accuracy.
 POLISH_SWEEPS = 3
 
 # Angular offset of the starting points (Bini's sigma): keeps the starts of
@@ -67,8 +65,8 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
 
     ``coeffs`` are ascending complex128 coefficients with nonzero leading
     term; ``z0`` the initial guesses. Iterates full Jacobi sweeps until the
-    worst relative residual |p(z)| / (sum|a| * max(1,|z|)^deg) drops to
-    ``tol`` or ``max_iters`` sweeps have run.
+    worst relative residual |p(z)| / sum|a_i||z|^i (Horner's running-error
+    bound, Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1
@@ -76,7 +74,7 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     pair = np.zeros((deg + 1, 2), dtype=np.complex128)
     pair[:, 0] = coeffs
     pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
-    coeff_sum = float(np.sum(np.abs(coeffs)))
+    abs_coeffs = np.abs(coeffs)
     powers = np.ones((deg, deg + 1), dtype=np.complex128)
     z = np.array(z0, dtype=np.complex128)
 
@@ -84,8 +82,9 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         powers[:, 1:] = zz[:, None]
         powers.cumprod(axis=1, out=powers)
         p, dp = powers.dot(pair).T
-        # |z^deg| stands in for |z|^deg: they differ by rounding only
-        resid = np.abs(p) / (coeff_sum * np.maximum(1.0, np.abs(powers[:, -1])))
+        scale = np.abs(powers).dot(abs_coeffs)
+        # scale 0 means z = 0 and a_0 = 0, an exact root: its residual reads 0
+        resid = np.abs(p) / (scale if scale.all() else np.where(scale == 0, 1.0, scale))
         return p, dp, resid
 
     def _sweep(zz, p, dp):
@@ -112,16 +111,9 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         iters += 1
         p, dp, resid = _eval(z)
     if resid.max() <= tol:
-        # Residuals below the rounding error of evaluating p do not rank
-        # iterates, so a polish sweep is reverted only when it rises above both.
-        noise = 2.0 * deg * np.finfo(np.float64).eps
-        best_z, best_resid = z, resid
         for _ in range(POLISH_SWEEPS):
             z = _sweep(z, p, dp)
             p, dp, resid = _eval(z)
-            if resid.max() <= max(best_resid.max(), noise):
-                best_z, best_resid = z, resid
-        z, resid = best_z, best_resid
     return z, resid, iters
 
 

@@ -65,15 +65,13 @@ def poly_mul(p, q) -> np.ndarray:
     return np.convolve(canonical(p), canonical(q))
 
 
-def residual_scale(coeffs, z) -> float:
-    """Natural magnitude of an evaluation at ``z``: sum|a_i| * max(1,|z|)^deg."""
-    c = np.asarray(coeffs)
-    return float(np.sum(np.abs(c)) * max(1.0, abs(z)) ** (len(c) - 1))
-
-
 def relative_residual(coeffs, z) -> float:
-    """|p(z)| scaled by residual_scale; ~eps at a well-conditioned root."""
-    return abs(poly_eval(coeffs, z)) / residual_scale(coeffs, z)
+    """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root."""
+    c = np.asarray(coeffs)
+    value, scale = abs(poly_eval(c, z)), poly_eval(np.abs(c), abs(z))
+    if not math.isfinite(value + scale):
+        raise DomainError(f"the residual at |z| = {abs(z)!r} overflows float64")
+    return value / scale if scale else 0.0
 
 
 def classify_signs(coeffs, tol: float = SIGN_TOL) -> SignClass:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateInput
+from .errors import DegenerateInput, DomainError
 from .poly import canonical, principal_arg
 
 DEFAULT_MAX_ITERS = 500
@@ -29,8 +29,7 @@ class RootSet:
     iterations: int
 
 
-def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS,
-               tol: float = DEFAULT_ROOT_TOL) -> RootSet:
+def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
     """Find all complex roots (with multiplicity) of a real polynomial.
 
     Simultaneous Aberth-Ehrlich iteration from Newton-polygon starting points
@@ -38,18 +37,21 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS,
     sweeps is not an error: the best-effort roots are returned with
     ``converged=False``.
 
-    Raises DegenerateInput for degree-0 input.
+    Raises DegenerateInput for degree-0 input and DomainError for a
+    residual that overflows.
     """
     p = canonical(coeffs)
     if len(p) < 2:
         raise DegenerateInput("cannot solve a degree-0 polynomial")
     c = p.astype(np.complex128)
     z0 = kernels.initial_guesses(c)
-    roots, residuals, iters = kernels.aberth_iterate(c, z0, max_iters, tol)
+    roots, residuals, iters = kernels.aberth_iterate(c, z0, max_iters, DEFAULT_ROOT_TOL)
+    if not np.all(np.isfinite(residuals)):
+        raise DomainError("root residuals overflow the float64 range")
     return RootSet(
         roots=np.asarray(roots),
         residuals=np.asarray(residuals),
-        converged=bool(np.max(residuals) <= tol),
+        converged=bool(np.max(residuals) <= DEFAULT_ROOT_TOL),
         iterations=int(iters),
     )
 

@@ -63,7 +63,7 @@ class SynthesisResult:
     j: int | None               # trinomial index when construction == "qj"
     lift_terms: int             # extra degree added by the lift (0 = identity)
     conjugated: bool            # True if built for the conjugate of the input
-    residual: float             # |q(mu)| / (sum|a_i| * max(1,|mu|)^n)
+    residual: float             # |q(mu)| / sum|a_i||mu|^i
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from sectorpoly import (
     char_poly,
     eigenvalues,
     from_polar,
-    poly_eval,
     principal_minors,
     synthesize,
 )
@@ -25,7 +24,7 @@ from sectorpoly.campaigns import (
     run_synth_suite,
     run_witness_suite,
 )
-from sectorpoly.poly import residual_scale
+from sectorpoly.poly import relative_residual
 
 SEED = 20260811
 
@@ -116,10 +115,9 @@ def test_criterion_5_reflection_identity_on_random_matrices():
             bad += 1
             continue
         for lam in rs.roots:
-            val = abs(poly_eval(q, -complex(lam)))
-            scale = residual_scale(q, -complex(lam))
-            worst_eval = max(worst_eval, val / scale)
-            if val > 1e-8 * scale:
+            resid = relative_residual(q, -complex(lam))
+            worst_eval = max(worst_eval, resid)
+            if resid > 1e-8:
                 bad += 1
                 break
     ok = bad == 0

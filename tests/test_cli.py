@@ -64,6 +64,7 @@ class TestSynthesizeCommand:
         ("inf", "3", "nonneg"),
         ("1e30", "12", "positive"),     # r^n overflows
         ("1e-200", "12", "positive"),   # r^n underflows to 0
+        ("4.6e25", "12", "positive"),   # r^n fits, sum|a_i| r^i overflows
     ])
     def test_modulus_out_of_range_exits_2(self, capsys, r, n, mode):
         code, out = _run(capsys, "synthesize", "--r", r, "--alpha", "2",
@@ -90,6 +91,13 @@ class TestVerifyCommand:
 
     def test_nan_coefficient_exits_2(self, capsys):
         code, out = _run(capsys, "verify", "--poly", "[1, NaN, 1]")
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_overflowing_residual_exits_2(self, capsys):
+        # t^20 + 1e20 t^19 + 1: the powers of the start near -1e20 overflow
+        poly = json.dumps([1.0] + [0.0] * 18 + [1e20, 1.0])
+        code, out = _run(capsys, "verify", "--poly", poly)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 

@@ -23,11 +23,10 @@ from sectorpoly import (
     from_polar,
     generate_p_matrix,
     kellogg_admissible,
-    poly_eval,
     principal_minors,
     spectrum_feasible,
 )
-from sectorpoly.poly import residual_scale
+from sectorpoly.poly import relative_residual
 
 ROTATION = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -147,8 +146,15 @@ class TestCharAndAuxPoly:
             rs = eigenvalues(a)
             assert rs.converged
             for lam in rs.roots:
-                val = poly_eval(q, -complex(lam))
-                assert abs(val) <= 1e-8 * residual_scale(q, -complex(lam))
+                assert relative_residual(q, -complex(lam)) <= 1e-8
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+    def test_six_fold_eigenvalue_at_every_scale(self, c):
+        # a 6-fold root at every scale: the residual must not accept the
+        # Newton-polygon starts, which lie on the circle |t| = c
+        rs = eigenvalues(c * np.eye(6))
+        assert rs.converged
+        assert float(np.max(np.abs(rs.roots - c))) <= 1e-2 * c
 
     def test_e_sums_match_eigenvalue_symmetric_functions(self):
         rng = np.random.default_rng(24)
@@ -263,6 +269,19 @@ class TestGeneratePMatrix:
     def test_out_of_range(self):
         with pytest.raises(PreconditionError):
             generate_p_matrix(13, 0)
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_eigenvalues_match_lapack(self, n):
+        # clustered characteristic polynomials: every computed eigenvalue
+        # lies near a LAPACK one and every LAPACK one near a computed one
+        for seed in range(20):
+            a = generate_p_matrix(n, seed)
+            rs = eigenvalues(a)
+            assert rs.converged, seed
+            lapack = np.linalg.eigvals(a)
+            dist = np.abs(rs.roots[:, None] - lapack[None, :])
+            worst = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+            assert worst <= 1e-4 * np.max(np.abs(lapack)), seed
 
     def test_aux_poly_positive_for_p_matrices(self):
         for seed in range(10):

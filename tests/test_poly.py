@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sectorpoly import (
@@ -21,7 +21,7 @@ from sectorpoly.poly import (
     complex_to_json,
     is_conjugate_closed,
     parse_complex,
-    residual_scale,
+    relative_residual,
 )
 
 # expansion of (t-1)(t-2)(t-3), cross-checked by convolution below
@@ -52,7 +52,24 @@ class TestEval:
             prod = poly_mul(p, q)
             lhs = poly_eval(prod, z)
             rhs = poly_eval(p, z) * poly_eval(q, z)
-            assert abs(lhs - rhs) <= 1e-10 * residual_scale(prod, z)
+            assert abs(lhs - rhs) <= 1e-10 * poly_eval(np.abs(prod), abs(z))
+
+    @given(
+        coeffs=st.lists(st.integers(-1000, 1000), min_size=2, max_size=9),
+        r=st.floats(1e-2, 1e2),
+        angle=st.floats(-math.pi, math.pi),
+        c=st.sampled_from([1e-20, 1e20]),
+    )
+    @settings(max_examples=200)
+    def test_relative_residual_is_homogeneous(self, coeffs, r, angle, c):
+        # q(t/c) * c^n at c*z has the residual of q at z
+        q = np.asarray(coeffs, dtype=np.float64)
+        z = from_polar(r, angle)
+        assume(relative_residual(q, z) > 1e-2)
+        n = len(q) - 1
+        scaled = q * c ** (n - np.arange(n + 1))
+        assert relative_residual(scaled, c * z) == pytest.approx(
+            relative_residual(q, z), rel=1e-12)
 
 
 class TestMul:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sectorpoly import DegenerateInput, find_roots, min_arg_defect
+from sectorpoly import DegenerateInput, DomainError, find_roots, min_arg_defect
 from sectorpoly.poly import is_conjugate_closed, principal_arg
 
 
@@ -36,6 +36,12 @@ class TestFindRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(DegenerateInput):
             find_roots([5])
+
+    def test_overflowing_residual_raises(self):
+        # |z|^20 overflows at the start near 1e20: the residual is NaN, which
+        # no stopping test may read as converged or as unconverged
+        with pytest.raises(DomainError):
+            find_roots([1.0] + [0.0] * 18 + [-1e20, 1.0])
 
     def test_root_count_matches_degree(self):
         rng = np.random.default_rng(0)

@@ -293,6 +293,15 @@ class TestSynthesize:
         assert result.j == 2
         assert relative_residual(result.coeffs, mu) <= 1e-10
 
+    @pytest.mark.parametrize("r", [1e-20, 1.0, 1e10, 1e25])
+    def test_residual_sees_a_moved_zero_at_every_modulus(self, r):
+        # the residual scale is homogeneous in mu, so a zero moved by a
+        # relative 1e-6 shows at every modulus, large or small
+        mu = from_polar(r, 2.0)
+        result = synthesize(mu, 12, SignClass.POSITIVE)
+        assert result.residual <= 1e-14
+        assert relative_residual(result.coeffs, mu * (1.0 + 1e-6)) > 1e-10
+
     def test_zero_modulus(self):
         with pytest.raises(ZeroModulus):
             synthesize(0j, 3, SignClass.NONNEGATIVE)
@@ -335,6 +344,17 @@ class TestVerifyCot:
         report = verify_cot([8, 0, 0, 1])
         assert report.status == "pass"
         assert report.binomial
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-100, 1e-20, 1e20, 1e100, 1e300])
+    def test_binomial_passes_at_every_scale(self, s):
+        # t^n + s sits on the boundary of the theorem at every scale: a
+        # solver that accepts its starts and only polishes leaves the angles
+        # off by ~3e-7, which reads as a false counterexample
+        for n in range(1, 13):
+            coeffs = np.zeros(n + 1)
+            coeffs[0] = s
+            coeffs[n] = 1.0
+            assert verify_cot(coeffs).status == "pass", n
 
     def test_rejects_mixed_signs(self):
         with pytest.raises(PreconditionError):
