@@ -104,16 +104,19 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         # nudged deterministically
         return np.where((dp == 0) & (p != 0), zz * (1.0 + 1e-8) + 1e-8, znew)
 
-    p, dp, resid = _eval(z)
-    iters = 0
-    while iters < max_iters and resid.max() > tol:
-        z = _sweep(z, p, dp)
-        iters += 1
+    # iterates whose powers overflow leave non-finite residuals, which the
+    # caller turns into DomainError; numpy need not warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
         p, dp, resid = _eval(z)
-    if resid.max() <= tol:
-        for _ in range(POLISH_SWEEPS):
+        iters = 0
+        while iters < max_iters and resid.max() > tol:
             z = _sweep(z, p, dp)
+            iters += 1
             p, dp, resid = _eval(z)
+        if resid.max() <= tol:
+            for _ in range(POLISH_SWEEPS):
+                z = _sweep(z, p, dp)
+                p, dp, resid = _eval(z)
     return z, resid, iters
 
 

@@ -35,8 +35,8 @@ from .errors import (
     ZeroLambda,
 )
 from .poly import (
+    SIGN_TOL,
     SignClass,
-    classify_signs,
     is_conjugate_closed,
     principal_arg,
 )
@@ -118,9 +118,10 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> M
     n = a.shape[0]
     if n > min(cap, HARD_DIM_CAP):
         raise DimensionCap(f"n={n} exceeds minor-enumeration cap {min(cap, HARD_DIM_CAP)}")
-    e_sums, min_re, max_im = kernels.minor_sums(a)
-    row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
-    bounds = row_norm ** np.arange(1, n + 1)    # |size-k minor| <= row_norm^k
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        e_sums, min_re, max_im = kernels.minor_sums(a)
+        row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
+        bounds = row_norm ** np.arange(1, n + 1)    # |size-k minor| <= row_norm^k
     # a finite E_k means every size-k minor is finite
     if row_norm > 0 and not (np.all(np.isfinite(e_sums))
                              and 0 < bounds.min() and bounds.max() < math.inf):
@@ -198,24 +199,27 @@ def spectrum_aux_poly(values) -> np.ndarray:
 def spectrum_feasible(values, imag_tol: float = SPECTRUM_IMAG_TOL) -> MatrixClass:
     """Decide whether a multiset is a P spectrum, a P0 spectrum, or neither.
 
-    Expands prod (t + lambda_k); coefficients must be real up to
-    ``imag_tol`` (relative to the largest coefficient), else
-    NotConjugateClosed. The sign class of the real parts gives the verdict.
+    Expands q = prod (t + lambda_k) and judges each coefficient against the
+    same coefficient of prod (t + |lambda_k|), which bounds it and scales as
+    it does, so the verdict does not depend on the moduli. Imaginary parts
+    beyond ``imag_tol`` times that bound raise NotConjugateClosed. The
+    verdict is P when every real part exceeds SIGN_TOL times the bound, and
+    P0 when none falls below minus that. A bound of 0 means an exactly zero
+    coefficient, which counts as 0: P0, not P.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if vals.size < 1:
         raise PreconditionError("spectrum must contain at least one value")
     q = spectrum_aux_poly(vals)
-    scale = float(np.max(np.abs(q)))
-    if float(np.max(np.abs(q.imag))) > imag_tol * scale:
+    bound = spectrum_aux_poly(np.abs(vals)).real
+    if np.any(np.abs(q.imag) > imag_tol * bound):
         raise NotConjugateClosed(
             "product polynomial has complex coefficients; "
             "the multiset is not closed under conjugation"
         )
-    sign = classify_signs(q.real)
-    if sign is SignClass.POSITIVE:
+    if np.all(q.real > SIGN_TOL * bound):
         return MatrixClass.P
-    if sign is SignClass.NONNEGATIVE:
+    if np.all(q.real >= -SIGN_TOL * bound):
         return MatrixClass.P0
     return MatrixClass.NEITHER
 
@@ -224,10 +228,22 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     """Complete an admissible eigenvalue into a full n-point spectrum of the
     requested class.
 
-    Negates lambda, synthesizes a degree-n polynomial in the matching sign
-    class vanishing there, and negates its roots back. The result contains
-    lambda, has exactly n values, and spectrum_feasible accepts it (a P0
-    witness may classify as P when strictly positive).
+    Synthesizes the degree-n polynomial q = core * lift of the matching sign
+    class vanishing at -lambda; the spectrum is its roots, negated. Most of
+    them are known in closed form: lambda and its conjugate (the core's
+    quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), and the g lift roots,
+    e^{i(2j+1)pi/g} for t^g + 1 and the nontrivial (g+1)-th roots of unity for
+    1 + ... + t^g, built as exact conjugate pairs. Only the core's other k - 2
+    roots come from the solver, after deflating that quadratic; none do when
+    k <= 2. A k = 1 core, t + |lambda| for lambda on the positive real axis,
+    contributes lambda alone.
+
+    The result contains lambda itself, has exactly n values, is
+    conjugate-closed by construction, and spectrum_feasible accepts it (a P0
+    witness may classify as P when strictly positive). The one exception is
+    a k = 1 lambda that the snapping of pi/alpha puts on the real axis
+    although |Im lambda| exceeds 5e-10 (1 + |lambda|): it stays unpaired,
+    and conjugate_closed reads False.
 
     Raises NotAdmissible outside the region; FeasibleButUnwitnessed for
     P-mode boundary angles where pi/(theta - pi) is an integer, which the
@@ -247,12 +263,57 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
         result = synthesize(-lam, n, SignClass.POSITIVE)
     else:
         result = synthesize(-lam, n, SignClass.NONNEGATIVE)
-    rs = find_roots(result.coeffs)
-    values = -rs.roots
+    core = result.core
+    values = [lam]
+    if core.size > 2:
+        values.append(lam.conjugate())
+    if core.size > 3:
+        values.extend(-find_roots(_deflate(core, lam)).roots)
+    values.extend(_lift_values(result.lift_terms, result.mode))
+    values = np.array(values, dtype=np.complex128)
     return SpectrumMultiset(
         values=values,
         conjugate_closed=is_conjugate_closed(values),
     )
+
+
+def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
+    """Quotient of a monic ascending polynomial by (t + lambda)(t + conj
+    lambda) = t^2 + b t + c; the remainder is dropped.
+
+    Composite deflation (Peters & Wilkinson, J. Inst. Maths Applics 8, 1971):
+    the quotient's coefficients from the core's dominant term at |t| =
+    |lambda| upwards come from division from the leading term, those below it
+    from division from the constant term. Either direction alone can lose
+    about half the digits of the small or of the large remaining roots.
+    """
+    k = core.size - 1
+    a = core.tolist()
+    b, c = 2.0 * lam.real, abs(lam) ** 2
+    m = max(int(np.argmax(np.abs(core) * abs(lam) ** np.arange(k + 1))) - 1, 0)
+    q = [0.0] * (k + 1)         # q[0..k-2]; the two zeros on top pad both ends
+    for j in range(k - 2, m - 1, -1):
+        q[j] = a[j + 2] - b * q[j + 1] - c * q[j + 2]
+    for j in range(m):
+        q[j] = (a[j] - b * q[j - 1] - q[j - 2]) / c
+    return np.array(q[: k - 1])
+
+
+def _lift_values(g: int, mode: SignClass) -> list[complex]:
+    """The negated roots of the lift factor, in conjugate pairs: t^g + 1 in
+    nonnegative mode, 1 + t + ... + t^g in positive mode. For odd g the real
+    root -1 gives exactly 1."""
+    if mode is SignClass.POSITIVE:
+        angles = [2.0 * math.pi * j / (g + 1) for j in range(1, g // 2 + 1)]
+    else:
+        angles = [(2 * j + 1) * math.pi / g for j in range(g // 2)]
+    values = []
+    for a in angles:
+        v = complex(-math.cos(a), -math.sin(a))
+        values += [v, v.conjugate()]
+    if g % 2 == 1:
+        values.append(1.0 + 0.0j)
+    return values
 
 
 def generate_p_matrix(n: int, seed: int) -> np.ndarray:

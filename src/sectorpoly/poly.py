@@ -68,7 +68,8 @@ def poly_mul(p, q) -> np.ndarray:
 def relative_residual(coeffs, z) -> float:
     """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root."""
     c = np.asarray(coeffs)
-    value, scale = abs(poly_eval(c, z)), poly_eval(np.abs(c), abs(z))
+    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        value, scale = abs(poly_eval(c, z)), poly_eval(np.abs(c), abs(z))
     if not math.isfinite(value + scale):
         raise DomainError(f"the residual at |z| = {abs(z)!r} overflows float64")
     return value / scale if scale else 0.0

@@ -57,6 +57,7 @@ class SectorIndex:
 @dataclass(frozen=True)
 class SynthesisResult:
     coeffs: np.ndarray          # monic, ascending, degree n
+    core: np.ndarray            # monic, degree k, vanishes at mu; coeffs = lift(core)
     mode: SignClass
     k_used: SectorIndex
     construction: str           # "linear" | "qj" | "q_avg"
@@ -279,6 +280,7 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     out = lift(core, n, mode)
     return SynthesisResult(
         coeffs=out,
+        core=core,
         mode=mode,
         k_used=k_used,
         construction=construction,

@@ -18,6 +18,16 @@ def test_small_campaigns_pass(suite):
     assert report.passes == cases
 
 
+@pytest.mark.parametrize("cases, seed", [(300, 2132340198), (200, 1121323794)])
+def test_witness_seeds_that_once_failed(cases, seed):
+    # seed 2132340198, case 270 read a P witness as P0; seed 1121323794, case 191
+    # missed lambda by more than the bound before the Newton-polygon starts.
+    # Every witness now holds lambda itself.
+    report = run_suite("witness", cases, seed)
+    assert report.failures == 0, report.failure
+    assert report.metrics["max_match_distance"] == 0.0
+
+
 def test_mode_restricted_synth_campaigns():
     nonneg = run_synth_suite(300, 5, SignClass.NONNEGATIVE)
     positive = run_synth_suite(300, 5, SignClass.POSITIVE)

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorpoly import (
     ComplexCharPoly,
@@ -26,6 +28,7 @@ from sectorpoly import (
     principal_minors,
     spectrum_feasible,
 )
+from sectorpoly.pmatrix import spectrum_aux_poly
 from sectorpoly.poly import relative_residual
 
 ROTATION = [[0.0, -1.0], [1.0, 0.0]]
@@ -99,6 +102,25 @@ class TestPrincipalMinors:
     def test_positive_scaling_keeps_the_class(self, a, expected, scale):
         # a size-k minor and its tolerance both scale as c^k under A -> cA
         assert principal_minors(scale * np.asarray(a)).matrix_class is expected
+
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["P", "P0", "random"]),
+        c=st.sampled_from([1e-8, 1e-3, 1e3, 1e8]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_positive_scaling_keeps_the_class_of_any_matrix(self, n, seed, kind, c):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            a = rng.uniform(-1.0, 1.0, (n, n))
+        else:
+            a = generate_p_matrix(n, seed)
+            if kind == "P0":
+                # every minor through a zero row is exactly 0
+                a[rng.integers(n)] = 0.0
+        assert (principal_minors(c * a).matrix_class
+                is principal_minors(a).matrix_class)
 
     def test_zero_matrix_is_weakly_positive(self):
         assert principal_minors(np.zeros((3, 3))).matrix_class is MatrixClass.P0
@@ -215,6 +237,21 @@ class TestSpectrumFeasible:
     def test_mixed_reals(self):
         assert spectrum_feasible([1.0, -2.0]) is MatrixClass.NEITHER
 
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [0.0, 0.0], [0.0, 1j, -1j]])
+    def test_exactly_zero_coefficients_read_p0(self, values):
+        assert spectrum_feasible(values) is MatrixClass.P0
+
+    @pytest.mark.parametrize("c", [1e-20, 1e-3, 1e3, 1e20])
+    @pytest.mark.parametrize("values, expected", [
+        ([1.0] * 12, MatrixClass.P),
+        ([1.0, 2.0, from_polar(1.0, 2.0), from_polar(1.0, -2.0)], MatrixClass.P),
+        ([2j, -2j, 1j, -1j], MatrixClass.P0),
+        ([1.0, -2.0], MatrixClass.NEITHER),
+    ])
+    def test_verdict_ignores_the_modulus(self, values, expected, c):
+        # coefficient k of prod (t + c v) is c^(n-k) times that of prod (t + v)
+        assert spectrum_feasible(c * np.asarray(values)) is expected
+
 
 class TestEigenWitness:
     def test_strict_witness_on_unit_circle(self):
@@ -246,6 +283,75 @@ class TestEigenWitness:
         spectrum = eigen_witness(1j, 3, MatrixClass.P0)
         assert len(spectrum.values) == 3
         assert spectrum_feasible(spectrum.values) is not MatrixClass.NEITHER
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+    def test_real_lambda_with_a_double_value(self, n):
+        # k = 1: the core t + 1 and the lift t^(n-1) + 1 share the root -1
+        spectrum = eigen_witness(1.0, n, MatrixClass.P0)
+        values = spectrum.values
+        assert len(values) == n
+        assert np.count_nonzero(values == 1.0) == 2
+        assert spectrum.conjugate_closed
+        assert spectrum_feasible(values) is not MatrixClass.NEITHER
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_boundary_witness_is_the_binomial(self, n):
+        # at |theta - pi| = pi/n only t^n + r^n has nonnegative coefficients
+        # and vanishes at -lambda
+        r = 3.0
+        lam = from_polar(r, math.pi + math.pi / n)
+        spectrum = eigen_witness(lam, n, MatrixClass.P0)
+        q = spectrum_aux_poly(spectrum.values)
+        assert abs(q[0] - r**n) <= 1e-12 * r**n
+        for k in range(1, n):
+            assert abs(q[k]) <= 1e-12 * math.comb(n, k) * r ** (n - k), k
+        assert spectrum_feasible(spectrum.values) is MatrixClass.P0
+
+    def test_p_witness_whose_coefficients_span_twelve_decades(self):
+        # witness campaign seed 2132340198, case 270: every coefficient of
+        # prod (t + v) is positive, the smallest 7.6e-13 of the largest
+        lam = complex(-7.240350349062167, 1.9457822337685502)
+        spectrum = eigen_witness(lam, 12, MatrixClass.P)
+        assert spectrum_feasible(spectrum.values) is MatrixClass.P
+
+    @pytest.mark.parametrize("mode, n", [
+        *[(MatrixClass.P, n) for n in range(2, 13)],
+        *[(MatrixClass.P0, n) for n in range(1, 13)],
+    ])
+    def test_witnesses_across_sectors_and_moduli(self, mode, n):
+        built = 0
+        for r in (1e-20, 1e-3, 1.0, 1e3, 1e20):
+            for gap in _sector_gaps(n):
+                for side in (1.0, -1.0):
+                    lam = from_polar(r, math.pi + side * gap)
+                    if not kellogg_admissible(lam, n, mode):
+                        continue
+                    try:
+                        spectrum = eigen_witness(lam, n, mode)
+                    except FeasibleButUnwitnessed:
+                        continue
+                    values = spectrum.values
+                    where = (r, gap, side)
+                    assert len(values) == n, where
+                    assert lam in values, where
+                    assert spectrum.conjugate_closed, where
+                    feasibility = spectrum_feasible(values)
+                    if mode is MatrixClass.P:
+                        assert feasibility is MatrixClass.P, where
+                    else:
+                        assert feasibility is not MatrixClass.NEITHER, where
+                    built += 1
+        assert built > 0
+
+
+def _sector_gaps(n):
+    """|theta - pi| across every sector [pi/k, pi/(k-1)), k = 2..n, from its
+    lower end inwards, and pi itself (k = 1)."""
+    gaps = [math.pi]
+    for k in range(2, n + 1):
+        lo, hi = math.pi / k, math.pi / (k - 1)
+        gaps += [lo + f * (hi - lo) for f in (0.0, 0.1, 0.5, 0.9)]
+    return gaps
 
 
 class TestGeneratePMatrix:

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorpoly import (
     AngleTooSmall,
@@ -302,6 +304,17 @@ class TestSynthesize:
         assert result.residual <= 1e-14
         assert relative_residual(result.coeffs, mu * (1.0 + 1e-6)) > 1e-10
 
+    @pytest.mark.parametrize("mu, n, mode", [
+        (-3.0, 4, SignClass.NONNEGATIVE),
+        (from_polar(2.0, 2.0), 7, SignClass.POSITIVE),
+        (from_polar(0.5, -0.7), 9, SignClass.NONNEGATIVE),
+    ])
+    def test_core_is_the_factor_before_the_lift(self, mu, n, mode):
+        result = synthesize(mu, n, mode)
+        assert result.core.size == result.k_used.k + 1
+        assert result.lift_terms == n - result.k_used.k
+        np.testing.assert_array_equal(lift(result.core, n, mode), result.coeffs)
+
     def test_zero_modulus(self):
         with pytest.raises(ZeroModulus):
             synthesize(0j, 3, SignClass.NONNEGATIVE)
@@ -355,6 +368,18 @@ class TestVerifyCot:
             coeffs[0] = s
             coeffs[n] = 1.0
             assert verify_cot(coeffs).status == "pass", n
+
+    @given(
+        ends=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+        middle=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), max_size=11),
+        c=st.sampled_from([1e-8, 1e-3, 1e3, 1e8]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_keeps_under_scaling_of_t(self, ends, middle, c):
+        # q(c t) has the roots of q divided by c: the same arguments
+        q = np.array([ends[0], *middle, ends[1]])
+        scaled = q * c ** np.arange(q.size)
+        assert verify_cot(scaled).status == verify_cot(q).status
 
     def test_rejects_mixed_signs(self):
         with pytest.raises(PreconditionError):
