@@ -5,11 +5,14 @@ Two inner loops dominate the randomized campaigns: the simultaneous
 Both are numpy code, one implementation each. The iteration starts from
 Bini's Newton-polygon points (``initial_guesses``), which put every start
 near the modulus of a root, so the sweep count stays small at every degree
-and coefficient scale.
+and coefficient scale. The minors come from recursive Schur complements
+(MAT2PM), O(2^n) operations for all 2^n - 1 of them, with a pseudo-pivot in
+place of any pivot near zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +24,13 @@ POLISH_SWEEPS = 3
 # Angular offset of the starting points (Bini's sigma): keeps the starts of
 # binomials such as t^n + c off the axes and off the roots of unity.
 _START_ROTATION = 0.7
+
+# A principal-minor pivot at or below this multiple of the max row norm gets
+# a pseudo-pivot. Dividing by a pivot p amplifies rounding by about norm/|p|.
+# On 6x6 matrices with one pivot set to 10^-j * norm (j = 0..16) or 0, a floor
+# of 1e-8 left minors up to 1.8e-12 * norm^k from 50-digit values; 1e-3 kept
+# them within 2e-16 * norm^k.
+_PIVOT_FLOOR = 1e-3
 
 
 def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
@@ -120,33 +130,90 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     return z, resid, iters
 
 
+@functools.lru_cache(maxsize=16)
+def _size_groups(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bitmasks 1 .. 2^n - 1 ordered by subset size, and the offset of
+    each size's group in that order (read-only; shared by every call).
+    The 16 most recent n stay cached, so every n up to the default cap of 12
+    does: building the grouping takes about a fifth of a call at n = 12."""
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        sizes = np.concatenate([sizes, sizes + 1])     # mask | 1 << l adds one
+    order = np.argsort(sizes, kind="stable")[1:]
+    starts = np.cumsum([0] + [math.comb(n, k) for k in range(1, n)])
+    order.setflags(write=False)
+    starts.setflags(write=False)
+    return order, starts
+
+
+def _minors_by_mask(a: np.ndarray) -> np.ndarray:
+    """Every principal minor of ``a``; entry ``mask`` is the minor on the
+    rows and columns whose bits are set in ``mask`` (entry 0, the empty set,
+    is 1).
+
+    MAT2PM (Griffin & Tsatsomeros, Linear Algebra Appl. 419, 2006), level by
+    level. Level l holds, for each subset T of 0..l-1, the Schur complement
+    of A[T, T] in the rows and columns T and l..n-1, stacked along the last
+    axis at position mask(T). Its [0, 0] entry is the pivot: the minor of
+    T + {l} is the minor of T times it. The child that leaves l out is the
+    trailing block, the child that takes it in is the trailing block minus
+    the pivot row and column's outer product over the pivot.
+
+    A pivot at or below _PIVOT_FLOOR times the max row norm is raised by a
+    shift s (the norm) before it is used, as the paper's pseudo-pivot: the
+    subtree that takes l in then holds the minors of A with a_ll + s. A minor
+    is affine in a_ll, so each of them is corrected, deepest level first, by
+    subtracting s times the minor without l, which sits in the other subtree
+    at the same position.
+    """
+    n = a.shape[0]
+    rho = float(np.max(np.sum(np.abs(a), axis=1)))
+    shift = rho if rho > 0 else 1.0        # a zero matrix: every pivot is 0
+    minors = np.empty(1 << n, dtype=np.complex128)
+    minors[0] = 1.0
+    stack = a[:, :, None]
+    shifts = []
+    for l in range(n):
+        half = 1 << l
+        piv = stack[0, 0]
+        small = np.abs(piv) <= _PIVOT_FLOOR * rho
+        if small.any():
+            s = np.where(small, shift, 0.0)
+            piv = piv + s
+            shifts.append((l, s))
+        np.multiply(minors[:half], piv, out=minors[half : 2 * half])
+        if l < n - 1:
+            nxt = np.empty((n - l - 1, n - l - 1, 2 * half), dtype=np.complex128)
+            exc, inc = nxt[:, :, :half], nxt[:, :, half:]
+            exc[...] = stack[1:, 1:]
+            np.multiply(stack[1:, :1], stack[:1, 1:] / piv, out=inc)
+            np.subtract(exc, inc, out=inc)
+            stack = nxt
+    for l, s in reversed(shifts):
+        cols = np.flatnonzero(s)
+        # mask = (high << (l + 1)) | (bit l << l) | low, low = the node's T
+        split = minors.reshape(-1, 2, 1 << l)
+        split[:, 1, cols] -= s[cols] * split[:, 0, cols]
+    return minors
+
+
 def minor_sums(a):
     """Principal-minor aggregates of a complex square matrix.
 
     Returns ``(e_sums, min_re, max_im)`` where ``e_sums[k-1]`` is the sum of
     all size-k principal minors and ``min_re[k-1]`` / ``max_im[k-1]`` are the
-    extreme real part and |imaginary part| among size-k minors. Determinants
-    come from LAPACK's partially pivoted LU, batched per size (in chunks to
-    bound memory for large n).
+    extreme real part and |imaginary part| among size-k minors. All 2^n - 1
+    minors come from one pass of recursive Schur complements
+    (``_minors_by_mask``) in O(2^n) operations. The tests hold each within
+    1e-13 * (max row norm)^k of an LU or 50-digit determinant, on random,
+    complex, zero-pivot and singular matrices.
     """
-    from itertools import combinations
-
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    e_sums = np.zeros(n, dtype=np.complex128)
-    min_re = np.full(n, np.inf)
-    max_im = np.zeros(n)
-    chunk = 4096
-    for k in range(1, n + 1):
-        subs = np.array(list(combinations(range(n), k)))
-        for lo in range(0, len(subs), chunk):
-            part = subs[lo : lo + chunk]
-            # one gather builds the whole (len(part), k, k) stack of submatrices
-            dets = np.linalg.det(a[part[:, :, None], part[:, None, :]])
-            e_sums[k - 1] += dets.sum()
-            min_re[k - 1] = min(min_re[k - 1], float(dets.real.min()))
-            max_im[k - 1] = max(max_im[k - 1], float(np.abs(dets.imag).max()))
-    return e_sums, min_re, max_im
+    order, starts = _size_groups(a.shape[0])
+    by_size = _minors_by_mask(a)[order]
+    return (np.add.reduceat(by_size, starts),
+            np.minimum.reduceat(by_size.real, starts),
+            np.maximum.reduceat(np.abs(by_size.imag), starts))
 
 
 def backend_name() -> str:

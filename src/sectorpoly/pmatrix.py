@@ -9,8 +9,9 @@ coefficients exactly when the eigenvalue multiset is a P (P0) spectrum.
 That turns eigenvalue-region questions into coefficient-sign questions,
 which the synthesis module answers constructively.
 
-One enumeration of the 2^n - 1 principal minors (``principal_minors``)
-yields a ``MinorReport``; the class, p and q are all read off it. A size-k
+One pass over the 2^n - 1 principal minors (``principal_minors``, by
+recursive Schur complements in ``kernels.minor_sums``) yields a
+``MinorReport``; the class, p and q are all read off it. A size-k
 minor is judged against tol * (max row norm)^k, which scales as c^k under
 A -> cA exactly as the minor does, so positive scaling keeps the class.
 """
@@ -104,11 +105,12 @@ def _as_square(a) -> np.ndarray:
 def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> MinorReport:
     """Enumerate every nonempty principal minor and classify the matrix.
 
-    Each determinant comes from a partially pivoted LU of its principal
-    submatrix. Size-k minors are judged against tol * (max row norm)^k, which
-    scales as c^k under A -> cA like the minors do, so c*A keeps the class of
-    A. P needs every real part above it and every imaginary part within it,
-    P0 relaxes the real parts to >= -tolerance.
+    All of them come from one pass of recursive Schur complements
+    (``kernels.minor_sums``, O(2^n) operations). Size-k minors are judged
+    against tol * (max row norm)^k, which scales as c^k under A -> cA like
+    the minors do, so c*A keeps the class of A. P needs every real part
+    above it and every imaginary part within it, P0 relaxes the real parts
+    to >= -tolerance.
 
     Raises DimensionCap beyond ``cap`` (hard limit 20): the enumeration is
     exponential by construction. Raises DomainError for non-finite entries
@@ -320,17 +322,18 @@ def generate_p_matrix(n: int, seed: int) -> np.ndarray:
     """Random strictly diagonally dominant matrix with positive diagonal.
 
     Off-diagonal entries are uniform on [-1, 1]; each diagonal entry is the
-    row's absolute off-diagonal sum plus uniform(0.1, 1), which forces every
-    principal minor positive. Verified post hoc; regenerates on the
-    (unexpected) failure path, deterministically for a fixed seed.
+    row's absolute off-diagonal sum plus uniform(0.1, 1). Such a matrix is a
+    P matrix, so it is not checked: every principal submatrix is strictly
+    diagonally dominant with a positive diagonal, so by Gershgorin's theorem
+    its eigenvalues have positive real parts; being real, they are positive
+    or come in conjugate pairs, and the determinant, their product, is
+    positive. Deterministic for a fixed seed.
     """
     if not 1 <= n <= DEFAULT_DIM_CAP:
         raise PreconditionError(f"n must be in [1, {DEFAULT_DIM_CAP}], got {n}")
     rng = np.random.default_rng(seed)
-    while True:
-        a = rng.uniform(-1.0, 1.0, (n, n))
-        np.fill_diagonal(a, 0.0)
-        dom = np.sum(np.abs(a), axis=1) + rng.uniform(0.1, 1.0, n)
-        np.fill_diagonal(a, dom)
-        if principal_minors(a).matrix_class is MatrixClass.P:
-            return a
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    np.fill_diagonal(a, 0.0)
+    dom = np.sum(np.abs(a), axis=1) + rng.uniform(0.1, 1.0, n)
+    np.fill_diagonal(a, dom)
+    return a

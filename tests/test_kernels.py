@@ -1,8 +1,11 @@
 import math
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectorpoly import campaigns, find_roots, kernels
 
@@ -66,8 +69,9 @@ class TestNumpyPath:
 
 
 def _minor_sums_by_loop(a):
-    """Reference: each submatrix gathered on its own with np.ix_, in the
-    subset order and 4096-subset chunks of minor_sums."""
+    """Reference: each submatrix gathered on its own with np.ix_ and its
+    determinant taken by LAPACK's partially pivoted LU, in 4096-subset
+    batches per size."""
     n = a.shape[0]
     e_sums = np.zeros(n, dtype=np.complex128)
     min_re = np.full(n, np.inf)
@@ -87,17 +91,127 @@ def _minor_sums_by_loop(a):
     return e_sums, min_re, max_im
 
 
-class TestMinorSumsGather:
-    @pytest.mark.parametrize("n", [*range(1, 9), 15])
+def _subset(mask, n):
+    return [i for i in range(n) if mask >> i & 1]
+
+
+def _minors_by_lu(a):
+    """Reference: every principal minor by LU, indexed by subset bitmask."""
+    n = a.shape[0]
+    out = np.ones(1 << n, dtype=np.complex128)
+    for mask in range(1, 1 << n):
+        ix = _subset(mask, n)
+        out[mask] = np.linalg.det(a[np.ix_(ix, ix)])
+    return out
+
+
+def _minors_by_mpmath(a):
+    """Reference: every principal minor to 50 digits, indexed by bitmask."""
+    n = a.shape[0]
+    out = [mpmath.mpc(1)]
+    with mpmath.workdps(50):
+        for mask in range(1, 1 << n):
+            ix = _subset(mask, n)
+            out.append(mpmath.det(mpmath.matrix([[a[i, j] for j in ix] for i in ix])))
+    return out
+
+
+def _scale_by_mask(a):
+    """(max row norm)^k for the size k of each bitmask."""
+    n = a.shape[0]
+    rho = float(np.max(np.sum(np.abs(a), axis=1)))
+    return np.array([rho ** bin(mask).count("1") for mask in range(1 << n)])
+
+
+# |computed - reference| <= AGREE * (max row norm)^k for every size-k minor;
+# MINOR_TOL = 1e-9 classifies at that scale
+AGREE = 1e-13
+
+
+def _assert_minors_agree(a):
+    a = np.asarray(a, dtype=np.complex128)
+    got = kernels._minors_by_mask(a)
+    assert np.all(np.abs(got - _minors_by_lu(a)) <= AGREE * _scale_by_mask(a))
+    return got
+
+
+class TestMinorSumsAgreement:
+    @pytest.mark.parametrize("n", [*range(1, 13), 15])
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_bitwise_equal_to_loop(self, n, kind):
-        # n = 15 has C(15, 7) = 6435 subsets of size 7, which crosses a chunk
+    def test_agrees_with_lu_loop(self, n, kind):
         rng = np.random.default_rng(100 + n)
         a = rng.normal(size=(n, n)).astype(np.complex128)
         if kind == "complex":
             a += 1j * rng.normal(size=(n, n))
+        bound = AGREE * np.max(np.sum(np.abs(a), axis=1)) ** np.arange(1, n + 1)
         for got, want in zip(kernels.minor_sums(a), _minor_sums_by_loop(a)):
-            assert np.array_equal(got, want)
+            assert np.all(np.abs(got - want) <= bound)
+
+    def test_minors_are_indexed_by_bitmask(self):
+        a = np.diag([2.0, 3.0, 5.0]).astype(np.complex128)
+        np.testing.assert_array_equal(kernels._minors_by_mask(a),
+                                      [1, 2, 3, 6, 5, 10, 15, 30])
+
+
+class TestPivotEdges:
+    def test_rotation_has_exact_minors(self):
+        # both pivots on the way to det = 1 are exact zeros
+        e, min_re, max_im = kernels.minor_sums(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(e, [0, 1])
+        np.testing.assert_array_equal(min_re, [0, 1])
+        np.testing.assert_array_equal(max_im, [0, 0])
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_zero_diagonal(self, n, kind):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if kind == "complex" else 0)
+        np.fill_diagonal(a, 0.0)
+        got = _assert_minors_agree(a)
+        assert np.all(got[[1 << i for i in range(n)]] == 0)
+
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_rank_deficient(self, rank):
+        rng = np.random.default_rng(rank)
+        u = rng.normal(size=(7, rank))
+        a = u @ rng.normal(size=(rank, 7))
+        got = _assert_minors_agree(a)
+        sizes = np.array([bin(mask).count("1") for mask in range(1 << 7)])
+        assert np.all(np.abs(got[sizes > rank]) <= AGREE * _scale_by_mask(a)[sizes > rank])
+
+    def test_singular_leading_block(self):
+        # the pivot of {0, 1} after eliminating 0 is 4 - 2 * 2 / 1 = 0
+        a = np.random.default_rng(7).normal(size=(6, 6))
+        a[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        got = _assert_minors_agree(a)
+        assert got[0b11] == 0
+
+    @pytest.mark.parametrize("where", [0, 2])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_pivot_sweep_against_mpmath(self, where, kind):
+        # the pivot of index `where` after eliminating every earlier index
+        # is set to 10^-j * rho, j = 0..16, and to 0
+        rng = np.random.default_rng(11)
+        base = rng.normal(size=(5, 5)) + (1j * rng.normal(size=(5, 5)) if kind == "complex" else 0)
+        rho = np.max(np.sum(np.abs(base), axis=1))
+        for target in [10.0 ** -j * rho for j in range(17)] + [0.0]:
+            a = base.astype(np.complex128)
+            head = a[:where, :where]
+            schur = a[where, where] - a[where, :where] @ np.linalg.solve(head, a[:where, where])
+            a[where, where] += target - schur
+            got = kernels._minors_by_mask(a)
+            want = _minors_by_mpmath(a)
+            err = np.array([float(abs(mpmath.mpc(g) - w)) for g, w in zip(got, want)])
+            assert np.all(err <= AGREE * _scale_by_mask(a)), target
+
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_ternary_matrices_give_exact_minors(self, n, seed):
+        # entries in {-1, 0, 1}: many exact zero pivots; every minor is an
+        # integer, which the rounded LU determinant gives exactly
+        a = np.random.default_rng(seed).integers(-1, 2, size=(n, n)).astype(np.complex128)
+        got = _assert_minors_agree(a)
+        np.testing.assert_array_equal(np.round(got.real), np.round(_minors_by_lu(a).real))
 
 
 class TestSweepCount:
