@@ -194,7 +194,7 @@ def run_kellogg_suite(cases: int, seed: int) -> SuiteReport:
             bad.append("class")
         if classify_signs(minors.aux_poly()) is not SignClass.POSITIVE:
             bad.append("aux_signs")
-        rs = eigenvalues(a)
+        rs = eigenvalues(minors)
         max_root_residual = max(max_root_residual, float(np.max(rs.residuals)))
         if not rs.converged:
             bad.append("eigen_convergence")

@@ -3,11 +3,17 @@ region sampling and randomized oracle campaigns.
 
 All reports are deterministic for fixed flags and seed: repeated runs emit
 byte-identical JSON/CSV. Angles are radians only.
+
+``main`` may be called any number of times in one process. It builds the
+parser from ``build_parser`` on its first call and reuses it afterwards:
+argparse reads a parser without changing it and gives every call a fresh
+namespace, so no flag of one call carries over into the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,6 +25,8 @@ from . import kernels
 from .campaigns import SUITE_NAMES, run_suite
 from .errors import DomainError, SectorPolyError, ZeroLambda
 from .pmatrix import (
+    DEFAULT_DIM_CAP,
+    HARD_DIM_CAP,
     MatrixClass,
     eigenvalues,
     kellogg_admissible,
@@ -151,7 +159,7 @@ def _cmd_classify(args) -> int:
     }
     p = report.char_poly()
     q = report.aux_poly()
-    rs = eigenvalues(a, cap=args.cap)
+    rs = eigenvalues(report)
     n = int(a.shape[0])
     eigen_rows = []
     for z in rs.roots:
@@ -259,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = sub.add_parser("classify", parents=[shared],
                            help="principal-minor classification of a matrix")
     p_cls.add_argument("--matrix", required=True, help="path to the matrix JSON file")
-    p_cls.add_argument("--cap", type=int, default=12,
-                       help="dimension cap for minor enumeration")
+    p_cls.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP,
+                       help="dimension cap for minor enumeration "
+                            f"(hard limit {HARD_DIM_CAP})")
     p_cls.set_defaults(func=_cmd_classify)
 
     p_reg = sub.add_parser("region", parents=[shared],
@@ -278,8 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built once per process, on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and args.command != "region":
         parser.error("--format csv is only available for the region command")

@@ -11,7 +11,8 @@ which the synthesis module answers constructively.
 
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
-``MinorReport``; the class, p and q are all read off it. A size-k
+``MinorReport``; the class, p, q and the eigenvalues (``eigenvalues``
+accepts the report) are all read off it. A size-k
 minor is judged against tol * (max row norm)^k, which scales as c^k under
 A -> cA exactly as the minor does, so positive scaling keeps the class.
 """
@@ -156,8 +157,14 @@ def aux_poly(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> np.ndarra
 
 
 def eigenvalues(a, cap: int = DEFAULT_DIM_CAP):
-    """Eigenvalues as roots of the characteristic polynomial."""
-    return find_roots(principal_minors(a, cap=cap).char_poly())
+    """Eigenvalues as roots of the characteristic polynomial.
+
+    ``a`` is a matrix, or the ``MinorReport`` a caller already holds for
+    it, which spares a second enumeration of the minors. ``cap`` applies
+    only to a matrix argument; a report was capped when it was made.
+    """
+    report = a if isinstance(a, MinorReport) else principal_minors(a, cap=cap)
+    return find_roots(report.char_poly())
 
 
 def wedge_angle(lam: complex) -> float:

@@ -62,5 +62,9 @@ def min_arg_defect(rs: RootSet, n: int) -> float:
     Positive means every root argument clears pi/n strictly; zero marks the
     binomial boundary (and the negative real axis at n = 1).
     """
-    args = np.array([abs(principal_arg(complex(z))) for z in rs.roots])
-    return float(np.min(args) - math.pi / n)
+    return sector_defect([principal_arg(complex(z)) for z in rs.roots], n)
+
+
+def sector_defect(arguments, n: int) -> float:
+    """min |arg| - pi/n over root arguments already in (-pi, pi]."""
+    return float(np.min(np.abs(arguments)) - math.pi / n)

@@ -38,7 +38,7 @@ from .poly import (
     principal_arg,
     relative_residual,
 )
-from .roots import find_roots, min_arg_defect
+from .roots import find_roots, sector_defect
 
 INT_SNAP_TOL = 1e-9
 ANGLE_TOL = 1e-12
@@ -311,7 +311,7 @@ def verify_cot(q, angle_tol: float = VERIFY_ANGLE_TOL) -> CotReport:
 
     rs = find_roots(q)
     args = np.array([principal_arg(complex(z)) for z in rs.roots])
-    defect = min_arg_defect(rs, n)
+    defect = sector_defect(args, n)
     binomial = int(np.count_nonzero(q)) == 2
     if not rs.converged:
         status = "inconclusive"

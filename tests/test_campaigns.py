@@ -52,8 +52,9 @@ def test_different_seeds_differ():
     assert a["metrics"] != b["metrics"]
 
 
-def test_kellogg_enumerates_minors_twice_per_matrix(monkeypatch):
-    # principal_minors (class and aux signs) and eigenvalues
+def test_kellogg_enumerates_minors_once_per_matrix(monkeypatch):
+    # one principal_minors report serves the class, the aux signs and the
+    # eigenvalues
     calls = []
     minor_sums = kernels.minor_sums
 
@@ -64,7 +65,7 @@ def test_kellogg_enumerates_minors_twice_per_matrix(monkeypatch):
     monkeypatch.setattr(kernels, "minor_sums", counted)
     report = run_kellogg_suite(12, 4)
     assert report.failures == 0
-    assert len(calls) == 2 * 12
+    assert len(calls) == 12
 
 
 def test_zero_cases_vacuous_pass():

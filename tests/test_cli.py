@@ -1,12 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from sectorpoly import kernels
+from sectorpoly import cli, kernels
 from sectorpoly.cli import main
-from sectorpoly.pmatrix import MatrixClass, kellogg_admissible
+from sectorpoly.pmatrix import DEFAULT_DIM_CAP, HARD_DIM_CAP, MatrixClass, kellogg_admissible
 from sectorpoly.poly import from_polar
 
 PI = math.pi
@@ -162,9 +164,9 @@ class TestClassifyCommand:
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
-    def test_enumerates_minors_at_most_twice(self, capsys, tmp_path, monkeypatch):
-        # principal_minors serves class, char_poly and aux_poly; eigenvalues
-        # runs its own enumeration
+    def test_enumerates_minors_once(self, capsys, tmp_path, monkeypatch):
+        # one principal_minors report serves the class, char_poly, aux_poly
+        # and the eigenvalues
         calls = []
         minor_sums = kernels.minor_sums
 
@@ -176,7 +178,7 @@ class TestClassifyCommand:
         path = self._write(tmp_path, {"n": 3, "rows": np.eye(3).tolist()})
         code, _ = _run(capsys, "classify", "--matrix", path)
         assert code == 0
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
 
 class TestRegionCommand:
@@ -274,3 +276,95 @@ class TestFlagValidation:
         _, out1 = _run(capsys, *args)
         _, out2 = _run(capsys, *args)
         assert out1 == out2
+
+    def test_cap_defaults_to_the_library_cap(self, capsys):
+        parser = cli.build_parser()
+        assert parser.parse_args(["classify", "--matrix", "m.json"]).cap == DEFAULT_DIM_CAP
+        with pytest.raises(SystemExit):
+            parser.parse_args(["classify", "--help"])
+        assert f"(hard limit {HARD_DIM_CAP})" in " ".join(capsys.readouterr().out.split())
+
+
+class TestParserReuse:
+    """main builds its parser once per process, and no call leaves state that
+    a later call sees: each output equals the same call on a fresh parser."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    @staticmethod
+    def _call(capsys, argv, out_path=None):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        written = None
+        if out_path is not None and out_path.exists():
+            written = out_path.read_bytes()
+            out_path.unlink()
+        return code, captured.out, captured.err, written
+
+    def _sequence(self, capsys, calls, out_path=None):
+        """Outputs of the calls on one parser, then each on a fresh parser."""
+        shared = [self._call(capsys, argv, out_path) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(self._call(capsys, argv, out_path))
+        assert shared == fresh
+        return shared
+
+    def test_j_returns_to_its_default(self, capsys):
+        base = ["synthesize", "--r", "1", "--alpha", "1.2", "--n", "4", "--mode", "nonneg"]
+        with_j, without_j = self._sequence(capsys, [base + ["--j", "2"], base])
+        assert json.loads(with_j[1])["j"] == 2
+        assert json.loads(without_j[1])["j"] == 1
+
+    def test_out_file_then_stdout(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        argv = ["verify", "--poly", "[1,1,1]"]
+        to_file, to_stdout = self._sequence(capsys, [argv + ["--out", str(path)], argv],
+                                            out_path=path)
+        assert to_file[1] == "" and to_file[3] is not None
+        assert to_stdout[3] is None
+        assert to_stdout[1].encode() == to_file[3]
+
+    def test_region_json_then_csv(self, capsys):
+        argv = ["region", "--n", "3", "--mode", "P", "--samples", "12"]
+        as_json, as_csv = self._sequence(capsys, [argv + ["--format", "json"], argv])
+        assert json.loads(as_json[1])["n"] == 3
+        assert as_csv[1].startswith("theta,admissible,boundary\n")
+
+    def test_parser_error_then_valid_call(self, capsys):
+        error, valid = self._sequence(capsys, [
+            ["region", "--n", "0", "--mode", "P"],
+            ["region", "--n", "2", "--mode", "P0", "--samples", "8"],
+        ])
+        assert error[0] == 2 and error[1] == "" and "--n must be >= 1" in error[2]
+        assert valid[0] == 0 and valid[2] == ""
+
+    def test_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for _ in range(3):
+            self._call(capsys, ["verify", "--poly", "[1,2,1]"])
+            self._call(capsys, ["region", "--n", "0", "--mode", "P"])
+            self._call(capsys, ["synthesize", "--mu-re", "-2", "--n", "3", "--mode", "nonneg"])
+        assert built == [1]
+
+    def test_import_builds_no_parser(self):
+        probe = ("import sectorpoly, sectorpoly.cli as c; "
+                 "print(c._parser.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "0"

@@ -191,6 +191,32 @@ class TestCharAndAuxPoly:
                 scale = max(1.0, abs(complex(rep.e_sums[k - 1])))
                 assert abs(complex(esym) - complex(rep.e_sums[k - 1])) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero_pivot"])
+    def test_eigenvalues_of_report_equal_eigenvalues_of_matrix(self, kind):
+        # the report a caller holds gives the very RootSet the matrix does
+        rng = np.random.default_rng(25)
+        for n in range(1, 13):
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            if kind == "complex":
+                # Hermitian: complex minors, real characteristic polynomial
+                b = a + 1j * rng.uniform(-1.0, 1.0, (n, n))
+                a = b + b.conj().T
+            elif kind == "zero_pivot":
+                a[0, 0] = 0.0
+            from_matrix = eigenvalues(a)
+            from_report = eigenvalues(principal_minors(a))
+            np.testing.assert_array_equal(from_report.roots, from_matrix.roots)
+            np.testing.assert_array_equal(from_report.residuals, from_matrix.residuals)
+            assert from_report.converged == from_matrix.converged
+            assert from_report.iterations == from_matrix.iterations
+
+    def test_cap_applies_to_a_matrix_only(self):
+        a = np.eye(13)
+        with pytest.raises(DimensionCap):
+            eigenvalues(a)
+        rs = eigenvalues(principal_minors(a, cap=13), cap=1)
+        assert rs.converged and len(rs.roots) == 13
+
     def test_complex_char_poly_rejected(self):
         with pytest.raises(ComplexCharPoly):
             char_poly([[1j]])

@@ -17,9 +17,12 @@ from sectorpoly import (
     build_q_avg,
     build_qj,
     classify_signs,
+    find_roots,
     from_polar,
     lift,
+    min_arg_defect,
     poly_eval,
+    principal_arg,
     sector_index,
     sign_lemma_check,
     synthesize,
@@ -395,6 +398,36 @@ class TestVerifyCot:
         real = syn.find_roots
         monkeypatch.setattr(syn, "find_roots", lambda c: real(c, max_iters=0))
         assert syn.verify_cot([1, 1, 1]).status == "inconclusive"
+
+    def test_each_argument_computed_once(self, monkeypatch):
+        import sectorpoly.roots as roots_mod
+        import sectorpoly.synthesis as syn
+
+        calls = []
+        real = syn.principal_arg
+
+        def counted(z):
+            calls.append(z)
+            return real(z)
+
+        monkeypatch.setattr(syn, "principal_arg", counted)
+        monkeypatch.setattr(roots_mod, "principal_arg", counted)
+        report = syn.verify_cot([2, 3, 1, 4, 1])
+        assert len(calls) == report.degree == 4
+
+    def test_defect_is_min_arg_defect(self):
+        # one formula: the report's defect is min_arg_defect of its roots, bit
+        # for bit, and its arguments are the principal arguments of its roots
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 13))
+            q = rng.uniform(0.1, 10.0, n + 1) * (rng.uniform(size=n + 1) < 0.7)
+            q[0] = q[-1] = 1.0
+            report = verify_cot(q)
+            rs = find_roots(q)
+            assert report.min_defect == min_arg_defect(rs, n)
+            np.testing.assert_array_equal(report.arguments,
+                                          [principal_arg(complex(z)) for z in rs.roots])
 
     def test_synthesized_polynomials_close_the_loop(self):
         rng = np.random.default_rng(12)
