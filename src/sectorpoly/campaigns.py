@@ -21,11 +21,10 @@ from .pmatrix import (
     kellogg_admissible,
     principal_minors,
     spectrum_aux_poly,
-    spectrum_feasible,
     wedge_angle,
 )
 from .poly import SignClass, classify_signs, from_polar
-from .synthesis import snapped_ratio, synthesize, verify_cot
+from .synthesis import sector_index, synthesize, verify_cot
 
 SUITE_NAMES = ("synth", "cot", "kellogg", "witness")
 
@@ -90,13 +89,13 @@ def _sample_nonneg_target(rng: np.random.Generator, index: int):
 
 
 def _sample_positive_target(rng: np.random.Generator):
-    """(mu, n): degree in [2, 12], |alpha| in (pi/n, pi) with pi/alpha
-    non-integer under snapping."""
+    """(mu, n): degree in [2, 12], |alpha| in (pi/n, pi) off every boundary
+    angle pi/k."""
     n = int(rng.integers(2, 13))
     r = float(rng.uniform(0.1, 10.0))
     while True:
         alpha = float(rng.uniform(math.pi / n, math.pi))
-        if alpha > math.pi / n and not snapped_ratio(alpha)[1]:
+        if not sector_index(alpha).boundary:
             break
     if rng.integers(0, 2) == 1:
         alpha = -alpha
@@ -223,7 +222,7 @@ def _sample_admissible(rng: np.random.Generator, index: int):
     if mode is MatrixClass.P:
         while True:
             gap = float(rng.uniform(math.pi / n, math.pi))
-            if gap > math.pi / n and not snapped_ratio(gap)[1]:
+            if not sector_index(gap).boundary:
                 break
     else:
         if index % 10 == 1:
@@ -254,7 +253,7 @@ def run_witness_suite(cases: int, seed: int) -> SuiteReport:
             max_distance = max(max_distance, dist)
             if dist > WITNESS_DIST_BOUND:
                 bad.append("contains_lambda")
-            feasibility = spectrum_feasible(values)
+            feasibility = spectrum.feasibility
             if mode is MatrixClass.P:
                 if feasibility is not MatrixClass.P:
                     bad.append("feasibility")
@@ -282,15 +281,11 @@ def run_witness_suite(cases: int, seed: int) -> SuiteReport:
 
 def _is_binomial_spectrum(values) -> bool:
     """True if prod (t + v) is a binomial: every interior coefficient
-    vanishes relative to its natural magnitude C(n, m) * max|v|^m."""
-    q = spectrum_aux_poly(values)
-    n = len(values)
-    r = float(np.max(np.abs(values)))
-    for k in range(1, n):
-        m = n - k
-        if abs(q[k]) > 1e-8 * math.comb(n, m) * r**m:
-            return False
-    return True
+    vanishes relative to the same coefficient of prod (t + |v|), the bound
+    spectrum_feasible judges against."""
+    q = spectrum_aux_poly(values)[1:-1]
+    bound = spectrum_aux_poly(np.abs(values)).real[1:-1]
+    return bool(np.all(np.abs(q) <= 1e-8 * bound))
 
 
 def run_suite(name: str, cases: int, seed: int) -> SuiteReport:

@@ -109,7 +109,14 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    coeffs = canonical(json.loads(args.poly))
+    try:
+        payload = json.loads(args.poly)
+    except ValueError as exc:     # JSONDecodeError, or an integer too long to read
+        raise DomainError(f"--poly is not JSON: {exc}")
+    if not isinstance(payload, list) or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in payload):
+        raise DomainError("--poly must be a JSON array of numbers")
+    coeffs = canonical(payload)
     report = verify_cot(coeffs, angle_tol=args.tol_angle)
     _emit_json(
         {
@@ -130,13 +137,13 @@ def _cmd_verify(args) -> int:
 def _parse_matrix_file(path: str) -> np.ndarray:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read matrix file: {exc}")
     if not isinstance(payload, dict):
         raise DomainError('matrix file must be {"n": int, "rows": [[...]]}')
     rows = payload.get("rows")
     n = payload.get("n")
-    if not isinstance(rows, list) or not isinstance(n, int):
+    if not isinstance(rows, list) or not isinstance(n, int) or isinstance(n, bool):
         raise DomainError('matrix file must be {"n": int, "rows": [[...]]}')
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise DomainError(f"rows do not form an {n}x{n} matrix")

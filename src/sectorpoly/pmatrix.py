@@ -33,6 +33,7 @@ from .errors import (
     FeasibleButUnwitnessed,
     NotAdmissible,
     NotConjugateClosed,
+    PiOverAlphaInteger,
     PreconditionError,
     ZeroLambda,
 )
@@ -43,12 +44,11 @@ from .poly import (
     principal_arg,
 )
 from .roots import find_roots
-from .synthesis import snapped_ratio, synthesize
+from .synthesis import ANGLE_TOL, synthesize
 
 DEFAULT_DIM_CAP = 12
 HARD_DIM_CAP = 20
 MINOR_TOL = 1e-9
-KELLOGG_ANGLE_TOL = 1e-12
 SPECTRUM_IMAG_TOL = 1e-9
 
 
@@ -92,6 +92,7 @@ class MinorReport:
 class SpectrumMultiset:
     values: np.ndarray
     conjugate_closed: bool
+    feasibility: MatrixClass     # spectrum_feasible(values)
 
 
 def _as_square(a) -> np.ndarray:
@@ -173,10 +174,14 @@ def wedge_angle(lam: complex) -> float:
     return alpha if alpha > 0.0 else alpha + 2.0 * math.pi
 
 
-def kellogg_admissible(lam: complex, n: int, mode: MatrixClass,
-                       angle_tol: float = KELLOGG_ANGLE_TOL) -> bool:
+def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
     """Eigenvalue-region predicate: |theta - pi| > pi/n for P (>= for P0),
     with theta = arg(lambda) in (0, 2*pi].
+
+    |theta - pi| is read as synthesize(-lambda) reads its angle, alpha =
+    |arg(-lambda)|, and an alpha within ANGLE_TOL of pi/n is pi/n, the rule
+    of synthesis.sector_index at m = n. So a P0 lambda is admissible exactly
+    when synthesize(-lambda, n) does not raise AngleTooSmall.
 
     P0 excludes lambda = 0 outright (ZeroLambda); for P the zero eigenvalue
     is simply inadmissible, since a P matrix has positive determinant.
@@ -190,10 +195,10 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass,
         if mode is MatrixClass.P0:
             raise ZeroLambda("lambda = 0 is excluded from the P0 region test")
         return False
-    defect = abs(wedge_angle(lam) - math.pi) - math.pi / n
+    defect = abs(principal_arg(-lam)) - math.pi / n
     if mode is MatrixClass.P:
-        return defect > angle_tol
-    return defect >= -angle_tol
+        return defect > ANGLE_TOL
+    return defect >= -ANGLE_TOL
 
 
 def spectrum_aux_poly(values) -> np.ndarray:
@@ -244,32 +249,31 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     e^{i(2j+1)pi/g} for t^g + 1 and the nontrivial (g+1)-th roots of unity for
     1 + ... + t^g, built as exact conjugate pairs. Only the core's other k - 2
     roots come from the solver, after deflating that quadratic; none do when
-    k <= 2. A k = 1 core, t + |lambda| for lambda on the positive real axis,
-    contributes lambda alone.
+    k <= 2. A k = 1 core, t + |lambda| for lambda on the positive real axis
+    (within ANGLE_TOL of it), contributes lambda alone.
 
-    The result contains lambda itself, has exactly n values, is
-    conjugate-closed by construction, and spectrum_feasible accepts it (a P0
-    witness may classify as P when strictly positive). The one exception is
-    a k = 1 lambda that the snapping of pi/alpha puts on the real axis
-    although |Im lambda| exceeds 5e-10 (1 + |lambda|): it stays unpaired,
-    and conjugate_closed reads False.
+    The result contains lambda itself, has exactly n values and is
+    conjugate-closed by construction. Its ``feasibility`` is
+    spectrum_feasible(values), computed once here: P in P mode, and P0 or P
+    in P0 mode (a P0 witness may classify as P when strictly positive).
 
-    Raises NotAdmissible outside the region; FeasibleButUnwitnessed for
-    P-mode boundary angles where pi/(theta - pi) is an integer, which the
-    strict positive-coefficient construction does not cover.
+    Raises NotAdmissible outside the region. In P mode raises
+    FeasibleButUnwitnessed where the strict positive-coefficient
+    construction does not reach: at boundary angles, where pi/(theta - pi)
+    is an integer (synthesize raises PiOverAlphaInteger), and for a witness
+    whose feasibility reads below P.
     """
     lam = complex(lam)
     if not kellogg_admissible(lam, n, mode):
         raise NotAdmissible(f"lambda={lam!r} is not admissible for {mode.value}, n={n}")
     if mode is MatrixClass.P:
-        alpha = wedge_angle(lam) - math.pi
-        _, is_int = snapped_ratio(alpha)
-        if is_int:
+        try:
+            result = synthesize(-lam, n, SignClass.POSITIVE)
+        except PiOverAlphaInteger:
             raise FeasibleButUnwitnessed(
                 f"pi/(theta-pi) is an integer at lambda={lam!r}; no strict "
                 "positive-coefficient witness in scope"
             )
-        result = synthesize(-lam, n, SignClass.POSITIVE)
     else:
         result = synthesize(-lam, n, SignClass.NONNEGATIVE)
     core = result.core
@@ -280,9 +284,16 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
         values.extend(-find_roots(_deflate(core, lam)).roots)
     values.extend(_lift_values(result.lift_terms, result.mode))
     values = np.array(values, dtype=np.complex128)
+    feasibility = spectrum_feasible(values)
+    if mode is MatrixClass.P and feasibility is not MatrixClass.P:
+        raise FeasibleButUnwitnessed(
+            f"the witness for lambda={lam!r} reads {feasibility.value}, "
+            "too close to the boundary to tell from P0"
+        )
     return SpectrumMultiset(
         values=values,
         conjugate_closed=is_conjugate_closed(values),
+        feasibility=feasibility,
     )
 
 

@@ -37,9 +37,12 @@ def canonical(coeffs) -> np.ndarray:
     """Return ascending coefficients with trailing (top-power) zeros trimmed.
 
     Raises DomainError for the all-zero vector, which has no canonical form,
-    and for non-finite coefficients.
+    and for coefficients that are not finite real numbers.
     """
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64)).ravel()
+    try:
+        arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64)).ravel()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"coefficients must be real numbers: {exc}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("coefficients must be finite")
     nonzero = np.flatnonzero(arr)
@@ -146,23 +149,31 @@ def parse_complex(obj) -> complex:
     """Parse the wire form of a complex scalar.
 
     Accepts a plain number (real entry) or an object carrying exactly one of
-    the two views: ``{"re": x, "im": y}`` or ``{"r": m, "alpha": a}``.
+    the two views: ``{"re": x, "im": y}`` or ``{"r": m, "alpha": a}``, whose
+    fields are plain numbers. Raises DomainError for anything else, booleans
+    included.
     """
-    if isinstance(obj, bool):
-        raise DomainError("boolean is not a complex scalar")
-    if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
-    if isinstance(obj, dict):
-        keys = set(obj)
-        if keys == {"re", "im"}:
-            return complex(float(obj["re"]), float(obj["im"]))
-        if keys == {"r", "alpha"}:
-            return from_polar(float(obj["r"]), float(obj["alpha"]))
-        raise DomainError(
-            "complex scalar must have exactly the keys {re, im} or {r, alpha}, "
-            f"got {sorted(keys)}"
-        )
-    raise DomainError(f"cannot parse complex scalar from {type(obj).__name__}")
+    if not isinstance(obj, dict):
+        return complex(_real(obj), 0.0)
+    keys = set(obj)
+    if keys == {"re", "im"}:
+        return complex(_real(obj["re"]), _real(obj["im"]))
+    if keys == {"r", "alpha"}:
+        return from_polar(_real(obj["r"]), _real(obj["alpha"]))
+    raise DomainError(
+        "complex scalar must have exactly the keys {re, im} or {r, alpha}, "
+        f"got {sorted(keys)}"
+    )
+
+
+def _real(value) -> float:
+    """A wire-form number as a float; DomainError for any other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("a number is outside the float64 range")
 
 
 def complex_to_json(z: complex) -> dict:

@@ -9,6 +9,12 @@ with |alpha| >= pi/n admits such a degree-n polynomial, built here from a
 monic trinomial of degree k = ceil(pi/alpha) and lifted to degree n; strictly
 positive coefficients are achievable when n > 1 and pi/alpha is not an
 integer, via an average of the k-1 trinomials.
+
+Everything hinges on one decision: is alpha the boundary angle pi/k or not?
+``sector_index`` makes it, once: an alpha within ANGLE_TOL (absolute) of pi/m
+is pi/m, and any other alpha lies at least ANGLE_TOL inside its sector. The
+sign lemma, the builders, ``synthesize`` and the matrix witnesses all read
+its ``SectorIndex`` instead of judging the angle again.
 """
 
 from __future__ import annotations
@@ -40,15 +46,13 @@ from .poly import (
 )
 from .roots import find_roots, sector_defect
 
-INT_SNAP_TOL = 1e-9
-ANGLE_TOL = 1e-12
-SIGN_LEMMA_TOL = 1e-12
+ANGLE_TOL = 1e-13
 VERIFY_ANGLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class SectorIndex:
-    """k = ceil(pi/alpha); boundary marks pi/alpha integer within snapping."""
+    """alpha's sector [pi/k, pi/(k-1)); boundary marks alpha = pi/k."""
 
     k: int
     boundary: bool
@@ -80,31 +84,35 @@ class CotReport:
     converged: bool
 
 
-def snapped_ratio(alpha: float, snap_tol: float = INT_SNAP_TOL) -> tuple[float, bool]:
-    """pi/|alpha| with integer snapping.
+def sector_index(alpha: float) -> SectorIndex:
+    """The sector of alpha in (0, pi]: the smallest degree k with alpha in
+    [pi/k, pi/(k-1)), and whether alpha is the boundary angle pi/k.
 
-    Exact boundary angles pi/m are not representable in floats, so a ratio
-    within ``snap_tol`` (relative) of an integer is treated as that integer.
-    Returns (ratio, is_integer).
+    Exact boundary angles are not representable in floats, so an alpha
+    within ANGLE_TOL of pi/m is pi/m: boundary, k = m (k = 1 at pi). Any
+    other alpha gets k = ceil(pi/alpha) and lies at least ANGLE_TOL inside
+    its sector. Raises DomainError outside (0, pi], and AngleTooSmall when
+    pi/alpha overflows float64, beyond every degree.
     """
-    ratio = math.pi / abs(alpha)
+    if not 0.0 < alpha <= math.pi:
+        raise DomainError(f"alpha={alpha!r} outside (0, pi]")
+    ratio = math.pi / alpha
+    if ratio == math.inf:
+        raise AngleTooSmall(f"pi/alpha overflows float64 at alpha={alpha!r}")
     m = round(ratio)
-    if m >= 1 and abs(ratio - m) <= snap_tol * m:
-        return float(m), True
-    return ratio, False
-
-
-def sector_index(alpha: float, snap_tol: float = INT_SNAP_TOL) -> SectorIndex:
-    """Smallest degree k with alpha in [pi/k, pi/(k-1)), i.e. ceil(pi/alpha)."""
-    if not 0.0 < alpha < math.pi:
-        raise DomainError(f"alpha={alpha!r} outside (0, pi)")
-    ratio, is_int = snapped_ratio(alpha, snap_tol)
-    if is_int:
-        return SectorIndex(k=int(ratio), boundary=True)
+    if abs(alpha - math.pi / m) <= ANGLE_TOL:
+        return SectorIndex(k=m, boundary=True)
     return SectorIndex(k=math.ceil(ratio), boundary=False)
 
 
-def _require_sector(j: int, k: int, alpha: float) -> tuple[int, int]:
+def sign_lemma_check(j: int, k: int, alpha: float) -> tuple[float, float, float]:
+    """Evaluate (sin k*alpha, sin j*alpha, sin (k-j)*alpha) on the sector.
+
+    Needs 1 <= j < k and sector_index(alpha).k == k, else PreconditionError.
+    Then sin k*alpha <= 0 < sin j*alpha, sin (k-j)*alpha: at the boundary
+    alpha = pi/k, sin k*alpha is exactly 0.0; inside the sector, alpha is at
+    least ANGLE_TOL from both ends and every sign is strict.
+    """
     try:
         j = operator.index(j)
         k = operator.index(k)
@@ -112,26 +120,13 @@ def _require_sector(j: int, k: int, alpha: float) -> tuple[int, int]:
         raise PreconditionError(f"j and k must be integers, got j={j!r}, k={k!r}")
     if not 1 <= j < k:
         raise PreconditionError(f"need 1 <= j < k, got j={j}, k={k}")
-    if not (math.pi / k - ANGLE_TOL <= alpha < math.pi / (k - 1)):
-        raise PreconditionError(
-            f"alpha={alpha!r} outside [pi/{k}, pi/{k - 1})"
-        )
-    return j, k
-
-
-def sign_lemma_check(j: int, k: int, alpha: float,
-                     tol: float = SIGN_LEMMA_TOL) -> tuple[float, float, float]:
-    """Evaluate (sin k*alpha, sin j*alpha, sin (k-j)*alpha) on the sector.
-
-    For 1 <= j < k and alpha in [pi/k, pi/(k-1)) the three values satisfy
-    sin k*alpha <= 0 < sin j*alpha, sin (k-j)*alpha; violating that (only
-    possible outside the hypothesis) raises PreconditionError.
-    """
-    j, k = _require_sector(j, k, alpha)
-    s_k = math.sin(k * alpha)
+    si = sector_index(alpha)
+    if si.k != k:
+        raise PreconditionError(f"alpha={alpha!r} outside [pi/{k}, pi/{k - 1})")
+    s_k = 0.0 if si.boundary else math.sin(k * alpha)
     s_j = math.sin(j * alpha)
     s_kj = math.sin((k - j) * alpha)
-    if not (s_k <= tol and s_j > -tol and s_kj > -tol):
+    if not (s_k <= 0.0 < s_j and 0.0 < s_kj):
         raise PreconditionError(
             f"sign pattern violated at j={j}, k={k}, alpha={alpha!r}: "
             f"({s_k!r}, {s_j!r}, {s_kj!r})"
@@ -143,16 +138,18 @@ def build_qj(j: int, k: int, r: float, alpha: float) -> np.ndarray:
     """Monic degree-k trinomial with nonnegative coefficients vanishing at
     r*e^{i*alpha}:  t^k - (sin k*a / sin j*a) r^(k-j) t^j + (sin (k-j)*a / sin j*a) r^k.
 
-    At the sector boundary alpha = pi/k the middle term vanishes (snapped to
-    exact zero) and the binomial t^k + r^k remains.
+    At the sector boundary alpha = pi/k, sin k*alpha is exactly 0, the middle
+    term vanishes and the binomial t^k + r^k remains.
     """
     if r <= 0.0:
         raise PreconditionError(f"modulus must be positive, got r={r!r}")
-    s_k, s_j, s_kj = sign_lemma_check(j, k, alpha)
+    return _trinomial(j, k, r, *sign_lemma_check(j, k, alpha))
+
+
+def _trinomial(j: int, k: int, r: float, s_k: float, s_j: float, s_kj: float) -> np.ndarray:
     coeffs = np.zeros(k + 1)
     coeffs[k] = 1.0
-    if abs(s_k) > SIGN_LEMMA_TOL:
-        coeffs[j] = -(s_k / s_j) * r ** (k - j)
+    coeffs[j] -= (s_k / s_j) * r ** (k - j)     # 0.0 - 0.0 keeps a +0.0
     coeffs[0] = (s_kj / s_j) * r**k
     return coeffs
 
@@ -162,21 +159,23 @@ def build_q_avg(k: int, r: float, alpha: float) -> np.ndarray:
     positive, vanishing at r*e^{i*alpha}.
 
     Requires alpha strictly inside (pi/k, pi/(k-1)); at the boundary
-    sin k*alpha = 0 kills interior coefficients, so boundary angles (integer
-    pi/alpha under snapping) are rejected.
+    sin k*alpha = 0 kills interior coefficients, so boundary angles
+    (sector_index(alpha).boundary) are rejected.
     """
     if k < 2:
         raise PreconditionError(f"need k >= 2, got k={k}")
-    if not 0.0 < alpha < math.pi:
-        raise PreconditionError(f"alpha={alpha!r} outside (0, pi)")
+    if r <= 0.0:
+        raise PreconditionError(f"modulus must be positive, got r={r!r}")
     si = sector_index(alpha)
     if si.boundary or si.k != k:
         raise PreconditionError(
             f"alpha={alpha!r} not strictly inside (pi/{k}, pi/{k - 1})"
         )
+    # the sign lemma holds for every j once the sector is checked
+    s_k = math.sin(k * alpha)
     acc = np.zeros(k + 1)
     for j in range(1, k):
-        acc += build_qj(j, k, r, alpha)
+        acc += _trinomial(j, k, r, s_k, math.sin(j * alpha), math.sin((k - j) * alpha))
     return acc / (k - 1)
 
 
@@ -246,36 +245,25 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     alpha_signed = principal_arg(mu)
     conjugated = alpha_signed < 0.0
     alpha = abs(alpha_signed)
+    if mode is SignClass.POSITIVE and n == 1:
+        raise DegreeOne("positive-coefficient synthesis needs degree > 1")
+    k_used = sector_index(alpha) if alpha > 0.0 else None   # None: mu > 0
+    if k_used is None or k_used.k > n:
+        strict = "<=" if mode is SignClass.POSITIVE else "<"
+        raise AngleTooSmall(f"|alpha|={alpha!r} {strict} pi/{n}")
 
-    target = math.pi / n
-    ratio, ratio_is_int = snapped_ratio(alpha)
     if mode is SignClass.POSITIVE:
-        if n == 1:
-            raise DegreeOne("positive-coefficient synthesis needs degree > 1")
-        if alpha < target - ANGLE_TOL:
-            raise AngleTooSmall(f"|alpha|={alpha!r} <= pi/{n}")
-        if ratio_is_int:
+        if k_used.boundary:
             raise PiOverAlphaInteger(f"pi/alpha is an integer at alpha={alpha!r}")
-    else:
-        if alpha < target - ANGLE_TOL:
-            raise AngleTooSmall(f"|alpha|={alpha!r} < pi/{n}")
-
-    if ratio_is_int and ratio == 1.0:
-        # boundary angle pi: mu sits on the negative real axis
+        core = build_q_avg(k_used.k, r, alpha)
+        construction, j_used = "q_avg", None
+    elif k_used.k == 1:
+        # alpha = pi: mu sits on the negative real axis
         core = np.array([r, 1.0])
-        k_used = SectorIndex(k=1, boundary=True)
-        construction = "linear"
-        j_used = None
+        construction, j_used = "linear", None
     else:
-        k_used = sector_index(alpha)
-        if mode is SignClass.POSITIVE:
-            core = build_q_avg(k_used.k, r, alpha)
-            construction = "q_avg"
-            j_used = None
-        else:
-            core = build_qj(j, k_used.k, r, alpha)
-            construction = "qj"
-            j_used = j
+        core = build_qj(j, k_used.k, r, alpha)
+        construction, j_used = "qj", j
 
     out = lift(core, n, mode)
     return SynthesisResult(

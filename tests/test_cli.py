@@ -55,6 +55,31 @@ class TestSynthesizeCommand:
         assert code == 2
         assert json.loads(out)["error"] == "PiOverAlphaInteger"
 
+    def test_just_below_pi_over_3_builds_a_quartic_core(self, capsys):
+        # 1.0471975511 is pi/3 less 9.7e-11: inside sector 4, not on pi/3
+        code, out = _run(capsys, "synthesize", "--r", "1", "--alpha", "1.0471975511",
+                         "--n", "5", "--mode", "nonneg")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["k"], report["boundary"]) == (4, False)
+        assert min(report["coeffs"]) >= 0.0
+        assert report["residual"] <= 1e-15
+
+    def test_just_below_pi_over_3_positive(self, capsys):
+        code, out = _run(capsys, "synthesize", "--r", "1", "--alpha", "1.0471975511",
+                         "--n", "5", "--mode", "positive")
+        assert code == 0
+        report = json.loads(out)
+        assert min(report["coeffs"]) > 0.0 and report["residual_ok"]
+
+    @pytest.mark.parametrize("mu_im", ["1e-320", "5e-324", "0"])
+    def test_tiny_angle_is_angle_too_small(self, capsys, mu_im):
+        # pi/alpha overflows float64 (or alpha is 0: mu is a positive real)
+        code, out = _run(capsys, "synthesize", "--mu-re", "1", "--mu-im", mu_im,
+                         "--n", "3", "--mode", "nonneg")
+        assert code == 2
+        assert json.loads(out)["error"] == "AngleTooSmall"
+
     def test_requires_exactly_one_input_form(self, capsys):
         code, out = _run(capsys, "synthesize", "--r", "1", "--alpha", "3",
                          "--mu-re", "1", "--n", "2", "--mode", "nonneg")
@@ -99,6 +124,16 @@ class TestVerifyCommand:
     def test_overflowing_residual_exits_2(self, capsys):
         # t^20 + 1e20 t^19 + 1: the powers of the start near -1e20 overflow
         poly = json.dumps([1.0] + [0.0] * 18 + [1e20, 1.0])
+        code, out = _run(capsys, "verify", "--poly", poly)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("poly", [
+        "abc", '[1,"x"]', "{}", "[[1,2],[3]]", "[[1,2],[3,4]]", "[true,1]", "5",
+        "[1," + "9" * 400 + "]",
+        "[1," + "9" * 5000 + "]",   # beyond Python's integer-string limit
+    ])
+    def test_malformed_poly_exits_2(self, capsys, poly):
         code, out = _run(capsys, "verify", "--poly", poly)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
@@ -154,6 +189,29 @@ class TestClassifyCommand:
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         path = self._write(tmp_path, {"n": 2, "rows": [[1, 2]]})
         code, out = _run(capsys, "classify", "--matrix", path)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("payload", [
+        {"n": 1, "rows": [[{"re": "x", "im": 1}]]},
+        {"n": 1, "rows": [[{"re": None, "im": 1}]]},
+        {"n": 1, "rows": [[{"r": True, "alpha": 0}]]},
+        {"n": 1, "rows": [["1"]]},
+        {"n": True, "rows": [[1]]},
+    ])
+    def test_malformed_matrix_exits_2(self, capsys, tmp_path, payload):
+        code, out = _run(capsys, "classify", "--matrix", self._write(tmp_path, payload))
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("text", [
+        b'{"n": 1, "rows": [[' + b"9" * 5000 + b"]]}",
+        b"\xff\xfe not utf-8",
+    ])
+    def test_unreadable_matrix_file_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "matrix.json"
+        path.write_bytes(text)
+        code, out = _run(capsys, "classify", "--matrix", str(path))
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 

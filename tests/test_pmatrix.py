@@ -248,6 +248,20 @@ class TestKelloggAdmissible:
         with pytest.raises(PreconditionError):
             kellogg_admissible(1.0, 3, MatrixClass.NEITHER)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_boundary_tolerance_decides_admissibility(self, n):
+        # within ANGLE_TOL of pi/n is pi/n: weakly but not strictly admissible
+        for offset in (0.0, 5e-14, -5e-14):
+            for side in (1.0, -1.0):
+                lam = from_polar(2.0, math.pi + side * (math.pi / n + offset))
+                assert kellogg_admissible(lam, n, MatrixClass.P0)
+                assert not kellogg_admissible(lam, n, MatrixClass.P)
+        short = from_polar(2.0, math.pi + math.pi / n - 2e-13)
+        clear = from_polar(2.0, math.pi + math.pi / n + 2e-13)
+        assert not kellogg_admissible(short, n, MatrixClass.P0)
+        if n > 1:
+            assert kellogg_admissible(clear, n, MatrixClass.P)
+
 
 class TestSpectrumFeasible:
     def test_repeated_positive_real(self):
@@ -340,6 +354,33 @@ class TestEigenWitness:
         spectrum = eigen_witness(lam, 12, MatrixClass.P)
         assert spectrum_feasible(spectrum.values) is MatrixClass.P
 
+    @pytest.mark.parametrize("d", [1e-12, 1e-11, 3e-10, 9e-10])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
+    def test_weak_witness_just_inside_a_boundary(self, k, d):
+        # |theta - pi| = (pi/k)(1 - d) lies in sector k + 1, not on pi/k
+        for side in (1.0, -1.0):
+            lam = from_polar(1.0, math.pi + side * (math.pi / k) * (1.0 - d))
+            spectrum = eigen_witness(lam, 12, MatrixClass.P0)
+            assert len(spectrum.values) == 12
+            assert lam in spectrum.values
+            assert spectrum.conjugate_closed
+            assert spectrum.feasibility is not MatrixClass.NEITHER
+
+    @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
+    @pytest.mark.parametrize("r", [1e-3, 1.0, 7.0])
+    def test_witness_near_the_positive_real_axis_is_conjugate_closed(self, mode, r):
+        # 3e-9 from the axis is far beyond ANGLE_TOL: a k = 2 core carries
+        # lambda and its conjugate, where an unpaired k = 1 core would not
+        for theta in (3e-9, -3e-9):
+            lam = from_polar(r, theta)
+            spectrum = eigen_witness(lam, 5, mode)
+            assert spectrum.conjugate_closed
+            assert lam in spectrum.values and lam.conjugate() in spectrum.values
+            assert spectrum_feasible(spectrum.values) is spectrum.feasibility
+            assert spectrum.feasibility is not MatrixClass.NEITHER
+            if mode is MatrixClass.P:
+                assert spectrum.feasibility is MatrixClass.P
+
     @pytest.mark.parametrize("mode, n", [
         *[(MatrixClass.P, n) for n in range(2, 13)],
         *[(MatrixClass.P0, n) for n in range(1, 13)],
@@ -362,6 +403,7 @@ class TestEigenWitness:
                     assert lam in values, where
                     assert spectrum.conjugate_closed, where
                     feasibility = spectrum_feasible(values)
+                    assert spectrum.feasibility is feasibility, where
                     if mode is MatrixClass.P:
                         assert feasibility is MatrixClass.P, where
                     else:

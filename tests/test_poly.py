@@ -97,6 +97,11 @@ class TestCanonical:
         with pytest.raises(DomainError):
             canonical([0, 0, 0])
 
+    @pytest.mark.parametrize("coeffs", [[1, "x"], {}, [[1, 2], [3]], [1, 10**400], "abc"])
+    def test_non_numeric_rejected(self, coeffs):
+        with pytest.raises(DomainError):
+            canonical(coeffs)
+
 
 class TestClassifySigns:
     @pytest.mark.parametrize(
@@ -212,6 +217,11 @@ class TestComplexWireFormat:
             {"x": 1.0},
             "1+2j",
             True,
+            {"re": "x", "im": 1.0},
+            {"re": None, "im": 1.0},
+            {"re": 1.0, "im": False},
+            {"r": 10**400, "alpha": 0.0},
+            10**400,
         ],
     )
     def test_rejects_ambiguous_forms(self, obj):

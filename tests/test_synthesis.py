@@ -12,6 +12,7 @@ from sectorpoly import (
     DomainError,
     PiOverAlphaInteger,
     PreconditionError,
+    SectorIndex,
     SignClass,
     ZeroModulus,
     build_q_avg,
@@ -29,7 +30,7 @@ from sectorpoly import (
     verify_cot,
 )
 from sectorpoly.poly import relative_residual
-from sectorpoly.synthesis import snapped_ratio
+from sectorpoly.synthesis import ANGLE_TOL
 
 
 def _mp_qj(j, k, r, alpha):
@@ -57,10 +58,13 @@ class TestSectorIndex:
         si = sector_index(0.4 * math.pi)
         assert (si.k, si.boundary) == (3, False)
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.1, math.pi, 4.0])
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 4.0, math.nan])
     def test_domain(self, alpha):
         with pytest.raises(DomainError):
             sector_index(alpha)
+
+    def test_pi_is_the_linear_boundary(self):
+        assert sector_index(math.pi) == SectorIndex(1, True)
 
     def test_interval_membership(self):
         # k = ceil(pi/alpha) puts alpha in [pi/k, pi/(k-1)) for k >= 2
@@ -69,28 +73,60 @@ class TestSectorIndex:
             alpha = float(rng.uniform(1e-3, math.pi - 1e-3))
             si = sector_index(alpha)
             if si.boundary:
-                assert abs(math.pi / si.k - alpha) <= 1e-8
+                assert abs(math.pi / si.k - alpha) <= ANGLE_TOL
             else:
-                assert math.pi / si.k < alpha < math.pi / (si.k - 1)
+                assert math.pi / si.k + ANGLE_TOL < alpha < math.pi / (si.k - 1) - ANGLE_TOL
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+    @pytest.mark.parametrize("offset", [0.0, 1e-16, -1e-16, 1e-14, -1e-14, 9e-14, -9e-14])
+    def test_within_the_tolerance_of_pi_over_k_is_the_boundary(self, k, offset):
+        alpha = math.pi / k + offset
+        if alpha <= math.pi:
+            assert sector_index(alpha) == SectorIndex(k, True)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 12])
+    @pytest.mark.parametrize("d", [2e-13, 1e-12, 1e-10, 3e-9, 1e-8])
+    def test_beyond_the_tolerance_is_inside_a_sector(self, k, d):
+        # just above pi/k is sector k, just below it sector k + 1
+        assert sector_index(math.pi / k + d) == SectorIndex(k, False)
+        assert sector_index(math.pi / k - d) == SectorIndex(k + 1, False)
+
+    @pytest.mark.parametrize("alpha", [1e-320, 5e-324, 1e-309])
+    def test_overflowing_ratio_is_angle_too_small(self, alpha):
+        with pytest.raises(AngleTooSmall):
+            sector_index(alpha)
 
 
 class TestSnappedRatio:
+    """Boundary decisions at and off pi/k, read from sector_index."""
+
     def test_exact_boundary_snaps(self):
-        ratio, is_int = snapped_ratio(math.pi / 7)
-        assert is_int and ratio == 7.0
+        assert sector_index(math.pi / 7) == SectorIndex(7, True)
 
     def test_interior_does_not_snap(self):
-        _, is_int = snapped_ratio(0.4 * math.pi)
-        assert not is_int
+        assert not sector_index(0.4 * math.pi).boundary
 
     def test_sign_insensitive(self):
-        assert snapped_ratio(-math.pi / 5) == snapped_ratio(math.pi / 5)
+        # synthesize reads |arg mu|, so mu and its conjugate share a sector
+        a = synthesize(from_polar(1.0, math.pi / 5), 5, SignClass.NONNEGATIVE)
+        b = synthesize(from_polar(1.0, -math.pi / 5), 5, SignClass.NONNEGATIVE)
+        assert a.k_used == b.k_used == SectorIndex(5, True)
 
 
 class TestSignLemma:
     def test_boundary_k2(self):
         s = sign_lemma_check(1, 2, math.pi / 2)
         assert s == pytest.approx((0.0, 1.0, 1.0), abs=1e-12)
+        assert s[0] == 0.0
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12])
+    def test_signs_are_exact_on_the_boundary_and_strict_inside(self, k):
+        for d in (0.0, 5e-14, -5e-14):
+            s = sign_lemma_check(1, k, math.pi / k + d)
+            assert s[0] == 0.0 and s[1] > 0.0 and s[2] > 0.0
+        for alpha in (math.pi / k + 2e-13, math.pi / (k - 1) - 2e-13):
+            s_k, s_j, s_kj = sign_lemma_check(k - 1, k, alpha)
+            assert s_k < 0.0 < s_j and 0.0 < s_kj
 
     def test_interior_k3_against_oracle(self):
         with mp.workdps(50):
@@ -206,7 +242,7 @@ class TestBuildQAvg:
             k = int(rng.integers(2, 13))
             while True:
                 alpha = float(rng.uniform(math.pi / k, math.pi / (k - 1)))
-                if alpha > math.pi / k and not snapped_ratio(alpha)[1]:
+                if not sector_index(alpha).boundary:
                     break
             r = float(rng.uniform(0.1, 10.0))
             q = build_q_avg(k, r, alpha)
