@@ -29,7 +29,6 @@ from .synthesis import sector_index, synthesize, verify_cot
 SUITE_NAMES = ("synth", "cot", "kellogg", "witness")
 
 RESIDUAL_BOUND = 1e-10
-COEFF_MARGIN = 1e-12
 WITNESS_DIST_BOUND = 1e-8
 
 
@@ -111,15 +110,8 @@ def _check_synthesis(result, mu, n, mode) -> list[str]:
         bad.append("monic")
     if coeffs[0] <= 0.0:
         bad.append("constant_term")
-    margin = float(np.min(coeffs) / np.max(np.abs(coeffs)))
-    if mode is SignClass.POSITIVE:
-        # literal strict positivity: the scaled margin can legitimately dip
-        # under any fixed tolerance when r^n dwarfs the monic leading 1
-        if float(np.min(coeffs)) <= 0.0:
-            bad.append("positivity")
-    else:
-        if margin < -COEFF_MARGIN:
-            bad.append("nonnegativity")
+    if not classify_signs(coeffs).satisfies(mode):
+        bad.append("positivity" if mode is SignClass.POSITIVE else "nonnegativity")
     if result.residual > RESIDUAL_BOUND:
         bad.append("residual")
     return bad
@@ -191,7 +183,7 @@ def run_kellogg_suite(cases: int, seed: int) -> SuiteReport:
         minors = principal_minors(a)
         if minors.matrix_class is not MatrixClass.P:
             bad.append("class")
-        if classify_signs(minors.aux_poly()) is not SignClass.POSITIVE:
+        if minors.aux_sign_class() is not SignClass.POSITIVE:
             bad.append("aux_signs")
         rs = eigenvalues(minors)
         max_root_residual = max(max_root_residual, float(np.max(rs.residuals)))

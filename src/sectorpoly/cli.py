@@ -36,7 +36,6 @@ from .pmatrix import (
 from .poly import (
     SignClass,
     canonical,
-    classify_signs,
     complex_to_json,
     from_polar,
     parse_complex,
@@ -185,7 +184,7 @@ def _cmd_classify(args) -> int:
         {
             "char_poly": list(p),
             "aux_poly": list(q),
-            "aux_sign_class": classify_signs(q).value,
+            "aux_sign_class": report.aux_sign_class().value,
             "eigen_converged": rs.converged,
             "eigenvalues": eigen_rows,
         }
@@ -307,8 +306,8 @@ def main(argv=None) -> int:
         parser.error("--format csv is only available for the region command")
     if args.format is None:
         args.format = "csv" if args.command == "region" else "json"
-    if args.tol_residual <= 0 or args.tol_angle <= 0:
-        parser.error("tolerances must be positive")
+    if not (0 < args.tol_residual < math.inf and 0 < args.tol_angle < math.inf):
+        parser.error("tolerances must be positive and finite")
     for cap_flag in ("n", "cap", "samples"):
         if getattr(args, cap_flag, 1) < 1:
             parser.error(f"--{cap_flag} must be >= 1")

@@ -12,13 +12,14 @@ which the synthesis module answers constructively.
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
 ``MinorReport``; the class, p, q and the eigenvalues (``eigenvalues``
-accepts the report) are all read off it. A size-k
-minor is judged against tol * (max row norm)^k, which scales as c^k under
-A -> cA exactly as the minor does, so positive scaling keeps the class.
+accepts the report) are all read off it. Each sign verdict is
+classify_signs against an error bound that scales as its value does: a
+size-k minor's is MINOR_TOL * (max row norm)^k, so c*A keeps the class of A.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -38,8 +39,8 @@ from .errors import (
     ZeroLambda,
 )
 from .poly import (
-    SIGN_TOL,
     SignClass,
+    classify_signs,
     is_conjugate_closed,
     principal_arg,
 )
@@ -50,6 +51,7 @@ DEFAULT_DIM_CAP = 12
 HARD_DIM_CAP = 20
 MINOR_TOL = 1e-9
 SPECTRUM_IMAG_TOL = 1e-9
+SIGN_TOL = 1e-12
 
 
 class MatrixClass(enum.Enum):
@@ -58,15 +60,20 @@ class MatrixClass(enum.Enum):
     NEITHER = "Neither"
 
 
+CLASS_BY_SIGNS = {SignClass.POSITIVE: MatrixClass.P, SignClass.NONNEGATIVE: MatrixClass.P0,
+                  SignClass.MIXED: MatrixClass.NEITHER}
+
+
 @dataclass(frozen=True)
 class MinorReport:
-    """Aggregate view of all 2^n - 1 principal minors."""
+    """Aggregate view of all 2^n - 1 principal minors; matrix_class and
+    aux_sign_class judge each size against its entry of ``tolerances``."""
 
     e_sums: np.ndarray          # E_1 .. E_n (complex)
     min_real_minor: float
     max_abs_imag_minor: float
     matrix_class: MatrixClass
-    tolerances: np.ndarray      # size-k tolerance tol * (max row norm)^k
+    tolerances: np.ndarray      # size-k tolerance MINOR_TOL * (max row norm)^k
 
     def aux_poly(self) -> np.ndarray:
         """prod (t + lambda_k) = (-1)^n p(-t): coefficient of t^k is E_(n-k).
@@ -80,6 +87,11 @@ class MinorReport:
                 f"minor sums are not real (max |imag| = {float(np.max(imag))!r})"
             )
         return np.append(self.e_sums.real[::-1], 1.0)
+
+    def aux_sign_class(self) -> SignClass:
+        """Sign class of aux_poly(): E_k against the size-k tolerance, which
+        class P clears at every scale, and the monic 1 exactly."""
+        return classify_signs(self.aux_poly(), np.append(self.tolerances[::-1], 0.0))
 
     def char_poly(self) -> np.ndarray:
         """Monic det(tI - A), ascending: coefficient of t^k is (-1)^(n-k) E_(n-k)."""
@@ -104,15 +116,16 @@ def _as_square(a) -> np.ndarray:
     return arr
 
 
-def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> MinorReport:
+def principal_minors(a, cap: int = DEFAULT_DIM_CAP) -> MinorReport:
     """Enumerate every nonempty principal minor and classify the matrix.
 
     All of them come from one pass of recursive Schur complements
     (``kernels.minor_sums``, O(2^n) operations). Size-k minors are judged
-    against tol * (max row norm)^k, which scales as c^k under A -> cA like
-    the minors do, so c*A keeps the class of A. P needs every real part
-    above it and every imaginary part within it, P0 relaxes the real parts
-    to >= -tolerance.
+    against MINOR_TOL * (max row norm)^k, which scales as c^k under A -> cA
+    like the minors do, so c*A keeps the class of A. An imaginary part
+    beyond it makes the matrix Neither; otherwise classify_signs of the
+    smallest real part of each size against it decides: positive is P,
+    nonnegative is P0, mixed is Neither.
 
     Raises DimensionCap beyond ``cap`` (hard limit 20): the enumeration is
     exponential by construction. Raises DomainError for non-finite entries
@@ -130,12 +143,9 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> M
     if row_norm > 0 and not (np.all(np.isfinite(e_sums))
                              and 0 < bounds.min() and bounds.max() < math.inf):
         raise DomainError("principal minors overflow or underflow float64")
-    tols = tol * bounds
-    imag_ok = bool(np.all(max_im <= tols))
-    if imag_ok and np.all(min_re > tols):
-        cls = MatrixClass.P
-    elif imag_ok and np.all(min_re >= -tols):
-        cls = MatrixClass.P0
+    tols = MINOR_TOL * bounds
+    if np.all(max_im <= tols):
+        cls = CLASS_BY_SIGNS[classify_signs(min_re, tols)]
     else:
         cls = MatrixClass.NEITHER
     return MinorReport(
@@ -147,14 +157,14 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> M
     )
 
 
-def char_poly(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> np.ndarray:
+def char_poly(a, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """Monic characteristic polynomial det(tI - A); see MinorReport.char_poly."""
-    return principal_minors(a, cap=cap, tol=tol).char_poly()
+    return principal_minors(a, cap=cap).char_poly()
 
 
-def aux_poly(a, cap: int = DEFAULT_DIM_CAP, tol: float = MINOR_TOL) -> np.ndarray:
+def aux_poly(a, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
     """prod (t + lambda_k), the reflected char_poly; see MinorReport.aux_poly."""
-    return principal_minors(a, cap=cap, tol=tol).aux_poly()
+    return principal_minors(a, cap=cap).aux_poly()
 
 
 def eigenvalues(a, cap: int = DEFAULT_DIM_CAP):
@@ -185,12 +195,15 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
 
     P0 excludes lambda = 0 outright (ZeroLambda); for P the zero eigenvalue
     is simply inadmissible, since a P matrix has positive determinant.
+    Raises DomainError for a non-finite lambda.
     """
     if mode not in (MatrixClass.P, MatrixClass.P0):
         raise PreconditionError(f"mode must be P or P0, not {mode}")
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise DomainError(f"lambda={lam!r} is not finite")
     if lam == 0:
         if mode is MatrixClass.P0:
             raise ZeroLambda("lambda = 0 is excluded from the P0 region test")
@@ -210,32 +223,29 @@ def spectrum_aux_poly(values) -> np.ndarray:
     return q
 
 
-def spectrum_feasible(values, imag_tol: float = SPECTRUM_IMAG_TOL) -> MatrixClass:
+def spectrum_feasible(values) -> MatrixClass:
     """Decide whether a multiset is a P spectrum, a P0 spectrum, or neither.
 
     Expands q = prod (t + lambda_k) and judges each coefficient against the
     same coefficient of prod (t + |lambda_k|), which bounds it and scales as
     it does, so the verdict does not depend on the moduli. Imaginary parts
-    beyond ``imag_tol`` times that bound raise NotConjugateClosed. The
-    verdict is P when every real part exceeds SIGN_TOL times the bound, and
-    P0 when none falls below minus that. A bound of 0 means an exactly zero
-    coefficient, which counts as 0: P0, not P.
+    beyond SPECTRUM_IMAG_TOL times that bound raise NotConjugateClosed.
+    Otherwise classify_signs of the real parts with slack SIGN_TOL times
+    the bound decides: positive is P, nonnegative is P0, mixed is Neither.
+    A bound of 0 means an exactly zero coefficient, which counts as 0: P0,
+    not P. Raises DomainError for a non-finite value.
     """
     vals = np.atleast_1d(np.asarray(values, dtype=np.complex128))
     if vals.size < 1:
         raise PreconditionError("spectrum must contain at least one value")
     q = spectrum_aux_poly(vals)
     bound = spectrum_aux_poly(np.abs(vals)).real
-    if np.any(np.abs(q.imag) > imag_tol * bound):
+    if np.any(np.abs(q.imag) > SPECTRUM_IMAG_TOL * bound):
         raise NotConjugateClosed(
             "product polynomial has complex coefficients; "
             "the multiset is not closed under conjugation"
         )
-    if np.all(q.real > SIGN_TOL * bound):
-        return MatrixClass.P
-    if np.all(q.real >= -SIGN_TOL * bound):
-        return MatrixClass.P0
-    return MatrixClass.NEITHER
+    return CLASS_BY_SIGNS[classify_signs(q.real, SIGN_TOL * bound)]
 
 
 def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DomainError
 
-SIGN_TOL = 1e-12
-
 
 class SignClass(enum.Enum):
     """Coefficient-sign classification of a real vector."""
@@ -78,20 +76,21 @@ def relative_residual(coeffs, z) -> float:
     return value / scale if scale else 0.0
 
 
-def classify_signs(coeffs, tol: float = SIGN_TOL) -> SignClass:
-    """Classify a canonical coefficient vector as positive / nonnegative / mixed.
+def classify_signs(values, slack=0.0) -> SignClass:
+    """The package's one sign rule: POSITIVE when every value is above its
+    slack, NONNEGATIVE when every value is at least -slack, else MIXED.
 
-    Comparisons act on coefficients scaled by the largest absolute
-    coefficient, so the verdict is invariant under rescaling.
+    ``slack`` (a scalar or one per value) is 0 for exact coefficients, read
+    literally, and the error bound of a computed value. Raises DomainError
+    for a non-finite value or slack.
     """
-    if tol < 0:
-        raise DomainError("sign tolerance must be nonnegative")
-    arr = np.asarray(coeffs, dtype=np.float64)
-    scaled = arr / np.max(np.abs(arr))
-    low = float(np.min(scaled))
-    if low > tol:
+    arr = np.asarray(values, dtype=np.float64)
+    slack = np.asarray(slack, dtype=np.float64)
+    if not (np.isfinite(arr).all() and np.isfinite(slack).all()):
+        raise DomainError("signs are only decided for finite values and slack")
+    if (arr > slack).all():
         return SignClass.POSITIVE
-    if low >= -tol:
+    if (arr >= -slack).all():
         return SignClass.NONNEGATIVE
     return SignClass.MIXED
 

@@ -184,20 +184,17 @@ def lift(p, n: int, mode: SignClass) -> np.ndarray:
     or disturbing its zero set.
 
     Nonnegative mode multiplies by t^(n-k) + 1; positive mode by
-    1 + t + ... + t^(n-k). Identity when k = n. Signs are checked literally
-    (not against the scaled tolerance): with moduli near 10 and degree 12 the
-    constant term dwarfs the monic leading 1, whose scaled margin then falls
-    under any fixed tolerance even though every coefficient is positive.
+    1 + t + ... + t^(n-k). Identity when k = n. The coefficients are exact
+    input to the lift, so classify_signs reads them literally.
     """
+    if mode not in (SignClass.NONNEGATIVE, SignClass.POSITIVE):
+        raise PreconditionError(f"mode must be nonnegative or positive, not {mode}")
     p = canonical(p)
     k = degree(p)
     if k > n:
         raise PreconditionError(f"cannot lift degree {k} down to {n}")
-    low = float(np.min(p))
-    if mode is SignClass.POSITIVE and low <= 0.0:
-        raise PreconditionError("positive mode needs strictly positive coefficients")
-    if mode is SignClass.NONNEGATIVE and low < 0.0:
-        raise PreconditionError("nonnegative mode does not allow negative coefficients")
+    if not classify_signs(p).satisfies(mode):
+        raise PreconditionError(f"{mode.value} mode needs {mode.value} coefficients")
     if p[0] <= 0.0:
         raise PreconditionError("constant term must be positive")
     gap = n - k
@@ -287,6 +284,8 @@ def verify_cot(q, angle_tol: float = VERIFY_ANGLE_TOL) -> CotReport:
     a_n t^n + a_0 which attain equality; the check accepts any root argument
     above pi/n - angle_tol and reports the binomial shape separately.
     Root-finder non-convergence yields status "inconclusive", not an error.
+    Signs are read literally (classify_signs, no slack): any negative
+    coefficient, however small beside the others, raises PreconditionError.
     """
     q = canonical(q)
     n = degree(q)

@@ -8,7 +8,13 @@ import pytest
 
 from sectorpoly import cli, kernels
 from sectorpoly.cli import main
-from sectorpoly.pmatrix import DEFAULT_DIM_CAP, HARD_DIM_CAP, MatrixClass, kellogg_admissible
+from sectorpoly.pmatrix import (
+    DEFAULT_DIM_CAP,
+    HARD_DIM_CAP,
+    MatrixClass,
+    generate_p_matrix,
+    kellogg_admissible,
+)
 from sectorpoly.poly import from_polar
 
 PI = math.pi
@@ -143,6 +149,13 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["error"] == "PreconditionError"
 
+    @pytest.mark.parametrize("poly", ["[1,-0.9,1e12]", "[1e8,-1e-8]", "[1,-1e-13,1]"])
+    def test_any_negative_coefficient_exits_2(self, capsys, poly):
+        # signs are read literally, however small the negative coefficient
+        code, out = _run(capsys, "verify", "--poly", poly)
+        assert code == 2
+        assert json.loads(out)["error"] == "PreconditionError"
+
 
 class TestClassifyCommand:
     def _write(self, tmp_path, payload):
@@ -168,6 +181,21 @@ class TestClassifyCommand:
         for row in report["eigenvalues"]:
             assert row["kellogg_P"] is False
             assert row["kellogg_P0"] is True
+
+    def test_aux_signs_follow_the_minor_tolerances(self, capsys, tmp_path):
+        # aux poly [1e14, -1, 1]: E_1 = -1 lies far beyond its tolerance 1e-2
+        path = self._write(tmp_path, {"n": 2, "rows": [[0, 1e7], [-1e7, -1]]})
+        code, out = _run(capsys, "classify", "--matrix", path)
+        assert code == 0
+        assert json.loads(out)["aux_sign_class"] == "mixed"
+
+    @pytest.mark.parametrize("c", [1e-3, 10.0, 1e3])
+    def test_scaled_p_matrix_has_positive_aux_signs(self, capsys, tmp_path, c):
+        rows = (c * generate_p_matrix(12, 1)).tolist()
+        code, out = _run(capsys, "classify", "--matrix",
+                         self._write(tmp_path, {"n": 12, "rows": rows}))
+        report = json.loads(out)
+        assert (code, report["class"], report["aux_sign_class"]) == (0, "P", "positive")
 
     def test_complex_entries(self, capsys, tmp_path):
         path = self._write(tmp_path, {
@@ -319,9 +347,11 @@ class TestFlagValidation:
             main(["verify", "--poly", "[1,1]", "--format", "csv"])
         assert exc.value.code == 2
 
-    def test_nonpositive_tolerance_rejected(self, capsys):
+    @pytest.mark.parametrize("flag", ["--tol-angle", "--tol-residual"])
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_nonpositive_tolerance_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--poly", "[1,1]", "--tol-angle", "0"])
+            main(["verify", "--poly", "[1,1]", flag, value])
         assert exc.value.code == 2
 
     def test_negative_cases_rejected(self, capsys):

@@ -102,6 +102,10 @@ class TestPrincipalMinors:
     def test_positive_scaling_keeps_the_class(self, a, expected, scale):
         # a size-k minor and its tolerance both scale as c^k under A -> cA
         assert principal_minors(scale * np.asarray(a)).matrix_class is expected
+        # so do E_k and its tolerance; here the E_k have the minors' signs
+        signs = {MatrixClass.P: SignClass.POSITIVE, MatrixClass.P0: SignClass.NONNEGATIVE,
+                 MatrixClass.NEITHER: SignClass.MIXED}[expected]
+        assert principal_minors(scale * np.asarray(a)).aux_sign_class() is signs
 
     @given(
         n=st.integers(1, 6),
@@ -121,6 +125,8 @@ class TestPrincipalMinors:
                 a[rng.integers(n)] = 0.0
         assert (principal_minors(c * a).matrix_class
                 is principal_minors(a).matrix_class)
+        assert (principal_minors(c * a).aux_sign_class()
+                is principal_minors(a).aux_sign_class())
 
     def test_zero_matrix_is_weakly_positive(self):
         assert principal_minors(np.zeros((3, 3))).matrix_class is MatrixClass.P0
@@ -248,6 +254,13 @@ class TestKelloggAdmissible:
         with pytest.raises(PreconditionError):
             kellogg_admissible(1.0, 3, MatrixClass.NEITHER)
 
+    @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
+    @pytest.mark.parametrize("lam", [complex(math.inf, 1), complex(math.nan, 1),
+                                     complex(1, math.nan), math.inf])
+    def test_non_finite_lambda_raises(self, lam, mode):
+        with pytest.raises(DomainError):
+            kellogg_admissible(lam, 3, mode)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_boundary_tolerance_decides_admissibility(self, n):
         # within ANGLE_TOL of pi/n is pi/n: weakly but not strictly admissible
@@ -292,6 +305,13 @@ class TestSpectrumFeasible:
         # coefficient k of prod (t + c v) is c^(n-k) times that of prod (t + v)
         assert spectrum_feasible(c * np.asarray(values)) is expected
 
+    @pytest.mark.parametrize("values", [
+        [math.inf], [math.nan, 1.0], [complex(math.inf, 1), complex(math.inf, -1)],
+    ])
+    def test_non_finite_values_raise(self, values):
+        with pytest.raises(DomainError):
+            spectrum_feasible(values)
+
 
 class TestEigenWitness:
     def test_strict_witness_on_unit_circle(self):
@@ -311,6 +331,11 @@ class TestEigenWitness:
     def test_not_admissible(self):
         with pytest.raises(NotAdmissible):
             eigen_witness(-1.0, 3, MatrixClass.P)
+
+    @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
+    def test_non_finite_lambda_raises(self, mode):
+        with pytest.raises(DomainError):
+            eigen_witness(complex(math.nan, 1), 3, mode)
 
     def test_feasible_but_unwitnessed_at_integer_ratio(self):
         # theta - pi = -pi/2, so pi/(theta - pi) = -2: admissible for P at

@@ -116,10 +116,30 @@ class TestClassifySigns:
         assert classify_signs(canonical(coeffs)) is expected
 
     def test_scale_invariance(self):
-        # judged after scaling by max|coeff|, so absolute size is irrelevant
+        # exact coefficients are read literally: a negative one is negative
+        # beside a coefficient of any size, and a small positive one positive
         assert classify_signs(canonical([1e8, 1e-2])) is SignClass.POSITIVE
         assert classify_signs(canonical([1e8, -1e-2])) is SignClass.MIXED
-        assert classify_signs(canonical([1e8, -1e-8])) is SignClass.NONNEGATIVE
+        assert classify_signs(canonical([1e8, -1e-8])) is SignClass.MIXED
+        assert classify_signs(canonical([1e14, -1, 1])) is SignClass.MIXED
+        assert classify_signs(10.0 ** np.arange(13)) is SignClass.POSITIVE
+
+    def test_slack_per_value(self):
+        slack = [1e-9, 1.0]
+        assert classify_signs([2e-9, 5.0], slack) is SignClass.POSITIVE
+        assert classify_signs([1e-10, 5.0], slack) is SignClass.NONNEGATIVE
+        assert classify_signs([-1e-9, 0.5], slack) is SignClass.NONNEGATIVE
+        assert classify_signs([-2e-9, 5.0], slack) is SignClass.MIXED
+
+    @pytest.mark.parametrize("values, slack", [
+        ([1.0, math.inf], 0.0),
+        ([math.nan, 1.0], 0.0),
+        ([1.0, 1.0], math.nan),
+        ([1.0, 1.0], [0.0, math.inf]),
+    ])
+    def test_non_finite_raises(self, values, slack):
+        with pytest.raises(DomainError):
+            classify_signs(values, slack)
 
     def test_positive_satisfies_nonnegative(self):
         assert SignClass.POSITIVE.satisfies(SignClass.NONNEGATIVE)

@@ -272,6 +272,11 @@ class TestLift:
         with pytest.raises(PreconditionError):
             lift([1, 0, 1], 4, SignClass.POSITIVE)
 
+    @pytest.mark.parametrize("p", [[1, -1, 1], [1, 1, 1]])
+    def test_rejects_mixed_mode(self, p):
+        with pytest.raises(PreconditionError):
+            lift(p, 3, SignClass.MIXED)
+
     def test_rejects_zero_constant_term(self):
         with pytest.raises(PreconditionError):
             lift([0, 1, 1], 4, SignClass.NONNEGATIVE)
