@@ -1,5 +1,7 @@
 """Command-line surface: synthesis, verification, matrix classification,
-region sampling and randomized oracle campaigns.
+region sampling and randomized oracle campaigns. Each subcommand takes only
+the flags it reads (``--out`` on every one); ``verify`` exits 1 unless
+``verify_cot`` certifies the sector bound.
 
 All reports are deterministic for fixed flags and seed: repeated runs emit
 byte-identical JSON/CSV. Angles are radians only.
@@ -22,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .campaigns import SUITE_NAMES, run_suite
-from .errors import DomainError, SectorPolyError, ZeroLambda
+from .campaigns import RESIDUAL_BOUND, SUITE_NAMES, run_suite
+from .errors import DomainError, SectorPolyError
 from .pmatrix import (
     DEFAULT_DIM_CAP,
     HARD_DIM_CAP,
@@ -45,23 +47,13 @@ from .synthesis import synthesize, verify_cot
 MODE_BY_FLAG = {"nonneg": SignClass.NONNEGATIVE, "positive": SignClass.POSITIVE}
 
 
-def _py(value):
-    """Recursively coerce numpy scalars/arrays into JSON-serializable types."""
-    if isinstance(value, dict):
-        return {k: _py(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.complexfloating, complex)):
-        return complex_to_json(complex(value))
-    return value
+def _jsonable(value):
+    """JSON form of the numpy arrays and scalars and the complex numbers in a report."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, complex):
+        return complex_to_json(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -72,7 +64,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(_py(obj), indent=2) + "\n", out_path)
+    _emit(json.dumps(obj, indent=2, default=_jsonable) + "\n", out_path)
 
 
 def _cmd_synthesize(args) -> int:
@@ -100,7 +92,7 @@ def _cmd_synthesize(args) -> int:
             "lift_terms": result.lift_terms,
             "conjugated": result.conjugated,
             "residual": result.residual,
-            "residual_ok": bool(result.residual <= args.tol_residual),
+            "residual_ok": bool(result.residual <= RESIDUAL_BOUND),
         },
         args.out,
     )
@@ -116,7 +108,7 @@ def _cmd_verify(args) -> int:
             isinstance(c, (int, float)) and not isinstance(c, bool) for c in payload):
         raise DomainError("--poly must be a JSON array of numbers")
     coeffs = canonical(payload)
-    report = verify_cot(coeffs, angle_tol=args.tol_angle)
+    report = verify_cot(coeffs)
     _emit_json(
         {
             "poly": list(coeffs),
@@ -138,10 +130,7 @@ def _parse_matrix_file(path: str) -> np.ndarray:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read matrix file: {exc}")
-    if not isinstance(payload, dict):
-        raise DomainError('matrix file must be {"n": int, "rows": [[...]]}')
-    rows = payload.get("rows")
-    n = payload.get("n")
+    rows, n = (payload.get("rows"), payload.get("n")) if isinstance(payload, dict) else (0, 0)
     if not isinstance(rows, list) or not isinstance(n, int) or isinstance(n, bool):
         raise DomainError('matrix file must be {"n": int, "rows": [[...]]}')
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
@@ -155,95 +144,64 @@ def _parse_matrix_file(path: str) -> np.ndarray:
 
 def _cmd_classify(args) -> int:
     a = _parse_matrix_file(args.matrix)
+    n = a.shape[0]
     report = principal_minors(a, cap=args.cap)
-    payload = {
-        "n": int(a.shape[0]),
-        "class": report.matrix_class.value,
-        "e_sums": [complex_to_json(complex(e)) for e in report.e_sums],
-        "min_real_minor": report.min_real_minor,
-        "max_abs_imag_minor": report.max_abs_imag_minor,
-    }
-    p = report.char_poly()
-    q = report.aux_poly()
     rs = eigenvalues(report)
-    n = int(a.shape[0])
-    eigen_rows = []
-    for z in rs.roots:
-        lam = complex(z)
-        row = {
-            "value": complex_to_json(lam),
-            "theta": wedge_angle(lam) if lam != 0 else None,
-        }
-        row["kellogg_P"] = kellogg_admissible(lam, n, MatrixClass.P)
-        try:
-            row["kellogg_P0"] = kellogg_admissible(lam, n, MatrixClass.P0)
-        except ZeroLambda:
-            row["kellogg_P0"] = None
-        eigen_rows.append(row)
-    payload.update(
+    _emit_json(
         {
-            "char_poly": list(p),
-            "aux_poly": list(q),
+            "n": n,
+            "class": report.matrix_class.value,
+            "e_sums": report.e_sums,
+            "min_real_minor": report.min_real_minor,
+            "max_abs_imag_minor": report.max_abs_imag_minor,
+            "char_poly": report.char_poly(),
+            "aux_poly": report.aux_poly(),
             "aux_sign_class": report.aux_sign_class().value,
             "eigen_converged": rs.converged,
-            "eigenvalues": eigen_rows,
-        }
+            "eigenvalues": [
+                {
+                    "value": lam,
+                    "theta": wedge_angle(lam) if lam else None,
+                    "kellogg_P": kellogg_admissible(lam, n, MatrixClass.P),
+                    "kellogg_P0": kellogg_admissible(lam, n, MatrixClass.P0) if lam else None,
+                }
+                for lam in map(complex, rs.roots)
+            ],
+        },
+        args.out,
     )
-    _emit_json(payload, args.out)
     return 0
 
 
 def _cmd_region(args) -> int:
     n = args.n
     mode = MatrixClass.P if args.mode == "P" else MatrixClass.P0
-    grid = {}
-    for i in range(1, args.samples + 1):
-        grid[2.0 * math.pi * i / args.samples] = False
-    for boundary_theta in (math.pi - math.pi / n, math.pi + math.pi / n):
-        if 0.0 < boundary_theta <= 2.0 * math.pi:
-            grid[boundary_theta] = True
-    rows = []
-    for theta in sorted(grid):
-        lam = from_polar(1.0, theta)
-        rows.append(
-            {
-                "theta": theta,
-                "admissible": kellogg_admissible(lam, n, mode),
-                "boundary": grid[theta],
-            }
-        )
+    grid = {2.0 * math.pi * i / args.samples: False for i in range(1, args.samples + 1)}
+    grid.update((t, True) for t in (math.pi - math.pi / n, math.pi + math.pi / n) if t > 0.0)
+    rows = [
+        {
+            "theta": theta,
+            "admissible": kellogg_admissible(from_polar(1.0, theta), n, mode),
+            "boundary": boundary,
+        }
+        for theta, boundary in sorted(grid.items())
+    ]
     if args.format == "json":
         _emit_json({"n": n, "mode": args.mode, "rows": rows}, args.out)
     else:
-        lines = ["theta,admissible,boundary"]
-        for row in rows:
-            lines.append(
-                f"{row['theta']!r},{str(row['admissible']).lower()},"
-                f"{str(row['boundary']).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = [f"{row['theta']!r},{str(row['admissible']).lower()},"
+                 f"{str(row['boundary']).lower()}" for row in rows]
+        _emit("\n".join(["theta,admissible,boundary", *lines]) + "\n", args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     report = run_suite(args.suite, args.cases, args.seed)
-    payload = report.to_dict()
-    payload["backend"] = kernels.backend_name()
-    _emit_json(payload, args.out)
+    _emit_json({**report.to_dict(), "backend": kernels.backend_name()}, args.out)
     return 0 if report.failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=0, help="campaign seed")
-    shared.add_argument("--tol-residual", type=float, default=1e-10,
-                        help="relative residual threshold reported by synthesize")
-    shared.add_argument("--tol-angle", type=float, default=1e-7,
-                        help="angle tolerance for the forward sector check")
-    shared.add_argument("--out", default=None, help="write the report to a file")
-    shared.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (csv applies to region only)")
-
     parser = argparse.ArgumentParser(
         prog="sectorpoly",
         description="Polynomials with sign-constrained coefficients and a "
@@ -251,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_syn = sub.add_parser("synthesize", parents=[shared],
-                           help="build a degree-n polynomial vanishing at mu")
+    p_syn = sub.add_parser("synthesize", help="build a degree-n polynomial vanishing at mu")
     p_syn.add_argument("--mu-re", type=float, default=None)
     p_syn.add_argument("--mu-im", type=float, default=None)
     p_syn.add_argument("--r", type=float, default=None, help="modulus of mu")
@@ -264,32 +221,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trinomial index for nonneg mode")
     p_syn.set_defaults(func=_cmd_synthesize)
 
-    p_ver = sub.add_parser("verify", parents=[shared],
-                           help="check the sector bound on all roots")
+    p_ver = sub.add_parser("verify", help="certify the sector bound on all roots")
     p_ver.add_argument("--poly", required=True,
                        help="JSON array of ascending coefficients")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_cls = sub.add_parser("classify", parents=[shared],
-                           help="principal-minor classification of a matrix")
+    p_cls = sub.add_parser("classify", help="principal-minor classification of a matrix")
     p_cls.add_argument("--matrix", required=True, help="path to the matrix JSON file")
     p_cls.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP,
                        help="dimension cap for minor enumeration "
                             f"(hard limit {HARD_DIM_CAP})")
     p_cls.set_defaults(func=_cmd_classify)
 
-    p_reg = sub.add_parser("region", parents=[shared],
-                           help="sample the admissible eigenvalue wedge")
+    p_reg = sub.add_parser("region", help="sample the admissible eigenvalue wedge")
     p_reg.add_argument("--n", type=int, required=True)
     p_reg.add_argument("--mode", choices=("P", "P0"), required=True)
     p_reg.add_argument("--samples", type=int, default=360)
+    p_reg.add_argument("--format", choices=("csv", "json"), default="csv")
     p_reg.set_defaults(func=_cmd_region)
 
-    p_orc = sub.add_parser("oracle", parents=[shared],
-                           help="run a randomized invariant campaign")
+    p_orc = sub.add_parser("oracle", help="run a randomized invariant campaign")
     p_orc.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p_orc.add_argument("--cases", type=int, required=True)
+    p_orc.add_argument("--seed", type=int, default=0, help="campaign seed")
     p_orc.set_defaults(func=_cmd_oracle)
+
+    for command in sub.choices.values():
+        command.add_argument("--out", default=None, help="write the report to a file")
     return parser
 
 
@@ -302,17 +260,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "region":
-        parser.error("--format csv is only available for the region command")
-    if args.format is None:
-        args.format = "csv" if args.command == "region" else "json"
-    if not (0 < args.tol_residual < math.inf and 0 < args.tol_angle < math.inf):
-        parser.error("tolerances must be positive and finite")
-    for cap_flag in ("n", "cap", "samples"):
-        if getattr(args, cap_flag, 1) < 1:
-            parser.error(f"--{cap_flag} must be >= 1")
-    if getattr(args, "cases", 0) < 0:
-        parser.error("--cases must be >= 0")
+    for flag, least in (("n", 1), ("cap", 1), ("samples", 1), ("cases", 0)):
+        if getattr(args, flag, least) < least:
+            parser.error(f"--{flag} must be >= {least}")
     try:
         return args.func(args)
     except SectorPolyError as exc:

@@ -85,7 +85,7 @@ class NotAdmissible(SectorPolyError):
 
 
 class FeasibleButUnwitnessed(SectorPolyError):
-    """Admissible eigenvalue whose strict witness construction is out of scope
-    (boundary angle with integer pi/alpha)."""
+    """Admissible eigenvalue without a strict witness: out of the construction's
+    scope (integer pi/alpha), or its witness reads below P."""
 
     name = "FeasibleButUnwitnessed"

@@ -62,8 +62,11 @@ def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
     radii = [0.0] * zero_roots
     angles = [0.0] * zero_roots
     for (a, ya), (b, yb) in zip(hull, hull[1:]):
+        radius = math.exp((ya - yb) / (b - a))
+        while radii and radii[-1] == radius:    # one circle per radius, or starts can coincide
+            del radii[-1], angles[-1]
+            a -= 1
         count = b - a
-        radius = math.exp((ya - yb) / count)
         offset = 2.0 * math.pi * b / deg + _START_ROTATION
         radii += [radius] * count
         angles += [2.0 * math.pi * m / count + offset for m in range(count)]

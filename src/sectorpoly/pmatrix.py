@@ -228,18 +228,27 @@ def spectrum_feasible(values) -> MatrixClass:
 
     Expands q = prod (t + lambda_k) and judges each coefficient against the
     same coefficient of prod (t + |lambda_k|), which bounds it and scales as
-    it does, so the verdict does not depend on the moduli. Imaginary parts
-    beyond SPECTRUM_IMAG_TOL times that bound raise NotConjugateClosed.
-    Otherwise classify_signs of the real parts with slack SIGN_TOL times
-    the bound decides: positive is P, nonnegative is P0, mixed is Neither.
-    A bound of 0 means an exactly zero coefficient, which counts as 0: P0,
-    not P. Raises DomainError for a non-finite value.
+    it does, so the verdict does not depend on the moduli (where the bound
+    leaves float64, both are expanded from the values over a power of two
+    above max |lambda_k|, exactly). Imaginary parts beyond SPECTRUM_IMAG_TOL
+    times the bound raise NotConjugateClosed; else classify_signs of the real
+    parts with slack SIGN_TOL times the bound decides: positive is P,
+    nonnegative is P0, mixed is Neither. A bound of 0 is an exact zero: P0.
+    Raises DomainError for a non-finite value and for a bound coefficient
+    that still overflows, or is 0 with as many nonzero values as its degree.
     """
-    vals = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    vals = np.ascontiguousarray(values, dtype=np.complex128)
     if vals.size < 1:
         raise PreconditionError("spectrum must contain at least one value")
-    q = spectrum_aux_poly(vals)
-    bound = spectrum_aux_poly(np.abs(vals)).real
+    for exponent in (0, math.frexp(np.abs(vals).max())[1]):
+        scaled = np.ldexp(vals.view(np.float64), -exponent).view(np.complex128)
+        bound = spectrum_aux_poly(np.abs(scaled)).real
+        lost = (bound == 0) & (np.count_nonzero(vals) >= np.arange(vals.size, -1, -1))
+        if np.isfinite(bound).all() and not lost.any():
+            break
+    else:
+        raise DomainError("spectrum values must be finite, with products in the float64 range")
+    q = spectrum_aux_poly(scaled)
     if np.any(np.abs(q.imag) > SPECTRUM_IMAG_TOL * bound):
         raise NotConjugateClosed(
             "product polynomial has complex coefficients; "

@@ -1,5 +1,5 @@
 """Construction of nonnegative- and positive-coefficient polynomials with a
-prescribed complex zero, plus the numerical checker for the forward sector
+prescribed complex zero, plus the certified checker for the forward sector
 bound it inverts.
 
 The geometry: a zero at mu = r*e^{i*alpha} forces every nonnegative-
@@ -39,7 +39,6 @@ from .poly import (
     canonical,
     classify_signs,
     degree,
-    poly_eval,
     poly_mul,
     principal_arg,
     relative_residual,
@@ -47,7 +46,6 @@ from .poly import (
 from .roots import find_roots, sector_defect
 
 ANGLE_TOL = 1e-13
-VERIFY_ANGLE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,9 @@ class SynthesisResult:
 
 @dataclass(frozen=True)
 class CotReport:
-    """Outcome of checking the forward sector bound on one polynomial."""
+    """Outcome of certifying the forward sector bound on one polynomial."""
 
-    status: str                 # "pass" | "fail" | "inconclusive"
+    status: str                 # "pass" | "inconclusive"
     degree: int
     binomial: bool
     min_defect: float           # min over roots of |arg| - pi/n
@@ -276,16 +274,15 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     )
 
 
-def verify_cot(q, angle_tol: float = VERIFY_ANGLE_TOL) -> CotReport:
-    """Check the forward sector bound on a nonnegative-coefficient polynomial.
+def verify_cot(q) -> CotReport:
+    """Certify the forward sector bound on a nonnegative-coefficient polynomial.
 
-    Every root of a degree-n polynomial with nonnegative coefficients and
-    nonzero constant term must satisfy |arg| > pi/n, except binomials
-    a_n t^n + a_0 which attain equality; the check accepts any root argument
-    above pi/n - angle_tol and reports the binomial shape separately.
-    Root-finder non-convergence yields status "inconclusive", not an error.
-    Signs are read literally (classify_signs, no slack): any negative
-    coefficient, however small beside the others, raises PreconditionError.
+    Every root of such a polynomial of degree n with a_0 != 0 has |arg| >=
+    pi/n, with equality only for binomials. "pass" needs a converged solve
+    and a binomial (every n = 1 polynomial is one) or ``_disks_avoid_sector``
+    (on the reversed polynomial, roots 1/z, where the solver's powers
+    overflow); anything else is "inconclusive": no accepted input can fail.
+    A negative coefficient, however small, raises PreconditionError.
     """
     q = canonical(q)
     n = degree(q)
@@ -296,22 +293,62 @@ def verify_cot(q, angle_tol: float = VERIFY_ANGLE_TOL) -> CotReport:
     if classify_signs(q) is SignClass.MIXED:
         raise PreconditionError("coefficients must be nonnegative")
 
-    rs = find_roots(q)
-    args = np.array([principal_arg(complex(z)) for z in rs.roots])
-    defect = sector_defect(args, n)
+    try:
+        solved, rs = q, find_roots(q)
+        roots = rs.roots
+    except DomainError:     # powers of roots beyond 1 overflow: the reversed
+        solved = q[::-1]    # polynomial has the roots 1/z, in the same sectors
+        rs = find_roots(solved)
+        with np.errstate(over="ignore"):
+            roots = 1 / rs.roots
+        if not np.isfinite(roots).all():
+            raise DomainError("a root lies beyond the float64 range")
+    args = np.array([principal_arg(complex(z)) for z in roots])
     binomial = int(np.count_nonzero(q)) == 2
-    if not rs.converged:
-        status = "inconclusive"
-    elif defect > -angle_tol:
-        status = "pass"
-    else:
-        status = "fail"
+    passed = rs.converged and (binomial or _disks_avoid_sector(solved, rs.roots, args))
     return CotReport(
-        status=status,
+        status="pass" if passed else "inconclusive",
         degree=n,
         binomial=binomial,
-        min_defect=defect,
-        roots=rs.roots,
+        min_defect=sector_defect(args, n),
+        roots=roots,
         arguments=args,
         converged=rs.converged,
     )
+
+
+def _disks_avoid_sector(q: np.ndarray, z: np.ndarray, args: np.ndarray) -> bool:
+    """Whether the inclusion disks D(z_i, n|w_i|) of the computed roots ``z``
+    of ``q``, degree n >= 2, avoid the open sector |arg| < pi/n: with w_i =
+    q(z_i) / (a_n prod_{j!=i} (z_i - z_j)) they hold every root (Braess &
+    Hadeler, Numer. Math. 21, 1973; Bini & Fiorentino, Numer. Algorithms 23,
+    2000). A disk does when |arg z_i| >= pi/n and its radius is below |z_i|
+    sin(min(|arg z_i| - pi/n, pi/2)); ``args`` hold arg z_i, or arg 1/z_i.
+
+    The radius bounds the true one: Horner's fl q(z_i) errs by at most
+    (1 + sqrt(5)) u mu_i, u = eps/2, mu_i = sum_k |z_i|^k |y_k| over its partial
+    sums y_k (Higham, Accuracy and Stability, 5.1; sqrt(5) u per complex product:
+    Brent, Percival & Zimmermann, Math. Comp. 76, 2007), so |fl q(z_i)| + 2 eps
+    mu_i bounds |q(z_i)|; 1 + 8n eps covers the other relative roundings, 6 eps
+    those of the arguments, 1/z_i and pi/n. a_n |z_i| prod |z_i - z_j| is formed
+    from a_n on, in float64 at every scale. Overflow or coincident iterates fail.
+    """
+    n = z.size
+    eps = float(np.finfo(np.float64).eps)
+    gaps = np.abs(z[:, None] - z) + np.eye(n)      # 1 on the diagonal
+    top_down = q[::-1].tolist()
+    try:
+        for zi, arg, row in zip(z.tolist(), args.tolist(), gaps.tolist()):
+            r = abs(zi)
+            value = mu = 0.0
+            for a in top_down:                  # Horner, and mu_i
+                value = value * zi + a
+                mu = mu * r + abs(value)
+            lead = math.prod(row, start=top_down[0] * r)    # a_n |z_i| prod |z_i - z_j|
+            reach = math.sin(min(abs(arg) - math.pi / n, math.pi / 2))
+            radius = n * (abs(value) + 2 * eps * mu) * (1 + 8 * n * eps)    # n |w_i| lead / |z_i|
+            if not (lead < math.inf and radius < (reach - 6 * eps) * lead):
+                return False
+    except OverflowError:                       # |value| beyond float64
+        return False
+    return True

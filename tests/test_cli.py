@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sectorpoly import cli, kernels
+from sectorpoly import campaigns, cli, kernels
 from sectorpoly.cli import main
 from sectorpoly.pmatrix import (
     DEFAULT_DIM_CAP,
@@ -18,6 +19,23 @@ from sectorpoly.pmatrix import (
 from sectorpoly.poly import from_polar
 
 PI = math.pi
+
+# flags the shared parent parser gave every subcommand, where the subcommand
+# no longer takes them
+REMOVED_FLAGS = {
+    "synthesize": ["--seed", "--format", "--tol-angle", "--tol-residual"],
+    "verify": ["--seed", "--format", "--tol-angle", "--tol-residual"],
+    "classify": ["--seed", "--format", "--tol-angle", "--tol-residual"],
+    "region": ["--seed", "--tol-angle", "--tol-residual"],
+    "oracle": ["--format", "--tol-angle", "--tol-residual"],
+}
+VALID_CALLS = {
+    "synthesize": ["synthesize", "--r", "2", "--alpha", "1.2", "--n", "5", "--mode", "nonneg"],
+    "verify": ["verify", "--poly", "[1,2,1]"],
+    "classify": ["classify", "--matrix", "matrix.json"],
+    "region": ["region", "--n", "4", "--mode", "P"],
+    "oracle": ["oracle", "--suite", "synth", "--cases", "1"],
+}
 
 
 def _run(capsys, *argv):
@@ -107,6 +125,15 @@ class TestSynthesizeCommand:
 
 
 class TestVerifyCommand:
+    def test_inconclusive_exits_1(self, capsys, monkeypatch):
+        import sectorpoly.synthesis as syn
+
+        real = syn.find_roots
+        monkeypatch.setattr(syn, "find_roots", lambda c: real(c, max_iters=0))
+        code, out = _run(capsys, "verify", "--poly", "[1,1,1]")
+        assert code == 1
+        assert json.loads(out)["status"] == "inconclusive"
+
     def test_pass_with_margin(self, capsys):
         code, out = _run(capsys, "verify", "--poly", "[1,1,1]")
         assert code == 0
@@ -128,11 +155,23 @@ class TestVerifyCommand:
         assert json.loads(out)["error"] == "DomainError"
 
     def test_overflowing_residual_exits_2(self, capsys):
-        # t^20 + 1e20 t^19 + 1: the powers of the start near -1e20 overflow
-        poly = json.dumps([1.0] + [0.0] * 18 + [1e20, 1.0])
+        # t^20 + 1e20 t^19 + 1e-300: the powers of the root near -1e20
+        # overflow, and so do those of the reversed polynomial's root 1/z
+        # near -1e17
+        poly = json.dumps([1e-300] + [0.0] * 18 + [1e20, 1.0])
         code, out = _run(capsys, "verify", "--poly", poly)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    def test_roots_beyond_the_solver_reach_are_certified(self, capsys):
+        # t^20 + 1e20 t^19 + 1 overflows the solver's powers, but not those
+        # of the reversed polynomial, whose roots are the reciprocals
+        poly = json.dumps([1.0] + [0.0] * 18 + [1e20, 1.0])
+        code, out = _run(capsys, "verify", "--poly", poly)
+        report = json.loads(out)
+        assert (code, report["status"], report["converged"]) == (0, "pass", True)
+        assert min(r["re"] for r in report["roots"]) == pytest.approx(-1e20, rel=1e-12)
+        assert report["min_arg_defect"] > 0
 
     @pytest.mark.parametrize("poly", [
         "abc", '[1,"x"]', "{}", "[[1,2],[3]]", "[[1,2],[3,4]]", "[true,1]", "5",
@@ -347,12 +386,41 @@ class TestFlagValidation:
             main(["verify", "--poly", "[1,1]", "--format", "csv"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--tol-angle", "--tol-residual"])
-    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
-    def test_nonpositive_tolerance_rejected(self, capsys, flag, value):
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags
+    ])
+    def test_removed_flag_is_a_usage_error(self, capsys, command, flag):
+        value = "csv" if flag == "--format" else "1"
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--poly", "[1,1]", flag, value])
+            main([*VALID_CALLS[command], flag, value])
         assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("usage: sectorpoly ")
+        assert err[1] == f"sectorpoly: error: unrecognized arguments: {flag} {value}"
+
+    def test_each_subcommand_has_only_its_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {opt for a in p._actions for opt in a.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "synthesize": {"--mu-re", "--mu-im", "--r", "--alpha", "--n", "--mode", "--j",
+                           "--out"},
+            "verify": {"--poly", "--out"},
+            "classify": {"--matrix", "--cap", "--out"},
+            "region": {"--n", "--mode", "--samples", "--format", "--out"},
+            "oracle": {"--suite", "--cases", "--seed", "--out"},
+        }
+        assert sum(map(len, flags.values())) == 22
+
+    def test_residual_ok_reads_the_campaign_bound(self, capsys, monkeypatch):
+        args = ("synthesize", "--r", "2", "--alpha", "1.2", "--n", "5", "--mode", "positive")
+        report = json.loads(_run(capsys, *args)[1])
+        assert 0 < report["residual"] <= campaigns.RESIDUAL_BOUND
+        assert report["residual_ok"] is True
+        monkeypatch.setattr(cli, "RESIDUAL_BOUND", report["residual"] / 2)
+        assert json.loads(_run(capsys, *args)[1])["residual_ok"] is False
 
     def test_negative_cases_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -47,6 +47,21 @@ class TestInitialGuesses:
         np.testing.assert_allclose(np.sort_complex(rs.roots[rs.roots != 0]), [-2.0, -1.0],
                                    atol=1e-12)
 
+    def test_edges_of_one_radius_share_one_circle(self):
+        # q(1e8 t) for q = 487.6875 (1 + t^3 + t^5) + t^6: the vertex at t^3
+        # survives the hull only by rounding of the logs, its two edges give
+        # the radius 1e-8 exactly, and their circles shared a start, so the
+        # solver returned one root twice and lost its conjugate
+        c = np.array([487.6875, 0, 0, 487.6875, 0, 487.6875, 1.0]) * 1e8 ** np.arange(7)
+        z0 = kernels.initial_guesses(c.astype(np.complex128))
+        assert len(set(z0.tolist())) == 6
+        np.testing.assert_allclose(np.abs(z0[:5]), np.abs(z0[0]), rtol=1e-15)
+        rs = find_roots(c)
+        assert rs.converged
+        expected = np.roots(c[::-1])
+        gaps = np.abs(rs.roots[:, None] - expected).min(axis=0)
+        assert np.all(gaps <= 1e-9 * np.abs(expected))
+
     def test_offbeat_rotation_breaks_axis_symmetry(self):
         c = np.array([1.0, 0.0, 1.0], dtype=np.complex128)
         z0 = kernels.initial_guesses(c)

@@ -305,6 +305,25 @@ class TestSpectrumFeasible:
         # coefficient k of prod (t + c v) is c^(n-k) times that of prod (t + v)
         assert spectrum_feasible(c * np.asarray(values)) is expected
 
+    @pytest.mark.parametrize("values", [[1e-200] * 3, [1e200, 1e200], [1e-300, 1e-300j, -1e-300j]])
+    def test_extreme_moduli_read_p(self, values):
+        # the products 1e-600 and 1e400 leave float64, the verdict does not
+        assert spectrum_feasible(values) is MatrixClass.P
+
+    def test_power_of_two_multiples_read_p(self):
+        values = np.array([1.0, 2.0, from_polar(1.0, 2.0), from_polar(1.0, -2.0)])
+        for e in (-900, -40, 0, 40, 900):
+            assert spectrum_feasible(np.ldexp(1.0, e) * values) is MatrixClass.P
+
+    def test_underflowing_bound_raises(self):
+        # a spread beyond float64: prod |v| underflows although no value is 0
+        with pytest.raises(DomainError, match="float64"):
+            spectrum_feasible([1e-200, 1e-200, 1e-200, 1e200])
+
+    def test_wide_spread_in_range_keeps_its_verdict(self):
+        # every product of [1e-300, 1e300] is in range as given
+        assert spectrum_feasible([1e-300, 1e300]) is MatrixClass.P
+
     @pytest.mark.parametrize("values", [
         [math.inf], [math.nan, 1.0], [complex(math.inf, 1), complex(math.inf, -1)],
     ])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -416,7 +417,7 @@ class TestVerifyCot:
     @given(
         ends=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
         middle=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), max_size=11),
-        c=st.sampled_from([1e-8, 1e-3, 1e3, 1e8]),
+        c=st.sampled_from([1e-20, 1e-8, 1e-3, 1e3, 1e8, 1e20]),
     )
     @settings(max_examples=300, deadline=None)
     def test_verdict_keeps_under_scaling_of_t(self, ends, middle, c):
@@ -424,6 +425,70 @@ class TestVerifyCot:
         q = np.array([ends[0], *middle, ends[1]])
         scaled = q * c ** np.arange(q.size)
         assert verify_cot(scaled).status == verify_cot(q).status
+
+    @pytest.mark.parametrize("q", [
+        [1.0, 1e-12] + [0.0] * 10 + [1.0],                  # defect 2.2e-14
+        [float(math.comb(12, k)) for k in range(13)],      # (t+1)^12, one 12-fold root
+    ])
+    def test_certified_non_binomials(self, q):
+        report = verify_cot(q)
+        assert report.status == "pass"
+        assert not report.binomial
+
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    def test_roots_beyond_the_solver_powers_are_certified(self, c):
+        # at c = 1e-20 the root near -4.9e25 overflows the solver's 12th
+        # powers; the reversed polynomial, with roots 1/z, is solved instead
+        q = np.array([1e-3] + [0.0] * 10 + [488.0, 1e-3])
+        report = verify_cot(q * c ** np.arange(13))
+        assert report.status == verify_cot(q).status == "pass"
+        roots = verify_cot(q).roots
+        gaps = np.abs(report.roots[:, None] * c - roots).min(axis=0)
+        assert np.all(gaps <= 1e-12 * np.abs(roots))
+
+    def test_root_computed_inside_the_sector_is_inconclusive(self, monkeypatch):
+        # one converged root turned 5e-8 into the sector |arg| < pi/n: the
+        # old angle tolerance 1e-7 read it as a pass
+        import sectorpoly.synthesis as syn
+
+        real = syn.find_roots
+
+        def rotated(c):
+            rs = real(c)
+            roots = rs.roots.copy()
+            i = int(np.argmin(np.abs(np.angle(roots))))
+            target = math.copysign(math.pi / 3 - 5e-8, np.angle(roots[i]))
+            roots[i] = abs(roots[i]) * np.exp(1j * target)
+            return dataclasses.replace(rs, roots=roots)
+
+        monkeypatch.setattr(syn, "find_roots", rotated)
+        report = syn.verify_cot([1, 2, 2, 1])      # (t+1)(t^2+t+1), n = 3
+        assert report.converged
+        assert report.min_defect == pytest.approx(-5e-8, rel=1e-6)
+        assert report.status == "inconclusive"
+
+    @pytest.mark.parametrize("bad", ["coincident", "zero", "nan"])
+    def test_unusable_roots_are_inconclusive(self, monkeypatch, bad):
+        import sectorpoly.synthesis as syn
+
+        real = syn.find_roots
+
+        def spoiled(c):
+            rs = real(c)
+            roots = rs.roots.copy()
+            roots[0] = {"coincident": roots[1], "zero": 0.0, "nan": complex(math.nan, 1.0)}[bad]
+            return dataclasses.replace(rs, roots=roots)
+
+        monkeypatch.setattr(syn, "find_roots", spoiled)
+        assert syn.verify_cot([2, 3, 1, 4, 1]).status == "inconclusive"
+
+    def test_random_nonnegative_polynomials_are_certified(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            q = rng.uniform(0.0, 10.0, n + 1) * (rng.uniform(size=n + 1) < 0.6)
+            q[0] = q[-1] = float(rng.uniform(0.1, 10.0))
+            assert verify_cot(q).status == "pass", q
 
     def test_rejects_mixed_signs(self):
         with pytest.raises(PreconditionError):
