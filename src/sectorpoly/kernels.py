@@ -17,9 +17,13 @@ import math
 
 import numpy as np
 
-# Extra sweeps after the residual tolerance trips: they push the iterates
-# from the stopping threshold to machine accuracy.
-POLISH_SWEEPS = 3
+from .errors import DomainError
+
+# Sweeps after the residual tolerance trips. A residual at the rounding level
+# can still leave clustered roots far off: at 4 * deg * eps, the eigenvalues
+# of a clustered n = 12 characteristic polynomial ended 2.5e-3 * rho from
+# LAPACK's with no polish sweep and 4.4e-5 * rho with one.
+POLISH_SWEEPS = 1
 
 # Angular offset of the starting points (Bini's sigma): keeps the starts of
 # binomials such as t^n + c off the axes and off the roots of unity.
@@ -44,7 +48,8 @@ def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
     the circles do not line up and no start lies on an axis.
 
     Each leading zero coefficient (a_0 = 0, a_1 = 0, ...) is an exact zero
-    root; its start is 0 itself, where p vanishes exactly.
+    root; its start is 0 itself, where p vanishes exactly. A radius beyond
+    the float64 range raises DomainError.
     """
     deg = coeffs.size - 1
     nonzero = np.flatnonzero(coeffs)
@@ -62,7 +67,10 @@ def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
     radii = [0.0] * zero_roots
     angles = [0.0] * zero_roots
     for (a, ya), (b, yb) in zip(hull, hull[1:]):
-        radius = math.exp((ya - yb) / (b - a))
+        try:
+            radius = math.exp((ya - yb) / (b - a))
+        except OverflowError:
+            raise DomainError("a root modulus lies beyond the float64 range") from None
         while radii and radii[-1] == radius:    # one circle per radius, or starts can coincide
             del radii[-1], angles[-1]
             a -= 1
@@ -79,7 +87,9 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     ``coeffs`` are ascending complex128 coefficients with nonzero leading
     term; ``z0`` the initial guesses. Iterates full Jacobi sweeps until the
     worst relative residual |p(z)| / sum|a_i||z|^i (Horner's running-error
-    bound, Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run.
+    bound, Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run, then
+    runs ``POLISH_SWEEPS`` more sweeps if it dropped. ``iterations`` counts
+    the sweeps before the polish.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1

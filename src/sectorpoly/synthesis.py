@@ -299,7 +299,7 @@ def verify_cot(q) -> CotReport:
     except DomainError:     # powers of roots beyond 1 overflow: the reversed
         solved = q[::-1]    # polynomial has the roots 1/z, in the same sectors
         rs = find_roots(solved)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):   # 1/subnormal reads inf or nan
             roots = 1 / rs.roots
         if not np.isfinite(roots).all():
             raise DomainError("a root lies beyond the float64 range")

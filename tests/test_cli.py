@@ -163,6 +163,14 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
+    def test_root_beyond_float64_exits_2(self, capsys):
+        # 1 + 1e10 t + 1e-300 t^2 has a root near -1e310: its start radius
+        # overflows, and the reversed polynomial's root 1/z near -1e-310 is
+        # subnormal, so its reciprocal overflows too
+        code, out = _run(capsys, "verify", "--poly", "[1,1e10,1e-300]")
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
     def test_roots_beyond_the_solver_reach_are_certified(self, capsys):
         # t^20 + 1e20 t^19 + 1 overflows the solver's powers, but not those
         # of the reversed polynomial, whose roots are the reciprocals

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorpoly import campaigns, find_roots, kernels
+from sectorpoly import DomainError, campaigns, find_roots, kernels
 
 
 class TestInitialGuesses:
@@ -61,6 +61,13 @@ class TestInitialGuesses:
         expected = np.roots(c[::-1])
         gaps = np.abs(rs.roots[:, None] - expected).min(axis=0)
         assert np.all(gaps <= 1e-9 * np.abs(expected))
+
+    def test_radius_beyond_float64_raises(self):
+        # 1 + 1e10 t + 1e-300 t^2: the hull edge from t to t^2 has the radius
+        # 1e310, whose exp overflows
+        c = np.array([1.0, 1e10, 1e-300], dtype=np.complex128)
+        with pytest.raises(DomainError, match="float64"):
+            kernels.initial_guesses(c)
 
     def test_offbeat_rotation_breaks_axis_symmetry(self):
         c = np.array([1.0, 0.0, 1.0], dtype=np.complex128)
@@ -233,18 +240,21 @@ class TestSweepCount:
     def test_cot_campaign_sweeps(self, monkeypatch):
         # Newton-polygon starts keep the sweep count flat in degree; the
         # former start circle of radius 1 + max|a_i/a_n| took a mean of 16.7
-        # sweeps (max 106) on this campaign
+        # sweeps (max 106) on this campaign. Every sweep counts, the polish
+        # too: a tolerance of 1e-12 and 3 polish sweeps took a mean of 8.5,
+        # 4 * deg * eps and 1 polish sweep take 6.7
         sweeps = []
         iterate = kernels.aberth_iterate
 
         def counted(coeffs, z0, max_iters, tol):
             out = iterate(coeffs, z0, max_iters, tol)
-            sweeps.append(out[2])
+            converged = float(np.max(out[1])) <= tol
+            sweeps.append(out[2] + (kernels.POLISH_SWEEPS if converged else 0))
             return out
 
         monkeypatch.setattr(kernels, "aberth_iterate", counted)
         report = campaigns.run_suite("cot", 500, 3)
         assert report.failures == 0
         assert len(sweeps) == 500
-        assert np.mean(sweeps) <= 8
+        assert np.mean(sweeps) <= 7.5
         assert max(sweeps) <= 25
