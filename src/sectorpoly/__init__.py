@@ -28,6 +28,7 @@ from .pmatrix import (
     kellogg_admissible,
     principal_minors,
     spectrum_feasible,
+    wedge_admissible,
 )
 from .poly import (
     SignClass,

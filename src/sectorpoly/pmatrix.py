@@ -184,23 +184,56 @@ def wedge_angle(lam: complex) -> float:
     return alpha if alpha > 0.0 else alpha + 2.0 * math.pi
 
 
+def wedge_half_angle(n: int) -> float:
+    """pi/n, the half-width of the wedge about the negative real axis that
+    Kellogg's inequality excludes for n x n matrices.
+
+    Raises PreconditionError for n < 1 and DomainError for an n beyond the
+    float64 range.
+    """
+    if n < 1:
+        raise PreconditionError(f"n must be >= 1, got {n}")
+    try:
+        return math.pi / n
+    except OverflowError:
+        raise DomainError("n is beyond the float64 range")
+
+
+def wedge_admissible(gap, n: int, mode: MatrixClass):
+    """Kellogg's wedge rule on gap = |theta - pi|: with defect = gap - pi/n,
+    admissible is defect > ANGLE_TOL for P and defect >= -ANGLE_TOL for P0.
+
+    An angle within ANGLE_TOL of the boundary pi/n is pi/n, the rule of
+    synthesis.sector_index at m = n. ``gap`` is a float, for which the result
+    is a bool, or a numpy array, for which it is a bool array of the same
+    shape. Raises as wedge_half_angle does, and PreconditionError for a mode
+    other than P or P0.
+    """
+    if mode not in (MatrixClass.P, MatrixClass.P0):
+        raise PreconditionError(f"mode must be P or P0, not {mode}")
+    defect = gap - wedge_half_angle(n)
+    if mode is MatrixClass.P:
+        return defect > ANGLE_TOL
+    return defect >= -ANGLE_TOL
+
+
 def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
     """Eigenvalue-region predicate: |theta - pi| > pi/n for P (>= for P0),
     with theta = arg(lambda) in (0, 2*pi].
 
     |theta - pi| is read as synthesize(-lambda) reads its angle, alpha =
-    |arg(-lambda)|, and an alpha within ANGLE_TOL of pi/n is pi/n, the rule
-    of synthesis.sector_index at m = n. So a P0 lambda is admissible exactly
-    when synthesize(-lambda, n) does not raise AngleTooSmall.
+    |arg(-lambda)|, and wedge_admissible(alpha, n, mode) decides. So a P0
+    lambda is admissible exactly when synthesize(-lambda, n) does not raise
+    AngleTooSmall.
 
     P0 excludes lambda = 0 outright (ZeroLambda); for P the zero eigenvalue
     is simply inadmissible, since a P matrix has positive determinant.
-    Raises DomainError for a non-finite lambda.
+    Raises DomainError for a non-finite lambda and, as wedge_admissible
+    does, for an n beyond float64.
     """
     if mode not in (MatrixClass.P, MatrixClass.P0):
         raise PreconditionError(f"mode must be P or P0, not {mode}")
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    wedge_half_angle(n)     # n is checked before lambda
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise DomainError(f"lambda={lam!r} is not finite")
@@ -208,10 +241,7 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
         if mode is MatrixClass.P0:
             raise ZeroLambda("lambda = 0 is excluded from the P0 region test")
         return False
-    defect = abs(principal_arg(-lam)) - math.pi / n
-    if mode is MatrixClass.P:
-        return defect > ANGLE_TOL
-    return defect >= -ANGLE_TOL
+    return wedge_admissible(abs(principal_arg(-lam)), n, mode)
 
 
 def spectrum_aux_poly(values) -> np.ndarray:

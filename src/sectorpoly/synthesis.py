@@ -46,6 +46,8 @@ from .poly import (
 from .roots import find_roots, sector_defect
 
 ANGLE_TOL = 1e-13
+# numpy counts an array's bytes in intp; n + 1 float64 coefficients must fit
+MAX_DEGREE = np.iinfo(np.intp).max // 8 - 1
 
 
 @dataclass(frozen=True)
@@ -218,13 +220,16 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     construction.
 
     Raises ZeroModulus, DegreeOne, AngleTooSmall or PiOverAlphaInteger when
-    the hypothesis fails, and DomainError for a non-finite mu or one whose
-    |mu|^n overflows or underflows to 0 in float64.
+    the hypothesis fails, and DomainError for a non-finite mu, one whose
+    |mu|^n overflows or underflows to 0 in float64, or a degree whose n + 1
+    float64 coefficients numpy cannot index in bytes.
     """
     if mode not in (SignClass.NONNEGATIVE, SignClass.POSITIVE):
         raise PreconditionError(f"mode must be nonnegative or positive, not {mode}")
     if n < 1:
         raise PreconditionError(f"degree must be >= 1, got {n}")
+    if n > MAX_DEGREE:
+        raise DomainError("degree is beyond the range numpy can index")
     mu = complex(mu)
     if not cmath.isfinite(mu):
         raise DomainError(f"mu={mu!r} is not finite")

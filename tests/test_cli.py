@@ -19,6 +19,7 @@ from sectorpoly.pmatrix import (
 from sectorpoly.poly import from_polar
 
 PI = math.pi
+REGION_SAMPLES = (1, 2, 3, 7, 12, 360, 720, 1000, 4096)
 
 # flags the shared parent parser gave every subcommand, where the subcommand
 # no longer takes them
@@ -120,6 +121,14 @@ class TestSynthesizeCommand:
     def test_modulus_out_of_range_exits_2(self, capsys, r, n, mode):
         code, out = _run(capsys, "synthesize", "--r", r, "--alpha", "2",
                          "--n", n, "--mode", mode)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_degree_beyond_numpy_index_exits_2(self, capsys):
+        # numpy refuses 10**30 entries without allocating; a degree between
+        # 1e8 and 1e18 would allocate instead
+        code, out = _run(capsys, "synthesize", "--r", "1", "--alpha", "3",
+                         "--n", str(10**30), "--mode", "nonneg")
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
@@ -343,14 +352,58 @@ class TestRegionCommand:
         marked = {t for t, _, bnd in rows if bnd}
         assert marked == {PI - PI / 3, PI + PI / 3}
 
-    def test_rows_match_predicate_oracle(self, capsys):
-        for n, mode in ((1, "P"), (2, "P"), (5, "P0")):
-            code, out = _run(capsys, "region", "--n", str(n), "--mode", mode,
-                             "--samples", "37")
-            assert code == 0
-            cls = MatrixClass.P if mode == "P" else MatrixClass.P0
-            for theta, adm, _ in self._rows(out):
-                assert adm == kellogg_admissible(from_polar(1.0, theta), n, cls)
+    @pytest.mark.parametrize("mode", ["P", "P0"])
+    @pytest.mark.parametrize("n", [*range(1, 61), 90, 180, 360, 720, 1000, 12345,
+                                   31400000000000])
+    def test_rows_match_predicate_oracle(self, capsys, n, mode):
+        # the reference decides each row by kellogg_admissible of the unit
+        # lambda at theta; the sweep includes grid points on pi -/+ pi/n
+        # (n = 4, 6, 10 at 360 samples), for n = 1, 2*pi, and for the last n
+        # a P0 row at theta = math.pi whose verdict needs pi beyond math.pi
+        cls = MatrixClass.P if mode == "P" else MatrixClass.P0
+        for samples in REGION_SAMPLES:
+            grid = {2.0 * PI * i / samples: False for i in range(1, samples + 1)}
+            grid.update((t, True) for t in (PI - PI / n, PI + PI / n) if t > 0.0)
+            rows = [{"theta": t, "admissible": kellogg_admissible(from_polar(1.0, t), n, cls),
+                     "boundary": b} for t, b in sorted(grid.items())]
+            csv = "\n".join(["theta,admissible,boundary", *(
+                f"{r['theta']!r},{str(r['admissible']).lower()},{str(r['boundary']).lower()}"
+                for r in rows)]) + "\n"
+            report = json.dumps({"n": n, "mode": mode, "rows": rows}, indent=2) + "\n"
+            for fmt, expected in (("csv", csv), ("json", report)):
+                code, out = _run(capsys, "region", "--n", str(n), "--mode", mode,
+                                 "--samples", str(samples), "--format", fmt)
+                assert code == 0
+                assert out == expected, (samples, fmt)
+
+    @pytest.mark.parametrize("mode", ["P", "P0"])
+    @pytest.mark.parametrize("n, samples", [(4, 360), (6, 360), (10, 360), (1, 7)])
+    def test_grid_points_on_the_boundary(self, capsys, n, samples, mode):
+        # each edge pi -/+ pi/n is a grid point, as a float or one ulp away
+        # (a second row then); every row there is weakly but not strictly
+        # admissible
+        code, out = _run(capsys, "region", "--n", str(n), "--mode", mode,
+                         "--samples", str(samples))
+        grid = {2.0 * PI * i / samples for i in range(1, samples + 1)}
+        edges = {t for t in (PI - PI / n, PI + PI / n) if t > 0.0}
+        on_edge = [adm for t, adm, _ in self._rows(out)
+                   if any(abs(t - e) <= 1e-15 for e in edges)]
+        assert len(on_edge) == 2 * len(edges) - len(edges & grid)
+        assert all(adm is (mode == "P0") for adm in on_edge)
+
+    @pytest.mark.parametrize("n, samples", [(str(10**400), "360"), ("4", str(10**400))],
+                             ids=["n", "samples"])
+    def test_size_beyond_float64_exits_2(self, capsys, n, samples):
+        code, out = _run(capsys, "region", "--n", n, "--mode", "P", "--samples", samples)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
+
+    def test_samples_beyond_cap_exit_2(self, capsys):
+        # rejected before any grid is built
+        code, out = _run(capsys, "region", "--n", "4", "--mode", "P",
+                         "--samples", str(cli.MAX_REGION_SAMPLES + 1))
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
 
     def test_json_format(self, capsys):
         code, out = _run(capsys, "region", "--n", "2", "--mode", "P",

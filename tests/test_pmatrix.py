@@ -27,9 +27,11 @@ from sectorpoly import (
     kellogg_admissible,
     principal_minors,
     spectrum_feasible,
+    wedge_admissible,
 )
 from sectorpoly.pmatrix import spectrum_aux_poly
 from sectorpoly.poly import relative_residual
+from sectorpoly.synthesis import ANGLE_TOL
 
 ROTATION = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -274,6 +276,57 @@ class TestKelloggAdmissible:
         assert not kellogg_admissible(short, n, MatrixClass.P0)
         if n > 1:
             assert kellogg_admissible(clear, n, MatrixClass.P)
+
+    @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
+    def test_n_beyond_float64_raises(self, mode):
+        # math.pi / n overflows converting n; a P-mode zero lambda does not
+        # get past the check either
+        for lam in (1.0, 0j):
+            with pytest.raises(DomainError):
+                kellogg_admissible(lam, 10**400, mode)
+
+
+class TestWedgeAdmissible:
+    MODES = (MatrixClass.P, MatrixClass.P0)
+    OFFSETS = (-2.0 * ANGLE_TOL, -0.5 * ANGLE_TOL, 0.5 * ANGLE_TOL, 2.0 * ANGLE_TOL)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_float_gap_gives_plain_bool(self, mode):
+        for gap in (0.0, 1.0, math.pi):
+            assert type(wedge_admissible(gap, 3, mode)) is bool
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 1000])
+    def test_agrees_with_kellogg_near_the_boundary(self, n, mode):
+        # lambda at pi + gap has |arg(-lambda)| = gap up to rounding, far
+        # below the ANGLE_TOL/2 between each offset and the tolerance
+        for offset in self.OFFSETS:
+            gap = math.pi / n + offset
+            if gap > math.pi:
+                continue
+            expected = kellogg_admissible(from_polar(1.0, math.pi + gap), n, mode)
+            assert wedge_admissible(gap, n, mode) is expected
+        assert wedge_admissible(math.pi / n + 0.5 * ANGLE_TOL, n, mode) is (
+            mode is MatrixClass.P0)
+        assert wedge_admissible(math.pi / n - 2.0 * ANGLE_TOL, n, mode) is False
+        assert wedge_admissible(math.pi / n + 2.0 * ANGLE_TOL, n, mode) is True
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_array_matches_scalars(self, n, mode):
+        gaps = np.concatenate((np.linspace(0.0, math.pi, 101),
+                               math.pi / n + np.array(self.OFFSETS)))
+        result = wedge_admissible(gaps, n, mode)
+        assert result.dtype == bool and result.shape == gaps.shape
+        assert result.tolist() == [wedge_admissible(g, n, mode) for g in gaps.tolist()]
+
+    def test_rejects_other_modes_and_sizes(self):
+        with pytest.raises(PreconditionError):
+            wedge_admissible(1.0, 3, MatrixClass.NEITHER)
+        with pytest.raises(PreconditionError):
+            wedge_admissible(1.0, 0, MatrixClass.P)
+        with pytest.raises(DomainError):
+            wedge_admissible(np.zeros(3), 10**400, MatrixClass.P0)
 
 
 class TestSpectrumFeasible:

@@ -298,6 +298,13 @@ class TestLift:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("mode", [SignClass.NONNEGATIVE, SignClass.POSITIVE])
+    def test_degree_beyond_numpy_index_raises(self, mode):
+        # |mu| = 1 keeps |mu|^n in range; only 10**30, which numpy rejects
+        # without allocating: a degree between 1e8 and 1e18 would allocate
+        with pytest.raises(DomainError):
+            synthesize(from_polar(1.0, 3.0), 10**30, mode)
+
     def test_imaginary_unit_nonneg(self):
         result = synthesize(1j, 2, SignClass.NONNEGATIVE)
         np.testing.assert_allclose(result.coeffs, [1, 0, 1], atol=1e-12)
