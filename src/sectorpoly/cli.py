@@ -189,8 +189,9 @@ def _cmd_region(args) -> int:
     """Sample the wedge at theta = 2*pi*i/samples, i = 1..samples, plus the
     two boundary angles pi -/+ pi/n inside (0, 2*pi], deduplicated and
     sorted. One wedge_admissible call decides every row on |theta - pi|,
-    the rule kellogg_admissible applies to arg(-lambda). Only the JSON
-    format builds a dict per row."""
+    the rule kellogg_admissible applies to arg(-lambda). Both formats
+    write their rows as f-strings; the JSON bytes are those of
+    json.dumps(..., indent=2)."""
     if args.samples > MAX_REGION_SAMPLES:
         raise DomainError(f"--samples must be <= {MAX_REGION_SAMPLES}")
     n = args.n
@@ -203,12 +204,16 @@ def _cmd_region(args) -> int:
     admissible = wedge_admissible(np.abs(thetas - math.pi - PI_TAIL), n, mode).tolist()
     boundary = np.isin(thetas, edges).tolist()
     thetas = thetas.tolist()
+    word = ("false", "true")
     if args.format == "json":
-        rows = [{"theta": t, "admissible": a, "boundary": b}
-                for t, a, b in zip(thetas, admissible, boundary)]
-        _emit_json({"n": n, "mode": args.mode, "rows": rows}, args.out)
+        # the bytes of json.dumps(..., indent=2) without a dict per row
+        rows = ",\n".join(
+            f'    {{\n      "theta": {t!r},\n      "admissible": {word[a]},\n'
+            f'      "boundary": {word[b]}\n    }}'
+            for t, a, b in zip(thetas, admissible, boundary))
+        _emit(f'{{\n  "n": {n},\n  "mode": "{args.mode}",\n  "rows": [\n{rows}\n  ]\n}}\n',
+              args.out)
     else:
-        word = ("false", "true")
         lines = [f"{t!r},{word[a]},{word[b]}" for t, a, b in zip(thetas, admissible, boundary)]
         _emit("\n".join(["theta,admissible,boundary", *lines]) + "\n", args.out)
     return 0

@@ -5,9 +5,12 @@ Two inner loops dominate the randomized campaigns: the simultaneous
 Both are numpy code, one implementation each. The iteration starts from
 Bini's Newton-polygon points (``initial_guesses``), which put every start
 near the modulus of a root, so the sweep count stays small at every degree
-and coefficient scale. The minors come from recursive Schur complements
-(MAT2PM), O(2^n) operations for all 2^n - 1 of them, with a pseudo-pivot in
-place of any pivot near zero.
+and coefficient scale. On arrays this small a sweep costs mostly numpy call
+overhead, so the common sweep runs without zero guards; a sweep whose new
+residuals read NaN or inf (a zero the guards would catch, or an overflow) is
+done again by the guarded sweep, with bit-identical results. The minors
+come from recursive Schur complements (MAT2PM), O(2^n) operations for all
+2^n - 1 of them, with a pseudo-pivot in place of any pivot near zero.
 """
 
 from __future__ import annotations
@@ -90,6 +93,15 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     bound, Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run, then
     runs ``POLISH_SWEEPS`` more sweeps if it dropped. ``iterations`` counts
     the sweeps before the polish.
+
+    Each sweep and the evaluation after it first run unguarded, as a few
+    ufunc calls on buffers allocated once per call. Every zero that the
+    guarded code catches (coincident iterates, p' = 0, 1 - w*s = 0, and
+    z = 0 = a_0) leaves a NaN or inf among the new residuals, as does an
+    overflow. Only then is the step done again, from the same (z, p, p'),
+    by the guarded sweep and residual. Where no guard fires, both do the same
+    arithmetic in the same order, so the results are bit for bit those of
+    the guarded code alone. A redone step counts as one sweep.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1
@@ -99,18 +111,31 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
     abs_coeffs = np.abs(coeffs)
     powers = np.ones((deg, deg + 1), dtype=np.complex128)
+    diff = np.empty((deg, deg), dtype=np.complex128)
+    diagonal = diff.reshape(-1)[:: deg + 1]      # a view: writes land in diff
     z = np.array(z0, dtype=np.complex128)
 
     def _eval(zz):
         powers[:, 1:] = zz[:, None]
-        powers.cumprod(axis=1, out=powers)
-        p, dp = powers.dot(pair).T
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        values = powers.dot(pair)
+        p, dp = values[:, 0], values[:, 1]     # unpacking values.T iterates: slower
+        return p, dp, np.abs(p) / np.abs(powers).dot(abs_coeffs)
+
+    def _guarded_residual(p):
+        # the residual of the last _eval, whose powers are still in place
         scale = np.abs(powers).dot(abs_coeffs)
         # scale 0 means z = 0 and a_0 = 0, an exact root: its residual reads 0
-        resid = np.abs(p) / (scale if scale.all() else np.where(scale == 0, 1.0, scale))
-        return p, dp, resid
+        return np.abs(p) / (scale if scale.all() else np.where(scale == 0, 1.0, scale))
 
     def _sweep(zz, p, dp):
+        np.subtract(zz[:, None], zz, out=diff)
+        diagonal.fill(np.inf)
+        s = np.add.reduce(np.divide(1.0, diff, out=diff), axis=1)
+        w = p / dp
+        return zz - w / (1.0 - w * s)
+
+    def _guarded_sweep(zz, p, dp):
         diff = zz[:, None] - zz
         diff[diff == 0] = np.inf      # the diagonal and coincident iterates
         s = (1.0 / diff).sum(1)
@@ -127,19 +152,33 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         # nudged deterministically
         return np.where((dp == 0) & (p != 0), zz * (1.0 + 1e-8) + 1e-8, znew)
 
+    def _step(zz, p, dp):
+        znew = _sweep(zz, p, dp)
+        p_new, dp_new, resid = _eval(znew)
+        worst = np.maximum.reduce(resid)
+        if not math.isfinite(worst):      # NaN or inf: a guard case or overflow
+            znew = _guarded_sweep(zz, p, dp)
+            p_new, dp_new, _ = _eval(znew)
+            resid = _guarded_residual(p_new)
+            worst = np.maximum.reduce(resid)
+        return znew, p_new, dp_new, resid, worst
+
     # iterates whose powers overflow leave non-finite residuals, which the
-    # caller turns into DomainError; numpy need not warn on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
+    # caller turns into DomainError; numpy need not warn on the way there,
+    # nor on the unguarded divisions by zero that send a step to the redo
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         p, dp, resid = _eval(z)
+        worst = np.maximum.reduce(resid)
+        if not math.isfinite(worst):
+            resid = _guarded_residual(p)
+            worst = np.maximum.reduce(resid)
         iters = 0
-        while iters < max_iters and resid.max() > tol:
-            z = _sweep(z, p, dp)
+        while iters < max_iters and worst > tol:
+            z, p, dp, resid, worst = _step(z, p, dp)
             iters += 1
-            p, dp, resid = _eval(z)
-        if resid.max() <= tol:
+        if worst <= tol:
             for _ in range(POLISH_SWEEPS):
-                z = _sweep(z, p, dp)
-                p, dp, resid = _eval(z)
+                z, p, dp, resid, worst = _step(z, p, dp)
     return z, resid, iters
 
 

@@ -38,15 +38,15 @@ def canonical(coeffs) -> np.ndarray:
     and for coefficients that are not finite real numbers.
     """
     try:
-        arr = np.atleast_1d(np.asarray(coeffs, dtype=np.float64)).ravel()
+        arr = np.asarray(coeffs, dtype=np.float64).ravel()
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"coefficients must be real numbers: {exc}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("coefficients must be finite")
-    nonzero = np.flatnonzero(arr)
+    nonzero = arr.nonzero()[0]
     if nonzero.size == 0:
         raise DomainError("the zero polynomial has no canonical form")
-    return np.array(arr[: nonzero[-1] + 1])
+    return arr[: nonzero[-1] + 1].copy()
 
 
 def degree(coeffs) -> int:

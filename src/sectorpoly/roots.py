@@ -17,6 +17,16 @@ from .poly import canonical, principal_arg
 
 DEFAULT_MAX_ITERS = 500
 
+# find_roots hands the kernel the coefficients as they are while their largest
+# magnitude lies within 1 / UNSCALED_MAX .. UNSCALED_MAX, so every such
+# input keeps its bytes. The kernel multiplies each a_i by i <= deg and by
+# |z|^i and sums the terms: inside the window, a term with |z|^i anywhere in
+# 2**-500 .. 2**500 stays in float64's normal range with 2**22 to spare.
+# Outside it, a_i near the top overflow (a_i * i already at 1e308) and a_i
+# near the bottom lose digits to subnormals, so they are divided by a power
+# of two, which moves no root and no relative residual.
+UNSCALED_MAX = 2.0 ** 500
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -38,13 +48,17 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
     Algorithms 23, 2000). Non-convergence within ``max_iters`` sweeps is not
     an error: the best-effort roots are returned with ``converged=False``.
 
+    Coefficients whose largest magnitude lies beyond UNSCALED_MAX, or below
+    its reciprocal, are first divided by a power of two (``in_scale``), which
+    leaves the roots and the relative residuals as they are.
+
     Raises DegenerateInput for degree-0 input and DomainError for a
     starting radius or a residual that overflows.
     """
     p = canonical(coeffs)
     if len(p) < 2:
         raise DegenerateInput("cannot solve a degree-0 polynomial")
-    c = p.astype(np.complex128)
+    c = in_scale(p).astype(np.complex128)
     # the powers-and-dot evaluation errs by at most about 1.6 * deg * eps
     # times the residual's scale, so this level is reachable at every degree
     tol = 4 * (len(c) - 1) * np.finfo(np.float64).eps
@@ -58,6 +72,22 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
         converged=bool(np.max(residuals) <= tol),
         iterations=int(iters),
     )
+
+
+def in_scale(p: np.ndarray) -> np.ndarray:
+    """``p`` itself while its largest magnitude lies within 1 / UNSCALED_MAX
+    .. UNSCALED_MAX, else ``p`` divided by the power of two just above it,
+    which has exactly the same roots. Where that division would leave a
+    nonzero coefficient subnormal or 0 (a spread beyond 2**1021, as in
+    1e-200 + t + 1e200 t^2), ``p`` stays as it is: a flushed a_0 would turn
+    into a zero root that converges."""
+    largest = np.abs(p).max()
+    if 1.0 / UNSCALED_MAX <= largest <= UNSCALED_MAX:
+        return p
+    scaled = np.ldexp(p, -math.frexp(largest)[1])
+    if np.abs(scaled[p != 0]).min() < np.finfo(np.float64).tiny:
+        return p
+    return scaled
 
 
 def min_arg_defect(rs: RootSet, n: int) -> float:

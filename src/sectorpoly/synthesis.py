@@ -43,7 +43,7 @@ from .poly import (
     principal_arg,
     relative_residual,
 )
-from .roots import find_roots, sector_defect
+from .roots import find_roots, in_scale, sector_defect
 
 ANGLE_TOL = 1e-13
 # numpy counts an array's bytes in intp; n + 1 float64 coefficients must fit
@@ -310,7 +310,10 @@ def verify_cot(q) -> CotReport:
             raise DomainError("a root lies beyond the float64 range")
     args = np.array([principal_arg(complex(z)) for z in roots])
     binomial = int(np.count_nonzero(q)) == 2
-    passed = rs.converged and (binomial or _disks_avoid_sector(solved, rs.roots, args))
+    # the disks scale with the coefficients; at find_roots's scale their
+    # Horner sums stay in range
+    passed = rs.converged and (
+        binomial or _disks_avoid_sector(in_scale(solved), rs.roots, args))
     return CotReport(
         status="pass" if passed else "inconclusive",
         degree=n,

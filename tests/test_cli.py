@@ -190,6 +190,14 @@ class TestVerifyCommand:
         assert min(r["re"] for r in report["roots"]) == pytest.approx(-1e20, rel=1e-12)
         assert report["min_arg_defect"] > 0
 
+    @pytest.mark.parametrize("poly", ["[1e308,1e308,1e308]", "[1e-310,1e-310,1e-310]"])
+    def test_uniformly_scaled_poly_passes(self, capsys, poly):
+        # c (t^2 + t + 1) has the roots of t^2 + t + 1 at every scale c
+        code, out = _run(capsys, "verify", "--poly", poly)
+        report = json.loads(out)
+        assert (code, report["status"], report["converged"]) == (0, "pass", True)
+        assert report["min_arg_defect"] == pytest.approx(PI / 6, abs=1e-9)
+
     @pytest.mark.parametrize("poly", [
         "abc", '[1,"x"]', "{}", "[[1,2],[3]]", "[[1,2],[3,4]]", "[true,1]", "5",
         "[1," + "9" * 400 + "]",
@@ -404,6 +412,25 @@ class TestRegionCommand:
                          "--samples", str(cli.MAX_REGION_SAMPLES + 1))
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    def test_json_report_memory(self, tmp_path):
+        # the rows are written as f-strings, not held as one dict each and
+        # encoded by json.dumps(..., indent=2), which peaked near 9x the report
+        import tracemalloc
+
+        out = tmp_path / "region.json"
+        argv = ["region", "--n", "4", "--mode", "P", "--samples", "65536",
+                "--format", "json", "--out", str(out)]
+        main(["region", "--n", "4", "--mode", "P", "--samples", "1", "--out", str(out)])
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text(encoding="utf-8")
+        assert len(json.loads(text)["rows"]) >= 65536
+        assert peak < 5 * len(text)
 
     def test_json_format(self, capsys):
         code, out = _run(capsys, "region", "--n", "2", "--mode", "P",

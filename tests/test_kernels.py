@@ -90,6 +90,125 @@ class TestNumpyPath:
         assert float(np.max(max_im)) == 0.0
 
 
+
+def _aberth_reference(coeffs, z0, max_iters, tol):
+    """Reference: the guarded sweep on every step, as aberth_iterate ran
+    before its unguarded common path."""
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    deg = coeffs.size - 1
+    # column 0 evaluates p, column 1 evaluates p', from one powers matrix
+    pair = np.zeros((deg + 1, 2), dtype=np.complex128)
+    pair[:, 0] = coeffs
+    pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
+    abs_coeffs = np.abs(coeffs)
+    powers = np.ones((deg, deg + 1), dtype=np.complex128)
+    z = np.array(z0, dtype=np.complex128)
+
+    def _eval(zz):
+        powers[:, 1:] = zz[:, None]
+        powers.cumprod(axis=1, out=powers)
+        p, dp = powers.dot(pair).T
+        scale = np.abs(powers).dot(abs_coeffs)
+        # scale 0 means z = 0 and a_0 = 0, an exact root: its residual reads 0
+        resid = np.abs(p) / (scale if scale.all() else np.where(scale == 0, 1.0, scale))
+        return p, dp, resid
+
+    def _sweep(zz, p, dp):
+        diff = zz[:, None] - zz
+        diff[diff == 0] = np.inf      # the diagonal and coincident iterates
+        s = (1.0 / diff).sum(1)
+        # the guards build new arrays only when a zero actually occurs
+        safe_dp = dp if dp.all() else np.where(dp == 0, 1.0, dp)
+        w = p / safe_dp
+        den = 1.0 - w * s
+        if not den.all():
+            den = np.where(den == 0, 1.0, den)
+        znew = zz - w / den
+        if safe_dp is dp:
+            return znew
+        # p' vanished: an exact root (p = 0) stays, any other iterate is
+        # nudged deterministically
+        return np.where((dp == 0) & (p != 0), zz * (1.0 + 1e-8) + 1e-8, znew)
+
+    # iterates whose powers overflow leave non-finite residuals, which the
+    # caller turns into DomainError; numpy need not warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, dp, resid = _eval(z)
+        iters = 0
+        while iters < max_iters and resid.max() > tol:
+            z = _sweep(z, p, dp)
+            iters += 1
+            p, dp, resid = _eval(z)
+        if resid.max() <= tol:
+            for _ in range(kernels.POLISH_SWEEPS):
+                z = _sweep(z, p, dp)
+                p, dp, resid = _eval(z)
+    return z, resid, iters
+
+
+def _assert_same_bits(coeffs, z0, max_iters, tol):
+    roots, resid, iters = kernels.aberth_iterate(coeffs, z0, max_iters, tol)
+    ref_roots, ref_resid, ref_iters = _aberth_reference(coeffs, z0, max_iters, tol)
+    assert iters == ref_iters
+    for got, ref in ((roots, ref_roots), (resid, ref_resid)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    return iters, resid
+
+
+def _solves(monkeypatch, suite, cases, seed):
+    """The (coeffs, z0, max_iters, tol) of every solve in one campaign."""
+    calls = []
+    iterate = kernels.aberth_iterate
+
+    def recorded(coeffs, z0, max_iters, tol):
+        calls.append((np.array(coeffs), np.array(z0), max_iters, tol))
+        return iterate(coeffs, z0, max_iters, tol)
+
+    monkeypatch.setattr(kernels, "aberth_iterate", recorded)
+    campaigns.run_suite(suite, cases, seed)
+    monkeypatch.undo()
+    return calls
+
+
+def _tol(deg):
+    return 4 * deg * np.finfo(np.float64).eps
+
+
+class TestAberthMatchesGuardedReference:
+    @pytest.mark.parametrize("suite", ["cot", "kellogg", "witness"])
+    def test_campaign_solves(self, monkeypatch, suite):
+        calls = _solves(monkeypatch, suite, 200, 5)
+        assert len(calls) >= 50
+        for call in calls:
+            _assert_same_bits(*call)
+
+    @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 0, 1, 1]])
+    def test_zero_starts(self, coeffs):
+        # the starts at 0 coincide, and there z = 0 = a_0 makes the scale 0
+        c = np.asarray(coeffs, dtype=np.complex128)
+        _, resid = _assert_same_bits(c, kernels.initial_guesses(c), 500, _tol(c.size - 1))
+        assert float(np.max(resid)) <= _tol(c.size - 1)
+
+    @pytest.mark.parametrize("coeffs, z0, stalls", [
+        ([1, 0, 1], [0, 2j], False),          # p'(0) = 0
+        ([3, 0, 1], [1, -1], True),           # 1 - w * s = 0 on both iterates
+        ([2, 3, 1], [1 + 1j, 1 + 1j], False),  # coincident iterates
+    ])
+    def test_guard_cases(self, coeffs, z0, stalls):
+        c = np.asarray(coeffs, dtype=np.complex128)
+        iters, _ = _assert_same_bits(c, np.asarray(z0, dtype=np.complex128), 500, _tol(2))
+        assert (iters == 500) is stalls
+
+    def test_overflow_keeps_iterations(self):
+        # 1e-300 + 1e20 t^19 + t^20: the powers of the start near 1e20
+        # overflow, so the residuals stay non-finite after the redo
+        c = np.zeros(21, dtype=np.complex128)
+        c[0], c[19], c[20] = 1e-300, 1e20, 1.0
+        _, resid = _assert_same_bits(c, kernels.initial_guesses(c), 500, _tol(20))
+        assert not np.isfinite(resid).all()
+
+
 def _minor_sums_by_loop(a):
     """Reference: each submatrix gathered on its own with np.ix_ and its
     determinant taken by LAPACK's partially pivoted LU, in 4096-subset

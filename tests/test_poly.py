@@ -102,6 +102,33 @@ class TestCanonical:
         with pytest.raises(DomainError):
             canonical(coeffs)
 
+    @pytest.mark.parametrize("coeffs", [
+        [1, 2, 3], (0, 0, 1.5), np.array([2.0, -1.0, 0.0]), np.arange(4, dtype=np.int32),
+        np.array([1.0, 0.0, 2.0, 0.0])[::2], np.float32([0.5, 0.25]), [True, False, True],
+    ])
+    def test_fresh_float64_copy(self, coeffs):
+        out = canonical(coeffs)
+        expected = np.asarray(coeffs, dtype=np.float64)
+        np.testing.assert_array_equal(out, expected[: np.flatnonzero(expected)[-1] + 1])
+        assert out.dtype == np.float64 and out.ndim == 1
+        assert out.flags.owndata and out.flags.writeable
+        if isinstance(coeffs, np.ndarray):
+            assert not np.shares_memory(out, coeffs)
+
+    def test_scalar_and_2d_input_flatten(self):
+        np.testing.assert_array_equal(canonical(5), [5.0])
+        np.testing.assert_array_equal(canonical([[1, 2], [3, 0]]), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("coeffs, message", [
+        ([0.0, 0.0], "zero polynomial"), ([], "zero polynomial"),
+        ([1.0, np.nan], "finite"), ([np.inf, 1.0], "finite"),
+        ([1 + 2j], "real numbers"), (5j, "real numbers"), ("abc", "real numbers"),
+        (["1", "x"], "real numbers"), ([1, 10**400], "real numbers"),
+    ])
+    def test_errors(self, coeffs, message):
+        with pytest.raises(DomainError, match=message):
+            canonical(coeffs)
+
 
 class TestClassifySigns:
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sectorpoly import DegenerateInput, DomainError, find_roots, min_arg_defect
+from sectorpoly import DegenerateInput, DomainError, find_roots, min_arg_defect, roots
 from sectorpoly.poly import is_conjugate_closed, principal_arg
 
 
@@ -42,6 +42,36 @@ class TestFindRoots:
         # no stopping test may read as converged or as unconverged
         with pytest.raises(DomainError):
             find_roots([1.0] + [0.0] * 18 + [-1e20, 1.0])
+
+    @pytest.mark.parametrize("c", [2.0 ** 1000, 2.0 ** -1000, 1e308, 1e-310])
+    def test_uniformly_scaled_coefficients(self, c):
+        # c * p has the roots of p; beyond roots.UNSCALED_MAX both ways the
+        # coefficients are divided by a power of two before the kernel runs
+        base = find_roots([1.0, 1.0, 1.0])
+        rs = find_roots(c * np.array([1.0, 1.0, 1.0]))
+        assert rs.converged
+        np.testing.assert_allclose(_sorted(rs.roots), _sorted(base.roots), rtol=0, atol=1e-15)
+
+    def test_only_out_of_range_coefficients_are_rescaled(self, monkeypatch):
+        from sectorpoly import kernels
+
+        seen = []
+        iterate = kernels.aberth_iterate
+        monkeypatch.setattr(kernels, "aberth_iterate",
+                            lambda c, *rest: seen.append(c) or iterate(c, *rest))
+        coeffs = np.array([0.25, -0.5, 1.0])     # largest magnitude 1
+        for scale in (roots.UNSCALED_MAX, 1.0 / roots.UNSCALED_MAX, 1.0):
+            find_roots(scale * coeffs)
+            np.testing.assert_array_equal(seen[-1].real, scale * coeffs)
+        for scale in (2.0 * roots.UNSCALED_MAX, 0.5 / roots.UNSCALED_MAX):
+            find_roots(scale * coeffs)
+            np.testing.assert_array_equal(seen[-1].real, 0.5 * coeffs)
+        # over 2**665, a_0 = 1e-200 would drop to 1.6e-400, which is 0: the
+        # solver would report a converged zero root of a polynomial without one
+        wide = np.array([1e-200, 1.0, 1e200])
+        rs = find_roots(wide)
+        np.testing.assert_array_equal(seen[-1].real, wide)
+        assert not (rs.converged and np.any(rs.roots == 0))
 
     def test_root_count_matches_degree(self):
         rng = np.random.default_rng(0)
