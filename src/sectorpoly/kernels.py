@@ -5,12 +5,18 @@ Two inner loops dominate the randomized campaigns: the simultaneous
 Both are numpy code, one implementation each. The iteration starts from
 Bini's Newton-polygon points (``initial_guesses``), which put every start
 near the modulus of a root, so the sweep count stays small at every degree
-and coefficient scale. On arrays this small a sweep costs mostly numpy call
-overhead, so the common sweep runs without zero guards; a sweep whose new
-residuals read NaN or inf (a zero the guards would catch, or an overflow) is
-done again by the guarded sweep, with bit-identical results. The minors
-come from recursive Schur complements (MAT2PM), O(2^n) operations for all
-2^n - 1 of them, with a pseudo-pivot in place of any pivot near zero.
+and coefficient scale. ``initial_guesses`` draws its circles about 0;
+``roots.starting_points`` calls it on p(t + s) and adds s, for the root
+centroid s = -a_{n-1}/(n a_n), where |s| is at least 0.9 times the
+geometric-mean root modulus (the characteristic polynomials of P matrices,
+whose roots cluster away from 0), p(s) lies above its rounding error and
+below |p(0)|, and p(t + s) is finite. On arrays this small a sweep costs
+mostly numpy call overhead, so the common sweep runs without zero guards; a
+sweep whose new residuals read NaN or inf (a zero the guards would catch,
+or an overflow) is done again by the guarded sweep, with bit-identical
+results. The minors come from recursive Schur complements (MAT2PM), O(2^n)
+operations for all 2^n - 1 of them, with a pseudo-pivot in place of any
+pivot near zero.
 """
 
 from __future__ import annotations

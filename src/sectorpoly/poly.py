@@ -37,6 +37,10 @@ def canonical(coeffs) -> np.ndarray:
     Raises DomainError for the all-zero vector, which has no canonical form,
     and for coefficients that are not finite real numbers.
     """
+    if isinstance(coeffs, (np.ndarray, np.generic)) and coeffs.dtype.kind == "c":
+        # numpy casts a complex array to float with only a warning; as Python
+        # complex numbers its entries raise, as they do in a list
+        coeffs = coeffs.tolist()
     try:
         arr = np.asarray(coeffs, dtype=np.float64).ravel()
     except (TypeError, ValueError, OverflowError) as exc:

@@ -356,12 +356,9 @@ class TestPivotEdges:
 
 
 class TestSweepCount:
-    def test_cot_campaign_sweeps(self, monkeypatch):
-        # Newton-polygon starts keep the sweep count flat in degree; the
-        # former start circle of radius 1 + max|a_i/a_n| took a mean of 16.7
-        # sweeps (max 106) on this campaign. Every sweep counts, the polish
-        # too: a tolerance of 1e-12 and 3 polish sweeps took a mean of 8.5,
-        # 4 * deg * eps and 1 polish sweep take 6.7
+    @staticmethod
+    def _campaign_sweeps(monkeypatch, suite):
+        # every sweep of every solve of a 500-case campaign, the polish too
         sweeps = []
         iterate = kernels.aberth_iterate
 
@@ -372,8 +369,26 @@ class TestSweepCount:
             return out
 
         monkeypatch.setattr(kernels, "aberth_iterate", counted)
-        report = campaigns.run_suite("cot", 500, 3)
+        report = campaigns.run_suite(suite, 500, 3)
         assert report.failures == 0
         assert len(sweeps) == 500
+        return sweeps
+
+    def test_cot_campaign_sweeps(self, monkeypatch):
+        # Newton-polygon starts keep the sweep count flat in degree; the
+        # former start circle of radius 1 + max|a_i/a_n| took a mean of 16.7
+        # sweeps (max 106) on this campaign. A tolerance of 1e-12 and 3
+        # polish sweeps took a mean of 8.5, 4 * deg * eps and 1 polish sweep
+        # take 6.7
+        sweeps = self._campaign_sweeps(monkeypatch, "cot")
         assert np.mean(sweeps) <= 7.5
         assert max(sweeps) <= 25
+
+    def test_kellogg_campaign_sweeps(self, monkeypatch):
+        # characteristic polynomials of P matrices: their roots cluster about
+        # the centroid, away from 0. Circles about 0 took a mean of 9.32
+        # sweeps (max 19) on this campaign, circles about the centroid 6.01
+        # (max 12)
+        sweeps = self._campaign_sweeps(monkeypatch, "kellogg")
+        assert np.mean(sweeps) <= 7.0
+        assert max(sweeps) <= 14

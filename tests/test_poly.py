@@ -10,12 +10,14 @@ from sectorpoly import (
     SignClass,
     canonical,
     classify_signs,
+    find_roots,
     from_polar,
     normalize_theta,
     poly_eval,
     poly_mul,
     principal_arg,
     to_polar,
+    verify_cot,
 )
 from sectorpoly.poly import (
     complex_to_json,
@@ -123,11 +125,21 @@ class TestCanonical:
         ([0.0, 0.0], "zero polynomial"), ([], "zero polynomial"),
         ([1.0, np.nan], "finite"), ([np.inf, 1.0], "finite"),
         ([1 + 2j], "real numbers"), (5j, "real numbers"), ("abc", "real numbers"),
+        (np.array([1, 1 + 1j, 1]), "real numbers"), (np.complex64(2), "real numbers"),
         (["1", "x"], "real numbers"), ([1, 10**400], "real numbers"),
     ])
     def test_errors(self, coeffs, message):
         with pytest.raises(DomainError, match=message):
             canonical(coeffs)
+
+    def test_complex_arrays_reach_no_solver(self):
+        # numpy casts a complex array to float with only a ComplexWarning:
+        # the imaginary parts were dropped, t^2 + t + 1 solved and converged,
+        # and t^2 + 2t + 1 passed
+        with pytest.raises(DomainError, match="real numbers"):
+            find_roots(np.array([1, 1 + 1j, 1]))
+        with pytest.raises(DomainError, match="real numbers"):
+            verify_cot(np.array([1, 2 + 3j, 1]))
 
 
 class TestClassifySigns:

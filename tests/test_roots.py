@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sectorpoly import DegenerateInput, DomainError, find_roots, min_arg_defect, roots
+from sectorpoly import DegenerateInput, DomainError, find_roots, kernels, min_arg_defect, roots
 from sectorpoly.poly import is_conjugate_closed, principal_arg
 
 
@@ -114,6 +114,80 @@ class TestFindRoots:
             rs = find_roots(coeffs)
             if rs.converged:
                 assert is_conjugate_closed(rs.roots, tol=1e-8)
+
+
+def _starts(p):
+    return roots.starting_points(p, 4 * (len(p) - 1) * np.finfo(np.float64).eps)
+
+
+class TestStartingPoints:
+    def test_clustered_roots_start_about_the_centroid(self):
+        # (t - 10)^6 - 1: the roots lie on the unit circle about the centroid
+        # 10, whose modulus is the geometric mean's; p(t + 10) = t^6 - 1 puts
+        # every start on that circle, the polygon about 0 on |z| = 10
+        p = np.array([math.comb(6, k) * (-10.0) ** (6 - k) for k in range(7)])
+        p[0] -= 1.0
+        np.testing.assert_allclose(np.abs(_starts(p) - 10.0), 1.0, rtol=1e-9)
+        rs = find_roots(p)
+        assert rs.converged
+        np.testing.assert_allclose(np.abs(rs.roots - 10.0), 1.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("p", [
+        [1.0, 1.0, 1.0],                # centroid -1/2, geometric mean 1
+        [2.0, 3.0, 1.0, 4.0, 1.0],      # centroid -1, geometric mean 2^(1/4)
+        [1.0, 0.0, 0.0, 1.0],           # centroid 0
+        [0.0, 0.0, 2.0, 3.0, 1.0],      # a_0 = 0
+        [3.0, 1.0],                     # degree 1
+    ])
+    def test_roots_about_zero_keep_the_polygon_about_zero(self, p):
+        c = np.array(p, dtype=np.complex128)
+        np.testing.assert_array_equal(_starts(c.real), kernels.initial_guesses(c))
+
+    def test_centroid_on_a_root_keeps_the_polygon_about_zero(self):
+        # (t+2)(t+3)(t+4): the centroid -3 is a root, so p(t - 3) has the
+        # constant term 0 and the polygon about -3 would start a root there
+        p = np.array([24.0, 26.0, 9.0, 1.0])
+        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        rs = find_roots(p)
+        assert rs.converged
+        assert len(set(rs.roots.tolist())) == 3
+        np.testing.assert_allclose(np.sort_complex(rs.roots), [-4.0, -3.0, -2.0], atol=1e-12)
+
+    def test_centroid_on_a_root_to_working_precision_keeps_the_polygon_about_zero(self):
+        # five roots within 1e-2 of 4.2238: |p(s)| is below its rounding
+        # error, the starts about s met the stopping level at once, and the
+        # polish sweep left them unconverged
+        p = np.array([-1344.7733049288063, 1591.8028228948522, -753.6842707145682,
+                      178.42661476876273, -21.120287363613713, 1.0])
+        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        rs = find_roots(p)
+        assert rs.converged and rs.iterations > 0
+        np.testing.assert_allclose(np.abs(rs.roots - 4.2238), 0.0, atol=1e-2)
+
+    def test_centroid_farther_than_zero_keeps_the_polygon_about_zero(self):
+        # (t+20)(t-1)(t-2): |s| = 17/3 passes the ratio to the geometric mean
+        # 40^(1/3), but |p(s)| = 733 > |p(0)| = 40: the roots lie nearer 0
+        p = np.array([40.0, -58.0, 17.0, 1.0])
+        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        rs = find_roots(p)
+        assert rs.converged
+        np.testing.assert_allclose(np.sort_complex(rs.roots), [-20.0, 1.0, 2.0], atol=1e-12)
+
+    def test_overflowing_shift_keeps_the_polygon_about_zero(self):
+        # centroid 1e150: Horner's p(t + s) reaches 1e150 * -5e159, which
+        # overflows; a RuntimeWarning fails the run
+        p = np.array([1e-300, -1e160, 5e9])
+        assert not np.isfinite(roots._taylor_shift(p.tolist(), 1e150)).all()
+        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+
+    def test_any_non_finite_shifted_coefficient_keeps_the_polygon_about_zero(self, monkeypatch):
+        # a finite p(s) does not bound the other coefficients of p(t + s)
+        p = np.array([math.comb(6, k) * (-10.0) ** (6 - k) for k in range(7)])
+        p[0] -= 1.0                                   # (t - 10)^6 - 1, as above
+        shift = roots._taylor_shift
+        monkeypatch.setattr(roots, "_taylor_shift",
+                            lambda a, s: shift(a, s)[:1] + [math.inf] + shift(a, s)[2:])
+        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
 
 
 class TestReconstruction:

@@ -505,6 +505,12 @@ class TestVerifyCot:
         with pytest.raises(PreconditionError):
             verify_cot([0, 1, 1])
 
+    @pytest.mark.parametrize("q", [[1, 2 + 3j, 1], np.array([1, 2 + 3j, 1])])
+    def test_rejects_complex_coefficients(self, q):
+        # the array once lost its imaginary parts to a cast and passed
+        with pytest.raises(DomainError, match="real numbers"):
+            verify_cot(q)
+
     def test_inconclusive_on_non_convergence(self, monkeypatch):
         import sectorpoly.synthesis as syn
 
