@@ -97,8 +97,10 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     term; ``z0`` the initial guesses. Iterates full Jacobi sweeps until the
     worst relative residual |p(z)| / sum|a_i||z|^i (Horner's running-error
     bound, Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run, then
-    runs ``POLISH_SWEEPS`` more sweeps if it dropped. ``iterations`` counts
-    the sweeps before the polish.
+    runs ``POLISH_SWEEPS`` more sweeps if it dropped, in which a root keeps
+    its new iterate only where its residual is no larger than before, so the
+    polish cannot undo convergence. ``iterations`` counts the sweeps before
+    the polish.
 
     Each sweep and the evaluation after it first run unguarded, as a few
     ufunc calls on buffers allocated once per call. Every zero that the
@@ -184,7 +186,15 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
             iters += 1
         if worst <= tol:
             for _ in range(POLISH_SWEEPS):
-                z, p, dp, resid, worst = _step(z, p, dp)
+                zn, pn, dpn, rn, _ = _step(z, p, dp)
+                # a root keeps its polished iterate only where the residual
+                # did not grow: the sweep can scatter a tight cluster
+                keep = rn <= resid
+                if keep.all():
+                    z, p, dp, resid = zn, pn, dpn, rn
+                else:
+                    z, p, dp, resid = (np.where(keep, new, old) for new, old in
+                                       ((zn, z), (pn, p), (dpn, dp), (rn, resid)))
     return z, resid, iters
 
 

@@ -9,6 +9,11 @@ coefficients exactly when the eigenvalue multiset is a P (P0) spectrum.
 That turns eigenvalue-region questions into coefficient-sign questions,
 which the synthesis module answers constructively.
 
+Spectra have a dozen values or fewer, so their per-value algebra (the
+products prod (t + v), the witness quotients of degree 1 and 2) runs in
+Python scalars and closed forms: a numpy call on arrays this small costs
+more than its arithmetic.
+
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
 ``MinorReport``; the class, p, q and the eigenvalues (``eigenvalues``
@@ -246,11 +251,20 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
 
 def spectrum_aux_poly(values) -> np.ndarray:
     """prod (t + v) over the multiset, ascending complex coefficients: the
-    aux_poly of any matrix with that spectrum."""
-    q = np.array([1.0 + 0.0j])
-    for v in values:
-        q = np.convolve(q, np.array([v, 1.0 + 0.0j]))
-    return q
+    aux_poly of any matrix with that spectrum.
+
+    Expanded one value at a time in place, q_j <- q_j v + q_(j-1), in Python
+    scalars: O(n^2) multiply-adds and no numpy call per value. Real values
+    stay Python floats, so a bound prod (t + |v|) costs float arithmetic
+    only. An overflow reads inf or nan, as in numpy, without a warning.
+    """
+    q = [1.0]
+    for v in np.asarray(values).tolist():
+        q.append(q[-1])
+        for j in range(len(q) - 2, 0, -1):
+            q[j] = q[j] * v + q[j - 1]
+        q[0] *= v
+    return np.array(q, dtype=np.complex128)
 
 
 def spectrum_feasible(values) -> MatrixClass:
@@ -270,9 +284,14 @@ def spectrum_feasible(values) -> MatrixClass:
     vals = np.ascontiguousarray(values, dtype=np.complex128)
     if vals.size < 1:
         raise PreconditionError("spectrum must contain at least one value")
-    for exponent in (0, math.frexp(np.abs(vals).max())[1]):
-        scaled = np.ldexp(vals.view(np.float64), -exponent).view(np.complex128)
-        bound = spectrum_aux_poly(np.abs(scaled)).real
+    moduli = np.abs(vals)
+    for exponent in (0, math.frexp(moduli.max())[1]):
+        if exponent:
+            scaled = np.ldexp(vals.view(np.float64), -exponent).view(np.complex128)
+            moduli = np.abs(scaled)
+        else:
+            scaled = vals
+        bound = spectrum_aux_poly(moduli).real
         lost = (bound == 0) & (np.count_nonzero(vals) >= np.arange(vals.size, -1, -1))
         if np.isfinite(bound).all() and not lost.any():
             break
@@ -296,10 +315,12 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     them are known in closed form: lambda and its conjugate (the core's
     quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), and the g lift roots,
     e^{i(2j+1)pi/g} for t^g + 1 and the nontrivial (g+1)-th roots of unity for
-    1 + ... + t^g, built as exact conjugate pairs. Only the core's other k - 2
-    roots come from the solver, after deflating that quadratic; none do when
-    k <= 2. A k = 1 core, t + |lambda| for lambda on the positive real axis
-    (within ANGLE_TOL of it), contributes lambda alone.
+    1 + ... + t^g, built as exact conjugate pairs. The core's other k - 2
+    roots are those of the quotient left by deflating that quadratic: in
+    closed form through k = 4 (one real root at k = 3, the stable quadratic
+    formula at k = 4, ``_quotient_values``), from the solver from k = 5 on.
+    A k = 1 core, t + |lambda| for lambda on the positive real axis (within
+    ANGLE_TOL of it), contributes lambda alone.
 
     The result contains lambda itself, has exactly n values and is
     conjugate-closed by construction. Its ``feasibility`` is
@@ -330,7 +351,7 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     if core.size > 2:
         values.append(lam.conjugate())
     if core.size > 3:
-        values.extend(-find_roots(_deflate(core, lam)).roots)
+        values.extend(_quotient_values(_deflate(core, lam)))
     values.extend(_lift_values(result.lift_terms, result.mode))
     values = np.array(values, dtype=np.complex128)
     feasibility = spectrum_feasible(values)
@@ -366,6 +387,32 @@ def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
     for j in range(m):
         q[j] = (a[j] - b * q[j - 1] - q[j - 2]) / c
     return np.array(q[: k - 1])
+
+
+def _quotient_values(q: np.ndarray) -> list[complex]:
+    """The negated roots of the deflated quotient ``q``: in closed form for
+    degree 1 and 2 (cores of degree k = 3 and 4), else from ``find_roots``.
+
+    Degree 1 gives q_0/q_1. Degree 2, c + b t + a t^2 with disc = b^2 - 4ac,
+    gives the exact conjugate pair b/2a -+ i sqrt(-disc)/2a when disc < 0;
+    otherwise s = -(b + sign(b) sqrt(disc))/2 and the roots s/a and c/s,
+    negated (Higham, Accuracy and Stability, 1.8). Nothing there can cancel:
+    b and sign(b) sqrt(disc) add with one sign, and c = q_0 > 0 for every
+    core (its constant term is positive, the quotient's is that over
+    |lambda|^2), so disc >= 0 forces b^2 >= 4ac > 0, and s is never 0.
+    """
+    coeffs = q.tolist()
+    if len(coeffs) == 2:
+        return [complex(coeffs[0] / coeffs[1])]
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            v = complex(b / (2.0 * a), math.sqrt(-disc) / (2.0 * a))
+            return [v, v.conjugate()]
+        s = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        return [complex(-s / a), complex(-c / s)]
+    return list(-find_roots(q).roots)
 
 
 def _lift_values(g: int, mode: SignClass) -> list[complex]:

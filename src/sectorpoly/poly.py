@@ -71,12 +71,24 @@ def poly_mul(p, q) -> np.ndarray:
 
 
 def relative_residual(coeffs, z) -> float:
-    """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root."""
-    c = np.asarray(coeffs)
-    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-        value, scale = abs(poly_eval(c, z)), poly_eval(np.abs(c), abs(z))
+    """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root.
+
+    Horner runs in Python scalars, where an overflow reads inf or nan without
+    a warning, or raises OverflowError from abs; either raises DomainError.
+    """
+    z = complex(z)
+    value = scale = 0.0
+    try:
+        r = abs(z)
+        for a in reversed(np.asarray(coeffs).tolist()):
+            value = value * z + a
+            scale = scale * r + abs(a)
+        value = abs(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value + scale):
-        raise DomainError(f"the residual at |z| = {abs(z)!r} overflows float64")
+        modulus = math.hypot(z.real, z.imag)      # inf where abs would raise
+        raise DomainError(f"the residual at |z| = {modulus!r} overflows float64")
     return value / scale if scale else 0.0
 
 
@@ -126,22 +138,31 @@ def is_conjugate_closed(values, tol: float = 1e-9) -> bool:
     """True if the complex multiset maps to itself under conjugation.
 
     Greedy pairing: every value must have an unmatched partner within
-    ``tol * (1 + |value|)`` of its conjugate.
+    ``tol * (1 + |value|)`` of its conjugate. The pairing runs on Python
+    complex numbers, whose abs raises OverflowError where a modulus leaves
+    float64: such a distance is no match, and such a value's reach is inf.
     """
-    vals = list(np.asarray(values, dtype=np.complex128))
+    vals = np.asarray(values, dtype=np.complex128).tolist()
     used = [False] * len(vals)
     for i, v in enumerate(vals):
         if used[i]:
             continue
-        target = complex(v.real, -v.imag)
+        target = v.conjugate()
         best, best_d = -1, math.inf
         for j, w in enumerate(vals):
             if used[j]:
                 continue
-            d = abs(w - target)
+            try:
+                d = abs(w - target)
+            except OverflowError:
+                continue
             if d < best_d:
                 best, best_d = j, d
-        if best < 0 or best_d > tol * (1.0 + abs(v)):
+        try:
+            reach = tol * (1.0 + abs(v))
+        except OverflowError:
+            reach = math.inf
+        if best < 0 or best_d > reach:
             return False
         used[i] = True
         used[best] = True

@@ -39,7 +39,6 @@ from .poly import (
     canonical,
     classify_signs,
     degree,
-    poly_mul,
     principal_arg,
     relative_residual,
 )
@@ -197,7 +196,12 @@ def lift(p, n: int, mode: SignClass) -> np.ndarray:
         raise PreconditionError(f"{mode.value} mode needs {mode.value} coefficients")
     if p[0] <= 0.0:
         raise PreconditionError("constant term must be positive")
-    gap = n - k
+    return _lifted(p, n - k, mode)
+
+
+def _lifted(p: np.ndarray, gap: int, mode: SignClass) -> np.ndarray:
+    """``p`` times the lift factor of degree ``gap``, a new array; ``p`` is
+    canonical and in the mode's sign class, as ``lift`` checks."""
     if gap == 0:
         return p.copy()
     if mode is SignClass.POSITIVE:
@@ -206,7 +210,7 @@ def lift(p, n: int, mode: SignClass) -> np.ndarray:
         factor = np.zeros(gap + 1)
         factor[0] = 1.0
         factor[gap] = 1.0
-    return poly_mul(p, factor)
+    return np.convolve(p, factor)
 
 
 def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisResult:
@@ -265,7 +269,9 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
         core = build_qj(j, k_used.k, r, alpha)
         construction, j_used = "qj", j
 
-    out = lift(core, n, mode)
+    # the core is canonical with a positive constant term, in the mode's sign
+    # class by construction: lift's checks would only repeat it
+    out = _lifted(core, n - degree(core), mode)
     return SynthesisResult(
         coeffs=out,
         core=core,

@@ -1,6 +1,8 @@
+import itertools
 import math
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from sectorpoly import (
     MatrixClass,
     NotAdmissible,
     NotConjugateClosed,
+    PiOverAlphaInteger,
     PreconditionError,
+    SectorPolyError,
     SignClass,
     ZeroLambda,
     aux_poly,
@@ -29,9 +33,11 @@ from sectorpoly import (
     spectrum_feasible,
     wedge_admissible,
 )
+from sectorpoly import campaigns, find_roots, pmatrix, synthesize
 from sectorpoly.pmatrix import spectrum_aux_poly
 from sectorpoly.poly import relative_residual
 from sectorpoly.synthesis import ANGLE_TOL
+from test_boundary import TIER1_OFFSETS
 
 ROTATION = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -383,6 +389,146 @@ class TestSpectrumFeasible:
     def test_non_finite_values_raise(self, values):
         with pytest.raises(DomainError):
             spectrum_feasible(values)
+
+
+def _convolved_aux_poly(values):
+    """Reference: prod (t + v) by one np.convolve per value, as
+    spectrum_aux_poly expanded it before it ran in Python scalars."""
+    q = np.array([1.0 + 0.0j])
+    for v in values:
+        q = np.convolve(q, np.array([v, 1.0 + 0.0j]))
+    return q
+
+
+def _verdicts(spectra):
+    """spectrum_feasible of each spectrum, or the class of the error it raises."""
+    out = []
+    for values in spectra:
+        try:
+            out.append(spectrum_feasible(values))
+        except SectorPolyError as exc:
+            out.append(type(exc))
+    return out
+
+
+def _witness_spectra(targets):
+    """The witness values of every (lambda, n, mode) that has a witness."""
+    spectra = []
+    for lam, n, mode in targets:
+        try:
+            spectra.append(eigen_witness(lam, n, mode).values)
+        except (NotAdmissible, FeasibleButUnwitnessed):
+            pass
+    return spectra
+
+
+class TestSpectrumAuxPolyParity:
+    """The products in Python scalars differ from the convolved ones in the
+    last bits only: every spectrum_feasible verdict and error stays."""
+
+    def _assert_same_verdicts(self, monkeypatch, spectra):
+        verdicts = _verdicts(spectra)
+        monkeypatch.setattr(pmatrix, "spectrum_aux_poly", _convolved_aux_poly)
+        assert verdicts == _verdicts(spectra)
+        return verdicts
+
+    def test_campaign_spectra(self, monkeypatch):
+        targets = []
+        for i in range(10_000):
+            lam, n, mode, _ = campaigns._sample_admissible(campaigns._case_rng(11, i), i)
+            targets.append((lam, n, mode))
+        spectra = _witness_spectra(targets)
+        assert len(spectra) == 10_000
+        # every tenth also negated (mostly Neither), with one value
+        # conjugated (not conjugate-closed unless real), and scaled so that
+        # its largest modulus is 1e300 or 1e-300
+        for values in spectra[::10]:
+            top = np.abs(values).max()
+            spectra += [-values, np.append(values[:1].conj(), values[1:]),
+                        values * (1e300 / top), values * (1e-300 / top)]
+        verdicts = self._assert_same_verdicts(monkeypatch, spectra)
+        assert {MatrixClass.P, MatrixClass.P0, MatrixClass.NEITHER,
+                NotConjugateClosed} <= set(verdicts)
+
+    def test_boundary_grid_spectra(self, monkeypatch):
+        # the reduced grid of test_boundary: |theta - pi| = (pi/k)(1 + d)
+        targets = []
+        for mode, k, n, d, side in itertools.product(
+                (MatrixClass.P, MatrixClass.P0), range(1, 13), range(1, 13),
+                TIER1_OFFSETS, (1.0, -1.0)):
+            gap = math.pi / k * (1.0 + d)
+            if gap <= math.pi:
+                targets.append((from_polar(1.0, math.pi + side * gap), n, mode))
+        spectra = _witness_spectra(targets)
+        assert len(spectra) > 1300
+        self._assert_same_verdicts(monkeypatch, spectra + [-v for v in spectra])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_values_at_extreme_moduli(self, monkeypatch, scale):
+        spectra = [scale * np.asarray(v, dtype=complex) for v in (
+            [1.0] * 12,
+            [1.0, 2.0, from_polar(1.0, 2.0), from_polar(1.0, -2.0)],
+            [2j, -2j, 1j, -1j],
+            [1.0, -2.0],
+            [1j],
+            [1.0, 1e-5, 2.0],
+            [from_polar(1.0, 3.0), from_polar(1.0, -3.0), 1e-5],
+        )]
+        spectra += [[scale, 1.0], [scale, scale, 1.0 / scale], [scale] * 3 + [1.0]]
+        self._assert_same_verdicts(monkeypatch, spectra)
+
+
+class TestQuotientValues:
+    """The closed-form roots of the degree-1 and degree-2 quotients (cores of
+    degree 3 and 4) against 40-digit roots of the same quotient."""
+
+    @staticmethod
+    def _alphas(k):
+        lo, hi = math.pi / k, math.pi / (k - 1)
+        return [lo, lo + 1e-12, lo + 0.1 * (hi - lo), 0.5 * (lo + hi),
+                lo + 0.9 * (hi - lo), hi - 1e-12]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("sign", [SignClass.POSITIVE, SignClass.NONNEGATIVE])
+    def test_match_forty_digit_roots(self, k, sign):
+        eps = np.finfo(np.float64).eps
+        checked = 0
+        for alpha, r, side in itertools.product(
+                self._alphas(k), (1e-20, 1e-3, 1.0, 1e3, 1e20), (1.0, -1.0)):
+            mu = from_polar(r, side * alpha)
+            # q_avg does not exist on the boundary; q_j does for every j < k
+            js = [1] if sign is SignClass.POSITIVE else range(1, k)
+            for j in js:
+                try:
+                    core = synthesize(mu, k, sign, j).core
+                except PiOverAlphaInteger:
+                    continue
+                q = pmatrix._deflate(core, -mu)
+                assert q[0] > 0.0
+                values = pmatrix._quotient_values(q)
+                with mpmath.workdps(40):
+                    exact = [-complex(z) for z in mpmath.polyroots(
+                        [mpmath.mpf(c) for c in q.tolist()[::-1]], maxsteps=200, extraprec=200)]
+                assert len(values) == k - 2
+                for v in values:
+                    err = min(abs(v - z) / abs(z) for z in exact)
+                    assert err <= 4 * eps, (alpha, r, side, j, v)
+                if k == 4 and values[0].imag != 0.0:
+                    assert values[1] == values[0].conjugate()
+                checked += 1
+        # every angle but the boundary one in positive mode
+        assert checked == (50 if sign is SignClass.POSITIVE else 60 * (k - 1))
+
+    @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
+    def test_solver_runs_from_k_5_on(self, monkeypatch, mode):
+        degrees = []
+        monkeypatch.setattr(pmatrix, "find_roots",
+                            lambda q: degrees.append(len(q) - 1) or find_roots(q))
+        for k in range(3, 8):
+            gap = 0.5 * (math.pi / k + math.pi / (k - 1))
+            spectrum = eigen_witness(from_polar(2.0, math.pi + gap), 9, mode)
+            assert spectrum.conjugate_closed
+        assert degrees == [3, 4, 5]
 
 
 class TestEigenWitness:

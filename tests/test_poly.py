@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ class TestEval:
         scaled = q * c ** (n - np.arange(n + 1))
         assert relative_residual(scaled, c * z) == pytest.approx(
             relative_residual(q, z), rel=1e-12)
+
+    @pytest.mark.parametrize("coeffs, z", [
+        ([1.0, 1.0, 1.0], 1e200),                   # |z|^2 reads inf
+        ([0.0, 1.3], complex(1e308, 1e308)),        # |p(z)| beyond float64: abs raises
+        ([1.0, 1.0], complex(1.7e308, 1.7e308)),    # |z| beyond float64: abs raises
+        ([1.0, 1e308, 1e308], complex(-1e308, 1.0)),   # p(z) reads nan
+    ])
+    def test_overflowing_residual_raises_without_warning(self, coeffs, z):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows float64"):
+                relative_residual(coeffs, z)
 
 
 class TestMul:
@@ -254,6 +267,17 @@ class TestConjugateClosure:
     def test_open_sets(self):
         assert not is_conjugate_closed([1j])
         assert not is_conjugate_closed([1j, 1j, -1j])
+
+    def test_moduli_beyond_float64(self):
+        # abs of a Python complex raises OverflowError where the modulus
+        # leaves float64: such a distance matches nothing, such a reach is inf
+        big = complex(1.7e308, 1.7e308)
+        v, w = complex(1.3e308, 6.5e307), complex(0.0, 6.5e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_conjugate_closed([big, big.conjugate()])
+            assert is_conjugate_closed([v, w, v.conjugate(), w.conjugate()])
+            assert not is_conjugate_closed([v, w.conjugate(), v.conjugate()])
 
 
 class TestComplexWireFormat:

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from sectorpoly import DegenerateInput, DomainError, find_roots, kernels, min_arg_defect, roots
+from sectorpoly import (
+    DegenerateInput,
+    DomainError,
+    find_roots,
+    kernels,
+    min_arg_defect,
+    roots,
+    verify_cot,
+)
 from sectorpoly.poly import is_conjugate_closed, principal_arg
 
 
@@ -98,6 +106,16 @@ class TestFindRoots:
             rs = find_roots(coeffs)
             assert rs.converged
             assert float(np.max(rs.residuals)) <= 4 * deg * np.finfo(float).eps
+
+    def test_polish_keeps_a_converged_cluster(self):
+        # four roots within 2e-3 of -2.135: a polish sweep that took every
+        # new iterate scattered the cluster back above tol after 17 sweeps
+        p = [20.77028904464762, 38.91722608934493, 27.34465793548374,
+             8.53926728021474, 1.0]
+        rs = find_roots(p)
+        assert rs.converged
+        assert float(np.max(rs.residuals)) <= 4 * 4 * np.finfo(float).eps
+        assert verify_cot(p).status == "pass"
 
     def test_non_convergence_reported_not_raised(self):
         rs = find_roots([-6, 11, -6, 1], max_iters=1)
