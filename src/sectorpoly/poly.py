@@ -74,22 +74,28 @@ def relative_residual(coeffs, z) -> float:
     """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root.
 
     Horner runs in Python scalars, where an overflow reads inf or nan without
-    a warning, or raises OverflowError from abs; either raises DomainError.
+    a warning; it raises DomainError.
     """
     z = complex(z)
+    r = _modulus(z)
     value = scale = 0.0
-    try:
-        r = abs(z)
-        for a in reversed(np.asarray(coeffs).tolist()):
-            value = value * z + a
-            scale = scale * r + abs(a)
-        value = abs(value)
-    except OverflowError:
-        value = math.inf
+    for a in reversed(np.asarray(coeffs).tolist()):
+        value = value * z + a
+        scale = scale * r + abs(a)
+    value = _modulus(value)
     if not math.isfinite(value + scale):
-        modulus = math.hypot(z.real, z.imag)      # inf where abs would raise
-        raise DomainError(f"the residual at |z| = {modulus!r} overflows float64")
+        raise DomainError(f"the residual at |z| = {r!r} overflows float64")
     return value / scale if scale else 0.0
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where the modulus leaves float64 and abs raises
+    OverflowError (numpy's abs reads inf there). Not math.hypot: it rounds
+    differently from abs in the last bit and is slower on scalars."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def classify_signs(values, slack=0.0) -> SignClass:
@@ -139,8 +145,8 @@ def is_conjugate_closed(values, tol: float = 1e-9) -> bool:
 
     Greedy pairing: every value must have an unmatched partner within
     ``tol * (1 + |value|)`` of its conjugate. The pairing runs on Python
-    complex numbers, whose abs raises OverflowError where a modulus leaves
-    float64: such a distance is no match, and such a value's reach is inf.
+    complex numbers; a modulus beyond float64 reads inf, so such a distance
+    is no match and such a value's reach is inf.
     """
     vals = np.asarray(values, dtype=np.complex128).tolist()
     used = [False] * len(vals)
@@ -152,17 +158,10 @@ def is_conjugate_closed(values, tol: float = 1e-9) -> bool:
         for j, w in enumerate(vals):
             if used[j]:
                 continue
-            try:
-                d = abs(w - target)
-            except OverflowError:
-                continue
+            d = _modulus(w - target)
             if d < best_d:
                 best, best_d = j, d
-        try:
-            reach = tol * (1.0 + abs(v))
-        except OverflowError:
-            reach = math.inf
-        if best < 0 or best_d > reach:
+        if best < 0 or best_d > tol * (1.0 + _modulus(v)):
             return False
         used[i] = True
         used[best] = True

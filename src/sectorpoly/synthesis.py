@@ -226,7 +226,10 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     Raises ZeroModulus, DegreeOne, AngleTooSmall or PiOverAlphaInteger when
     the hypothesis fails, and DomainError for a non-finite mu, one whose
     |mu|^n overflows or underflows to 0 in float64, or a degree whose n + 1
-    float64 coefficients numpy cannot index in bytes.
+    float64 coefficients numpy cannot index in bytes. A core coefficient
+    that overflows raises DomainError, and one that underflows to 0 where
+    the sign class needs it positive (the constant term; in positive mode
+    any) raises PreconditionError, as ``lift`` would.
     """
     if mode not in (SignClass.NONNEGATIVE, SignClass.POSITIVE):
         raise PreconditionError(f"mode must be nonnegative or positive, not {mode}")
@@ -269,8 +272,16 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
         core = build_qj(j, k_used.k, r, alpha)
         construction, j_used = "qj", j
 
-    # the core is canonical with a positive constant term, in the mode's sign
-    # class by construction: lift's checks would only repeat it
+    # the core is monic and in the mode's sign class unless a coefficient left
+    # float64: checked here in Python scalars, with lift's errors, since a
+    # second canonical/classify_signs pass costs more than the lift itself
+    c = core.tolist()
+    if not all(map(math.isfinite, c)):
+        raise DomainError("coefficients must be finite")
+    if mode is SignClass.POSITIVE and not min(c) > 0.0:
+        raise PreconditionError("positive mode needs positive coefficients")
+    if not c[0] > 0.0:
+        raise PreconditionError("constant term must be positive")
     out = _lifted(core, n - degree(core), mode)
     return SynthesisResult(
         coeffs=out,

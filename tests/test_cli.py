@@ -124,6 +124,14 @@ class TestSynthesizeCommand:
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
+    def test_underflowing_constant_term_exits_2(self, capsys):
+        # r^3 = 1e-321 is in range, but a_0 = (sin 2a / sin a) r^3 underflows to 0
+        code, out = _run(capsys, "synthesize", "--r", "1e-107", "--alpha", "1.5707963",
+                         "--n", "3", "--mode", "nonneg")
+        assert code == 2
+        assert json.loads(out) == {"error": "PreconditionError",
+                                   "message": "constant term must be positive"}
+
     def test_degree_beyond_numpy_index_exits_2(self, capsys):
         # numpy refuses 10**30 entries without allocating; a degree between
         # 1e8 and 1e18 would allocate instead

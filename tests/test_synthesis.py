@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -366,6 +367,26 @@ class TestSynthesize:
         assert result.core.size == result.k_used.k + 1
         assert result.lift_terms == n - result.k_used.k
         np.testing.assert_array_equal(lift(result.core, n, mode), result.coeffs)
+
+    @pytest.mark.parametrize("r, alpha, n, mode", [
+        (1e-107, 1.5707963, 3, SignClass.NONNEGATIVE),     # a_0 underflows to 0
+        (3.4673685045253164e-07, math.pi / 50 + 1e-12, 50,
+         SignClass.POSITIVE),                              # a_1 underflows to 0
+        (1e23, math.pi / 12 - 1e-12, 13, SignClass.POSITIVE),   # a_0 overflows
+    ])
+    def test_core_beyond_float64_raises_as_lift_does(self, r, alpha, n, mode):
+        # |mu|^n is in range, but a core coefficient is not: synthesize raises
+        # what lift raises on that core instead of returning it
+        mu = from_polar(r, alpha)
+        k = sector_index(principal_arg(mu)).k
+        if mode is SignClass.POSITIVE:
+            core = build_q_avg(k, abs(mu), principal_arg(mu))
+        else:
+            core = build_qj(1, k, abs(mu), principal_arg(mu))
+        with pytest.raises((DomainError, PreconditionError)) as lifted:
+            lift(core, n, mode)
+        with pytest.raises(type(lifted.value), match=re.escape(str(lifted.value))):
+            synthesize(mu, n, mode)
 
     def test_zero_modulus(self):
         with pytest.raises(ZeroModulus):
