@@ -201,7 +201,8 @@ def lift(p, n: int, mode: SignClass) -> np.ndarray:
 
 def _lifted(p: np.ndarray, gap: int, mode: SignClass) -> np.ndarray:
     """``p`` times the lift factor of degree ``gap``, a new array; ``p`` is
-    canonical and in the mode's sign class, as ``lift`` checks."""
+    canonical and in the mode's sign class, as ``lift`` and ``synthesize``
+    check."""
     if gap == 0:
         return p.copy()
     if mode is SignClass.POSITIVE:
