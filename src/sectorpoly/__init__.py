@@ -20,8 +20,6 @@ from .pmatrix import (
     MatrixClass,
     MinorReport,
     SpectrumMultiset,
-    aux_poly,
-    char_poly,
     eigen_witness,
     eigenvalues,
     generate_p_matrix,
@@ -35,13 +33,11 @@ from .poly import (
     canonical,
     classify_signs,
     from_polar,
-    normalize_theta,
     poly_eval,
     poly_mul,
     principal_arg,
-    to_polar,
 )
-from .roots import RootSet, find_roots, min_arg_defect
+from .roots import RootSet, find_roots
 from .synthesis import (
     CotReport,
     SectorIndex,

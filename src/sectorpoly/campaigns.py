@@ -101,16 +101,17 @@ def _sample_positive_target(rng: np.random.Generator):
     return from_polar(r, alpha), n
 
 
-def _check_synthesis(result, mu, n, mode) -> list[str]:
+def _check_synthesis(result, coeffs: list, n, mode) -> list[str]:
+    """The failed checks of ``result``, whose coefficients ``coeffs`` are
+    read as Python floats."""
     bad = []
-    coeffs = result.coeffs
     if len(coeffs) != n + 1:
         bad.append("degree")
     if coeffs[-1] != 1.0:
         bad.append("monic")
     if coeffs[0] <= 0.0:
         bad.append("constant_term")
-    if not classify_signs(coeffs).satisfies(mode):
+    if not classify_signs(result.coeffs).satisfies(mode):
         bad.append("positivity" if mode is SignClass.POSITIVE else "nonnegativity")
     if result.residual > RESIDUAL_BOUND:
         bad.append("residual")
@@ -137,9 +138,10 @@ def run_synth_suite(cases: int, seed: int, mode: SignClass | None = None,
             else:
                 mu, n = _sample_nonneg_target(rng, i)
             result = synthesize(mu, n, case_mode)
-            bad = _check_synthesis(result, mu, n, case_mode)
+            coeffs = result.coeffs.tolist()
+            bad = _check_synthesis(result, coeffs, n, case_mode)
             max_residual = max(max_residual, result.residual)
-            min_margin = min(min_margin, float(np.min(result.coeffs) / np.max(result.coeffs)))
+            min_margin = min(min_margin, min(coeffs) / max(coeffs))
             if verify_forward:
                 cot = verify_cot(result.coeffs)
                 min_defect = min(min_defect, cot.min_defect)

@@ -147,11 +147,9 @@ def _parse_matrix_file(path: str) -> np.ndarray:
         raise DomainError('matrix file must be {"n": int, "rows": [[...]]}')
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise DomainError(f"rows do not form an {n}x{n} matrix")
-    a = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            a[i, j] = parse_complex(entry)
-    return a
+    # reshape keeps n = 0 a 0x0 matrix
+    entries = [[parse_complex(entry) for entry in row] for row in rows]
+    return np.array(entries, dtype=np.complex128).reshape(n, n)
 
 
 def _cmd_classify(args) -> int:

@@ -119,6 +119,7 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
     abs_coeffs = np.abs(coeffs)
     powers = np.ones((deg, deg + 1), dtype=np.complex128)
+    abs_powers = np.empty((deg, deg + 1))
     diff = np.empty((deg, deg), dtype=np.complex128)
     diagonal = diff.reshape(-1)[:: deg + 1]      # a view: writes land in diff
     z = np.array(z0, dtype=np.complex128)
@@ -128,11 +129,11 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         np.multiply.accumulate(powers, axis=1, out=powers)
         values = powers.dot(pair)
         p, dp = values[:, 0], values[:, 1]     # unpacking values.T iterates: slower
-        return p, dp, np.abs(p) / np.abs(powers).dot(abs_coeffs)
+        return p, dp, np.abs(p) / np.abs(powers, out=abs_powers).dot(abs_coeffs)
 
     def _guarded_residual(p):
         # the residual of the last _eval, whose powers are still in place
-        scale = np.abs(powers).dot(abs_coeffs)
+        scale = np.abs(powers, out=abs_powers).dot(abs_coeffs)
         # scale 0 means z = 0 and a_0 = 0, an exact root: its residual reads 0
         return np.abs(p) / (scale if scale.all() else np.where(scale == 0, 1.0, scale))
 
@@ -185,16 +186,17 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
             z, p, dp, resid, worst = _step(z, p, dp)
             iters += 1
         if worst <= tol:
-            for _ in range(POLISH_SWEEPS):
+            for sweep in range(1, POLISH_SWEEPS + 1):
                 zn, pn, dpn, rn, _ = _step(z, p, dp)
                 # a root keeps its polished iterate only where the residual
                 # did not grow: the sweep can scatter a tight cluster
                 keep = rn <= resid
                 if keep.all():
                     z, p, dp, resid = zn, pn, dpn, rn
-                else:
-                    z, p, dp, resid = (np.where(keep, new, old) for new, old in
-                                       ((zn, z), (pn, p), (dpn, dp), (rn, resid)))
+                    continue
+                z, resid = np.where(keep, zn, z), np.where(keep, rn, resid)
+                if sweep < POLISH_SWEEPS:       # only a next sweep reads p and p'
+                    p, dp = np.where(keep, pn, p), np.where(keep, dpn, dp)
     return z, resid, iters
 
 

@@ -162,16 +162,6 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP) -> MinorReport:
     )
 
 
-def char_poly(a, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """Monic characteristic polynomial det(tI - A); see MinorReport.char_poly."""
-    return principal_minors(a, cap=cap).char_poly()
-
-
-def aux_poly(a, cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
-    """prod (t + lambda_k), the reflected char_poly; see MinorReport.aux_poly."""
-    return principal_minors(a, cap=cap).aux_poly()
-
-
 def eigenvalues(a, cap: int = DEFAULT_DIM_CAP):
     """Eigenvalues as roots of the characteristic polynomial.
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateInput, DomainError
-from .poly import canonical, principal_arg
+from .poly import canonical
 
 DEFAULT_MAX_ITERS = 500
 
@@ -83,12 +83,13 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
     tol = 4 * (len(c) - 1) * np.finfo(np.float64).eps
     z0 = starting_points(p, tol)
     roots, residuals, iters = kernels.aberth_iterate(c, z0, max_iters, tol)
-    if not np.all(np.isfinite(residuals)):
+    worst = float(residuals.max())      # NaN if any residual is NaN
+    if not math.isfinite(worst):
         raise DomainError("root residuals overflow the float64 range")
     return RootSet(
-        roots=np.asarray(roots),
-        residuals=np.asarray(residuals),
-        converged=bool(np.max(residuals) <= tol),
+        roots=roots,
+        residuals=residuals,
+        converged=worst <= tol,
         iterations=int(iters),
     )
 
@@ -154,15 +155,7 @@ def in_scale(p: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def min_arg_defect(rs: RootSet, n: int) -> float:
-    """Worst sector margin of a root set: min over roots of |arg| - pi/n.
-
-    Positive means every root argument clears pi/n strictly; zero marks the
-    binomial boundary (and the negative real axis at n = 1).
-    """
-    return sector_defect([principal_arg(complex(z)) for z in rs.roots], n)
-
-
 def sector_defect(arguments, n: int) -> float:
-    """min |arg| - pi/n over root arguments already in (-pi, pi]."""
-    return float(np.min(np.abs(arguments)) - math.pi / n)
+    """min |arg| - pi/n over root arguments already in (-pi, pi], in Python
+    floats."""
+    return float(min(map(abs, arguments)) - math.pi / n)

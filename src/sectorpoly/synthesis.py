@@ -306,12 +306,17 @@ def verify_cot(q) -> CotReport:
     (on the reversed polynomial, roots 1/z, where the solver's powers
     overflow); anything else is "inconclusive": no accepted input can fail.
     A negative coefficient, however small, raises PreconditionError.
+
+    The bookkeeping around the solve (the binomial test, the root arguments
+    and the defect) reads Python scalars from ``q.tolist()`` and
+    ``roots.tolist()``; on a dozen roots that costs less than numpy calls.
     """
     q = canonical(q)
+    c = q.tolist()
     n = degree(q)
     if n < 1:
         raise PreconditionError("degree must be >= 1")
-    if q[0] == 0.0:
+    if c[0] == 0.0:
         raise PreconditionError("constant term must be nonzero")
     if classify_signs(q) is SignClass.MIXED:
         raise PreconditionError("coefficients must be nonnegative")
@@ -326,8 +331,8 @@ def verify_cot(q) -> CotReport:
             roots = 1 / rs.roots
         if not np.isfinite(roots).all():
             raise DomainError("a root lies beyond the float64 range")
-    args = np.array([principal_arg(complex(z)) for z in roots])
-    binomial = int(np.count_nonzero(q)) == 2
+    args = [principal_arg(z) for z in roots.tolist()]
+    binomial = len(c) - c.count(0.0) == 2
     # the disks scale with the coefficients; at find_roots's scale their
     # Horner sums stay in range
     passed = rs.converged and (
@@ -338,12 +343,12 @@ def verify_cot(q) -> CotReport:
         binomial=binomial,
         min_defect=sector_defect(args, n),
         roots=roots,
-        arguments=args,
+        arguments=np.array(args),
         converged=rs.converged,
     )
 
 
-def _disks_avoid_sector(q: np.ndarray, z: np.ndarray, args: np.ndarray) -> bool:
+def _disks_avoid_sector(q: np.ndarray, z: np.ndarray, args: list) -> bool:
     """Whether the inclusion disks D(z_i, n|w_i|) of the computed roots ``z``
     of ``q``, degree n >= 2, avoid the open sector |arg| < pi/n: with w_i =
     q(z_i) / (a_n prod_{j!=i} (z_i - z_j)) they hold every root (Braess &
@@ -364,7 +369,7 @@ def _disks_avoid_sector(q: np.ndarray, z: np.ndarray, args: np.ndarray) -> bool:
     gaps = np.abs(z[:, None] - z) + np.eye(n)      # 1 on the diagonal
     top_down = q[::-1].tolist()
     try:
-        for zi, arg, row in zip(z.tolist(), args.tolist(), gaps.tolist()):
+        for zi, arg, row in zip(z.tolist(), args, gaps.tolist()):
             r = abs(zi)
             value = mu = 0.0
             for a in top_down:                  # Horner, and mu_i

@@ -11,8 +11,6 @@ import numpy as np
 
 from sectorpoly import (
     SignClass,
-    aux_poly,
-    char_poly,
     eigenvalues,
     from_polar,
     principal_minors,
@@ -96,13 +94,13 @@ def test_criterion_5_reflection_identity_on_random_matrices():
     for _ in range(500):
         n = int(rng.integers(1, 9))
         a = rng.normal(size=(n, n)) * rng.uniform(0.2, 3.0)
-        p = char_poly(a)
-        q = aux_poly(a)
+        report = principal_minors(a)
+        p, q = report.char_poly(), report.aux_poly()
         reflected = np.array([(-1.0) ** n * (-1.0) ** k * p[k] for k in range(n + 1)])
         if not np.array_equal(q, reflected):
             bad += 1
             continue
-        e_sums = principal_minors(a).e_sums
+        e_sums = report.e_sums
         coeff_ok = all(
             abs(q[k] - e_sums[n - k - 1].real) <= 1e-8 * max(1.0, abs(e_sums[n - k - 1]))
             for k in range(n)

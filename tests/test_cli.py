@@ -16,7 +16,7 @@ from sectorpoly.pmatrix import (
     generate_p_matrix,
     kellogg_admissible,
 )
-from sectorpoly.poly import from_polar
+from sectorpoly.poly import from_polar, parse_complex
 
 PI = math.pi
 REGION_SAMPLES = (1, 2, 3, 7, 12, 360, 720, 1000, 4096)
@@ -278,6 +278,26 @@ class TestClassifyCommand:
         code, out = _run(capsys, "classify", "--matrix", path)
         assert code == 0
         assert json.loads(out)["class"] == "P"
+
+    def test_entries_mix_numbers_cartesian_and_polar(self, capsys, tmp_path):
+        rows = [[2, {"re": 0.5, "im": -1.5}, {"r": 2.0, "alpha": 0.7}],
+                [{"r": 1.0, "alpha": -3.0}, 3.5, {"re": -0.0, "im": 0}],
+                [0, {"r": 0.25, "alpha": 1.0}, {"re": 4, "im": 1e-3}]]
+        path = self._write(tmp_path, {"n": 3, "rows": rows})
+        # the matrix holds, bit for bit, what parse_complex gives each entry
+        expected = np.empty((3, 3), dtype=np.complex128)
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                expected[i, j] = parse_complex(entry)
+        a = cli._parse_matrix_file(path)
+        assert a.dtype == np.complex128 and a.shape == (3, 3)
+        assert a.tobytes() == expected.tobytes()
+        # a real matrix in all three forms classifies
+        rows = [[2, {"re": 1, "im": 0}], [{"r": 0.5, "alpha": 0.0}, 3]]
+        code, out = _run(capsys, "classify", "--matrix",
+                         self._write(tmp_path, {"n": 2, "rows": rows}))
+        assert code == 0
+        np.testing.assert_allclose(json.loads(out)["char_poly"], [5.5, -5, 1], atol=1e-12)
 
     def test_dimension_cap_exit_2(self, capsys, tmp_path):
         n = 13

@@ -191,6 +191,14 @@ class TestAberthMatchesGuardedReference:
         for call in calls:
             _assert_same_bits(*call)
 
+    def test_campaign_solves_with_two_polish_sweeps(self, monkeypatch):
+        # most kellogg solves keep some old iterates in the polish; a second
+        # polish sweep then reads p and p' of the kept and the new iterates
+        calls = _solves(monkeypatch, "kellogg", 50, 5)
+        monkeypatch.setattr(kernels, "POLISH_SWEEPS", 2)
+        for call in calls:
+            _assert_same_bits(*call)
+
     @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 0, 1, 1]])
     def test_zero_starts(self, coeffs):
         # the starts at 0 coincide, and there z = 0 = a_0 makes the scale 0

@@ -21,8 +21,6 @@ from sectorpoly import (
     SectorPolyError,
     SignClass,
     ZeroLambda,
-    aux_poly,
-    char_poly,
     classify_signs,
     eigen_witness,
     eigenvalues,
@@ -152,14 +150,14 @@ class TestPrincipalMinors:
 
 class TestCharAndAuxPoly:
     def test_char_poly_examples(self):
-        np.testing.assert_allclose(char_poly([[1, 2], [3, 4]]), [-2, -5, 1], atol=1e-14)
-        np.testing.assert_allclose(char_poly(np.eye(2)), [1, -2, 1], atol=1e-14)
-        np.testing.assert_allclose(char_poly(ROTATION), [1, 0, 1], atol=1e-14)
+        for a, expected in (([[1, 2], [3, 4]], [-2, -5, 1]), (np.eye(2), [1, -2, 1]),
+                            (ROTATION, [1, 0, 1])):
+            np.testing.assert_allclose(principal_minors(a).char_poly(), expected, atol=1e-14)
 
     def test_aux_poly_examples(self):
-        np.testing.assert_allclose(aux_poly([[1, 2], [3, 4]]), [-2, 5, 1], atol=1e-14)
-        np.testing.assert_allclose(aux_poly(np.eye(2)), [1, 2, 1], atol=1e-14)
-        np.testing.assert_allclose(aux_poly(ROTATION), [1, 0, 1], atol=1e-14)
+        for a, expected in (([[1, 2], [3, 4]], [-2, 5, 1]), (np.eye(2), [1, 2, 1]),
+                            (ROTATION, [1, 0, 1])):
+            np.testing.assert_allclose(principal_minors(a).aux_poly(), expected, atol=1e-14)
 
     def test_reflection_identity_exact(self):
         # aux(t) == (-1)^n char(-t), coefficientwise without tolerance
@@ -167,8 +165,8 @@ class TestCharAndAuxPoly:
         for _ in range(50):
             n = int(rng.integers(1, 9))
             a = rng.normal(size=(n, n)) * rng.uniform(0.5, 3)
-            p = char_poly(a)
-            q = aux_poly(a)
+            report = principal_minors(a)
+            p, q = report.char_poly(), report.aux_poly()
             reflected = np.array([(-1.0) ** n * (-1.0) ** k * p[k]
                                   for k in range(n + 1)])
             np.testing.assert_array_equal(q, reflected)
@@ -178,7 +176,7 @@ class TestCharAndAuxPoly:
         for _ in range(25):
             n = int(rng.integers(2, 9))
             a = rng.normal(size=(n, n))
-            q = aux_poly(a)
+            q = principal_minors(a).aux_poly()
             rs = eigenvalues(a)
             assert rs.converged
             for lam in rs.roots:
@@ -233,9 +231,9 @@ class TestCharAndAuxPoly:
 
     def test_complex_char_poly_rejected(self):
         with pytest.raises(ComplexCharPoly):
-            char_poly([[1j]])
+            principal_minors([[1j]]).char_poly()
         with pytest.raises(ComplexCharPoly):
-            aux_poly([[1j, 0], [0, 1.0]])
+            principal_minors([[1j, 0], [0, 1.0]]).aux_poly()
 
 
 class TestKelloggAdmissible:
@@ -718,7 +716,7 @@ class TestGeneratePMatrix:
     def test_aux_poly_positive_for_p_matrices(self):
         for seed in range(10):
             a = generate_p_matrix(4, seed)
-            assert classify_signs(aux_poly(a)) is SignClass.POSITIVE
+            assert classify_signs(principal_minors(a).aux_poly()) is SignClass.POSITIVE
 
 
 def _diagonally_dominant_p_matrices():

@@ -13,11 +13,9 @@ from sectorpoly import (
     classify_signs,
     find_roots,
     from_polar,
-    normalize_theta,
     poly_eval,
     poly_mul,
     principal_arg,
-    to_polar,
     verify_cot,
 )
 from sectorpoly.poly import (
@@ -214,29 +212,88 @@ class TestClassifySigns:
         assert rank[after] >= rank[before]
 
 
-class TestNormalizeTheta:
-    @pytest.mark.parametrize(
-        "theta,alpha",
-        [
-            (3 * math.pi / 2, math.pi / 2),
-            (2 * math.pi, math.pi),
-            (math.pi, 0.0),
-        ],
-    )
-    def test_examples(self, theta, alpha):
-        assert normalize_theta(theta) == pytest.approx(alpha, abs=1e-15)
+def _numpy_classify_signs(values, slack=0.0):
+    """The sign rule as whole-array numpy comparisons, as classify_signs
+    decided it before it read Python floats."""
+    arr = np.asarray(values, dtype=np.float64)
+    slack = np.asarray(slack, dtype=np.float64)
+    if not (np.isfinite(arr).all() and np.isfinite(slack).all()):
+        raise DomainError("signs are only decided for finite values and slack")
+    if (arr > slack).all():
+        return SignClass.POSITIVE
+    if (arr >= -slack).all():
+        return SignClass.NONNEGATIVE
+    return SignClass.MIXED
 
-    @pytest.mark.parametrize("theta", [0.0, -1.0, 2 * math.pi + 1e-9])
-    def test_domain(self, theta):
-        with pytest.raises(DomainError):
-            normalize_theta(theta)
 
-    @given(theta=st.floats(1e-12, 2 * math.pi))
-    @settings(max_examples=200)
-    def test_bijection(self, theta):
-        alpha = normalize_theta(theta)
-        assert -math.pi < alpha <= math.pi
-        assert alpha + math.pi == pytest.approx(theta, rel=0, abs=1e-12)
+def _outcome(rule, values, slack):
+    """The verdict of ``rule``, or the type and message of what it raised."""
+    try:
+        return rule(values, slack)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# signed zeros, subnormals and the ends of the normal range, where a
+# comparison on a wider or a flushed type would tell them apart differently
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, 1.0, -1.0, 1.7976931348623157e308]
+
+
+def _random_cases(slack_kind):
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        size = int(rng.integers(0, 14))
+        values = rng.choice(_EDGE_VALUES, size) * (rng.uniform(size=size) < 0.6)
+        values = np.where(rng.uniform(size=size) < 0.4, rng.normal(size=size), values)
+        if slack_kind == "scalar":
+            yield values, float(rng.choice(_EDGE_VALUES))
+        elif slack_kind == "per_value":
+            yield values, np.abs(rng.choice(_EDGE_VALUES, size))
+        elif slack_kind == "signed":                                 # negative slack too
+            yield values, rng.choice(_EDGE_VALUES, size)
+        else:                                                        # a Python list
+            yield values.tolist(), 0.0
+
+
+def _zero_d_cases():
+    for value in _EDGE_VALUES:
+        yield value, 0.0
+        yield np.float64(value), [0.0, 1.0]                          # against per-value
+        yield [value, 1.0], -0.0
+
+
+def _non_finite_cases():
+    for bad in (math.nan, math.inf, -math.inf):
+        yield [1.0, bad], 0.0
+        yield [1.0, 2.0], bad
+        yield [1.0, 2.0], [0.0, bad]
+        yield [], bad
+        yield [1.0, bad, 3.0], [0.0, 0.0]                           # NaN before broadcast
+
+
+_PARITY_CASES = {
+    "random_scalar_slack": lambda: _random_cases("scalar"),
+    "random_per_value_slack": lambda: _random_cases("per_value"),
+    "random_signed_slack": lambda: _random_cases("signed"),
+    "random_list_input": lambda: _random_cases("list"),
+    "zero_d": _zero_d_cases,
+    "empty": lambda: [([], 0.0), ([], [1.0]), ([], [1.0, 2.0])],
+    "wrong_slack_length": lambda: [([1.0, 2.0, 3.0], [0.0, 0.0]),
+                                   ([1.0, 2.0], [0.0, 0.0, 0.0])],
+    "broadcast_rows": lambda: [([[1.0, -0.0], [2.0, 5e-324]], [0.0, 1e-310])],
+    "non_finite": _non_finite_cases,
+}
+
+
+class TestClassifySignsParity:
+    @pytest.mark.parametrize("kind", sorted(_PARITY_CASES))
+    def test_matches_the_numpy_rule(self, kind):
+        # bit for bit the verdict of the array comparisons, or the same
+        # exception type and message
+        for values, slack in _PARITY_CASES[kind]():
+            expected = _outcome(_numpy_classify_signs, values, slack)
+            assert _outcome(classify_signs, values, slack) == expected, (values, slack)
 
 
 class TestPolar:
@@ -253,7 +310,8 @@ class TestPolar:
     )
     @settings(max_examples=300)
     def test_round_trip(self, r, alpha):
-        r2, a2 = to_polar(from_polar(r, alpha))
+        z = from_polar(r, alpha)
+        r2, a2 = abs(z), principal_arg(z)
         assert abs(r2 - r) <= 1e-12 * r
         assert abs(a2 - alpha) <= 1e-12
 

@@ -8,7 +8,6 @@ from sectorpoly import (
     DomainError,
     find_roots,
     kernels,
-    min_arg_defect,
     roots,
     verify_cot,
 )
@@ -268,14 +267,16 @@ class TestBinomialRoots:
 
 
 class TestMinArgDefect:
+    @staticmethod
+    def _defect(coeffs):
+        rs = find_roots(coeffs)
+        return roots.sector_defect([principal_arg(complex(z)) for z in rs.roots], len(rs.roots))
+
     def test_cyclotomic_margin(self):
-        rs = find_roots([1, 1, 1])
-        assert min_arg_defect(rs, 2) == pytest.approx(math.pi / 6, abs=1e-9)
+        assert self._defect([1, 1, 1]) == pytest.approx(math.pi / 6, abs=1e-9)
 
     def test_binomial_boundary(self):
-        rs = find_roots([1, 0, 1])
-        assert min_arg_defect(rs, 2) == pytest.approx(0.0, abs=1e-10)
+        assert self._defect([1, 0, 1]) == pytest.approx(0.0, abs=1e-10)
 
     def test_linear_negative_root(self):
-        rs = find_roots([3, 1])
-        assert min_arg_defect(rs, 1) == pytest.approx(0.0, abs=1e-12)
+        assert self._defect([3, 1]) == pytest.approx(0.0, abs=1e-12)

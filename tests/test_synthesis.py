@@ -19,11 +19,11 @@ from sectorpoly import (
     ZeroModulus,
     build_q_avg,
     build_qj,
+    canonical,
     classify_signs,
     find_roots,
     from_polar,
     lift,
-    min_arg_defect,
     poly_eval,
     principal_arg,
     sector_index,
@@ -32,6 +32,7 @@ from sectorpoly import (
     verify_cot,
 )
 from sectorpoly.poly import relative_residual
+from sectorpoly.roots import in_scale, sector_defect
 from sectorpoly.synthesis import ANGLE_TOL
 
 
@@ -413,6 +414,23 @@ class TestSynthesize:
         assert result.construction == "linear"
 
 
+def _numpy_cot_bookkeeping(q):
+    """(status, binomial, min_defect, arguments) of verify_cot(q) for a
+    polynomial whose roots stay in range, from numpy arrays as verify_cot
+    formed them before it read Python scalars."""
+    import sectorpoly.synthesis as syn
+
+    q = canonical(q)
+    n = q.size - 1
+    rs = find_roots(q)
+    args = np.array([principal_arg(complex(z)) for z in rs.roots])
+    binomial = int(np.count_nonzero(q)) == 2
+    passed = rs.converged and (
+        binomial or syn._disks_avoid_sector(in_scale(q), rs.roots, args.tolist()))
+    min_defect = float(np.min(np.abs(args)) - math.pi / n)
+    return "pass" if passed else "inconclusive", binomial, min_defect, args
+
+
 class TestVerifyCot:
     def test_cyclotomic_passes(self):
         report = verify_cot([1, 1, 1])
@@ -441,6 +459,31 @@ class TestVerifyCot:
             coeffs[0] = s
             coeffs[n] = 1.0
             assert verify_cot(coeffs).status == "pass", n
+
+    def test_bookkeeping_matches_the_numpy_reference(self, monkeypatch):
+        # every polynomial a 2000-case cot campaign verifies gets, bit for
+        # bit, the status, binomial flag, defect and arguments of the
+        # bookkeeping in numpy arrays that verify_cot kept before it read
+        # Python scalars
+        from sectorpoly import campaigns
+
+        seen = []
+
+        def recorded(q):
+            seen.append(np.array(q))
+            return verify_cot(q)
+
+        monkeypatch.setattr(campaigns, "verify_cot", recorded)
+        campaigns.run_suite("cot", 2000, 11)
+        monkeypatch.undo()
+        assert len(seen) == 2000
+        for q in seen:
+            report = verify_cot(q)
+            status, binomial, min_defect, arguments = _numpy_cot_bookkeeping(q)
+            assert (report.status, report.binomial) == (status, binomial)
+            assert report.min_defect == min_defect
+            assert report.arguments.dtype == arguments.dtype
+            assert report.arguments.tobytes() == arguments.tobytes()
 
     @given(
         ends=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
@@ -540,7 +583,6 @@ class TestVerifyCot:
         assert syn.verify_cot([1, 1, 1]).status == "inconclusive"
 
     def test_each_argument_computed_once(self, monkeypatch):
-        import sectorpoly.roots as roots_mod
         import sectorpoly.synthesis as syn
 
         calls = []
@@ -551,23 +593,21 @@ class TestVerifyCot:
             return real(z)
 
         monkeypatch.setattr(syn, "principal_arg", counted)
-        monkeypatch.setattr(roots_mod, "principal_arg", counted)
         report = syn.verify_cot([2, 3, 1, 4, 1])
         assert len(calls) == report.degree == 4
 
     def test_defect_is_min_arg_defect(self):
-        # one formula: the report's defect is min_arg_defect of its roots, bit
-        # for bit, and its arguments are the principal arguments of its roots
+        # one formula: the report's defect is sector_defect of the principal
+        # arguments of its roots, bit for bit, and its arguments are those
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(1, 13))
             q = rng.uniform(0.1, 10.0, n + 1) * (rng.uniform(size=n + 1) < 0.7)
             q[0] = q[-1] = 1.0
             report = verify_cot(q)
-            rs = find_roots(q)
-            assert report.min_defect == min_arg_defect(rs, n)
-            np.testing.assert_array_equal(report.arguments,
-                                          [principal_arg(complex(z)) for z in rs.roots])
+            args = [principal_arg(complex(z)) for z in find_roots(q).roots]
+            assert report.min_defect == sector_defect(args, n)
+            np.testing.assert_array_equal(report.arguments, args)
 
     def test_synthesized_polynomials_close_the_loop(self):
         rng = np.random.default_rng(12)
