@@ -33,8 +33,6 @@ from .poly import (
     canonical,
     classify_signs,
     from_polar,
-    poly_eval,
-    poly_mul,
     principal_arg,
 )
 from .roots import RootSet, find_roots

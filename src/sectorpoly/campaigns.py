@@ -21,9 +21,8 @@ from .pmatrix import (
     kellogg_admissible,
     principal_minors,
     spectrum_aux_poly,
-    wedge_angle,
 )
-from .poly import SignClass, classify_signs, from_polar
+from .poly import SignClass, classify_signs, from_polar, principal_arg
 from .synthesis import sector_index, synthesize, verify_cot
 
 SUITE_NAMES = ("synth", "cot", "kellogg", "witness")
@@ -191,10 +190,11 @@ def run_kellogg_suite(cases: int, seed: int) -> SuiteReport:
         max_root_residual = max(max_root_residual, float(np.max(rs.residuals)))
         if not rs.converged:
             bad.append("eigen_convergence")
-        for lam in rs.roots:
-            defect = abs(wedge_angle(complex(lam)) - math.pi) - math.pi / n
+        for lam in rs.roots.tolist():
+            # |arg(-lambda)|, the angle kellogg_admissible judges
+            defect = abs(principal_arg(-lam)) - math.pi / n
             min_defect = min(min_defect, defect)
-            if not kellogg_admissible(complex(lam), n, MatrixClass.P):
+            if not kellogg_admissible(lam, n, MatrixClass.P):
                 bad.append("admissible")
                 break
         detail = {"case": i, "n": n, "matrix_seed": mseed, "failed": bad} if bad else None

@@ -282,7 +282,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    for flag, least in (("n", 1), ("cap", 1), ("samples", 1), ("cases", 0)):
+    for flag, least in (("n", 1), ("cap", 1), ("samples", 1), ("cases", 0), ("seed", 0)):
         if getattr(args, flag, least) < least:
             parser.error(f"--{flag} must be >= {least}")
     try:

@@ -113,10 +113,9 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1
-    # column 0 evaluates p, column 1 evaluates p', from one powers matrix
+    # column 0 evaluates p, column 1 (set below) p', from one powers matrix
     pair = np.zeros((deg + 1, 2), dtype=np.complex128)
     pair[:, 0] = coeffs
-    pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
     abs_coeffs = np.abs(coeffs)
     powers = np.ones((deg, deg + 1), dtype=np.complex128)
     abs_powers = np.empty((deg, deg + 1))
@@ -174,8 +173,10 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
 
     # iterates whose powers overflow leave non-finite residuals, which the
     # caller turns into DomainError; numpy need not warn on the way there,
-    # nor on the unguarded divisions by zero that send a step to the redo
+    # nor on the unguarded divisions by zero that send a step to the redo,
+    # nor on a coefficient i * a_i of p' beyond float64 (in_scale keeps 1e308)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
         p, dp, resid = _eval(z)
         worst = np.maximum.reduce(resid)
         if not math.isfinite(worst):

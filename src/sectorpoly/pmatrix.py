@@ -17,7 +17,7 @@ more than its arithmetic.
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
 ``MinorReport``; the class, p, q and the eigenvalues (``eigenvalues``
-accepts the report) are all read off it. Each sign verdict is
+takes the report) are all read off it. Each sign verdict is
 classify_signs against an error bound that scales as its value does: a
 size-k minor's is MINOR_TOL * (max row norm)^k, so c*A keeps the class of A.
 """
@@ -162,14 +162,9 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP) -> MinorReport:
     )
 
 
-def eigenvalues(a, cap: int = DEFAULT_DIM_CAP):
-    """Eigenvalues as roots of the characteristic polynomial.
-
-    ``a`` is a matrix, or the ``MinorReport`` a caller already holds for
-    it, which spares a second enumeration of the minors. ``cap`` applies
-    only to a matrix argument; a report was capped when it was made.
-    """
-    report = a if isinstance(a, MinorReport) else principal_minors(a, cap=cap)
+def eigenvalues(report: MinorReport):
+    """Eigenvalues of the matrix of ``report`` (``principal_minors`` of it),
+    as roots of its characteristic polynomial."""
     return find_roots(report.char_poly())
 
 

@@ -58,34 +58,29 @@ def degree(coeffs) -> int:
     return len(coeffs) - 1
 
 
-def poly_eval(coeffs, z):
-    """Evaluate at ``z`` (real or complex) by Horner's scheme."""
-    acc = 0.0 * z
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def poly_mul(p, q) -> np.ndarray:
-    """Coefficient convolution of two canonical polynomials."""
-    return np.convolve(canonical(p), canonical(q))
+def horner(coeffs, z):
+    """(p(z), sum |a_i| |z|^i) for ascending coefficients ``coeffs``, a
+    sequence of Python numbers: Horner's scheme and the scale of its
+    rounding error, in Python scalars, where an overflow reads inf or nan
+    without a warning."""
+    r = _modulus(z)
+    value = scale = 0.0
+    for a in reversed(coeffs):
+        value = value * z + a
+        scale = scale * r + abs(a)
+    return value, scale
 
 
 def relative_residual(coeffs, z) -> float:
     """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root.
 
-    Horner runs in Python scalars, where an overflow reads inf or nan without
-    a warning; it raises DomainError.
+    An overflow of ``horner`` raises DomainError.
     """
     z = complex(z)
-    r = _modulus(z)
-    value = scale = 0.0
-    for a in reversed(np.asarray(coeffs).tolist()):
-        value = value * z + a
-        scale = scale * r + abs(a)
+    value, scale = horner(np.asarray(coeffs).tolist(), z)
     value = _modulus(value)
     if not math.isfinite(value + scale):
-        raise DomainError(f"the residual at |z| = {r!r} overflows float64")
+        raise DomainError(f"the residual at |z| = {_modulus(z)!r} overflows float64")
     return value / scale if scale else 0.0
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateInput, DomainError
-from .poly import canonical
+from .poly import canonical, horner
 
 DEFAULT_MAX_ITERS = 500
 
@@ -50,7 +50,7 @@ class RootSet:
     iterations: int
 
 
-def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
+def find_roots(coeffs) -> RootSet:
     """Find all complex roots (with multiplicity) of a real polynomial.
 
     Simultaneous Aberth-Ehrlich iteration from Newton-polygon starting points
@@ -63,8 +63,8 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
     rounding level: the solve converges once every relative residual is at
     most 4 * deg * eps, the float64 machine epsilon eps (MPSolve's rule, Bini
     & Fiorentino, Numer. Algorithms 23, 2000). Non-convergence within
-    ``max_iters`` sweeps is not an error: the best-effort roots are returned
-    with ``converged=False``.
+    DEFAULT_MAX_ITERS sweeps (read at each call) is not an error: the
+    best-effort roots are returned with ``converged=False``.
 
     Coefficients whose largest magnitude lies beyond UNSCALED_MAX, or below
     its reciprocal, are first divided by a power of two (``in_scale``), which
@@ -82,7 +82,7 @@ def find_roots(coeffs, max_iters: int = DEFAULT_MAX_ITERS) -> RootSet:
     # times the residual's scale, so this level is reachable at every degree
     tol = 4 * (len(c) - 1) * np.finfo(np.float64).eps
     z0 = starting_points(p, tol)
-    roots, residuals, iters = kernels.aberth_iterate(c, z0, max_iters, tol)
+    roots, residuals, iters = kernels.aberth_iterate(c, z0, DEFAULT_MAX_ITERS, tol)
     worst = float(residuals.max())      # NaN if any residual is NaN
     if not math.isfinite(worst):
         raise DomainError("root residuals overflow the float64 range")
@@ -119,12 +119,11 @@ def starting_points(p: np.ndarray, tol: float) -> np.ndarray:
         # Python floats: an overflow reads inf, with no numpy warning
         s = -a[-2] / (n * a[-1])
         if 0.0 < CENTROID_RATIO * abs(a[0] / a[-1]) ** (1.0 / n) <= abs(s):
-            b = _taylor_shift(a, s)
-            scale = 0.0
-            for x in reversed(a):
-                scale = scale * abs(s) + abs(x)
-            if tol * scale < abs(b[0]) < abs(a[0]) and all(map(math.isfinite, b)):
-                return kernels.initial_guesses(np.array(b)) + s
+            value, scale = horner(a, s)     # p(s), the shift's b[0] bit for bit
+            if tol * scale < abs(value) < abs(a[0]):
+                b = _taylor_shift(a, s)
+                if all(map(math.isfinite, b)):
+                    return kernels.initial_guesses(np.array(b)) + s
     return kernels.initial_guesses(p)
 
 

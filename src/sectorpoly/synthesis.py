@@ -184,7 +184,7 @@ def lift(p, n: int, mode: SignClass) -> np.ndarray:
 
     Nonnegative mode multiplies by t^(n-k) + 1; positive mode by
     1 + t + ... + t^(n-k). Identity when k = n. The coefficients are exact
-    input to the lift, so classify_signs reads them literally.
+    input to the lift, so ``_check_core`` reads them literally.
     """
     if mode not in (SignClass.NONNEGATIVE, SignClass.POSITIVE):
         raise PreconditionError(f"mode must be nonnegative or positive, not {mode}")
@@ -192,17 +192,28 @@ def lift(p, n: int, mode: SignClass) -> np.ndarray:
     k = degree(p)
     if k > n:
         raise PreconditionError(f"cannot lift degree {k} down to {n}")
-    if not classify_signs(p).satisfies(mode):
-        raise PreconditionError(f"{mode.value} mode needs {mode.value} coefficients")
-    if p[0] <= 0.0:
-        raise PreconditionError("constant term must be positive")
+    _check_core(p.tolist(), mode)
     return _lifted(p, n - k, mode)
+
+
+def _check_core(c: list, mode: SignClass) -> None:
+    """The checks of a polynomial to lift, on its coefficients ``c`` as Python
+    floats: finite (else DomainError), in ``mode``'s sign class at zero slack
+    and with c[0] > 0 (else PreconditionError). Python scalars, since
+    classify_signs costs about ten times as much on a core of a dozen values.
+    """
+    if not all(map(math.isfinite, c)):
+        raise DomainError("coefficients must be finite")
+    least = min(c)
+    if not (least > 0.0 if mode is SignClass.POSITIVE else least >= 0.0):
+        raise PreconditionError(f"{mode.value} mode needs {mode.value} coefficients")
+    if not c[0] > 0.0:
+        raise PreconditionError("constant term must be positive")
 
 
 def _lifted(p: np.ndarray, gap: int, mode: SignClass) -> np.ndarray:
     """``p`` times the lift factor of degree ``gap``, a new array; ``p`` is
-    canonical and in the mode's sign class, as ``lift`` and ``synthesize``
-    check."""
+    canonical and passed ``_check_core``, as in ``lift`` and ``synthesize``."""
     if gap == 0:
         return p.copy()
     if mode is SignClass.POSITIVE:
@@ -274,15 +285,8 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
         construction, j_used = "qj", j
 
     # the core is monic and in the mode's sign class unless a coefficient left
-    # float64: checked here in Python scalars, with lift's errors, since a
-    # second canonical/classify_signs pass costs more than the lift itself
-    c = core.tolist()
-    if not all(map(math.isfinite, c)):
-        raise DomainError("coefficients must be finite")
-    if mode is SignClass.POSITIVE and not min(c) > 0.0:
-        raise PreconditionError("positive mode needs positive coefficients")
-    if not c[0] > 0.0:
-        raise PreconditionError("constant term must be positive")
+    # float64: lift's checks, without its canonical pass
+    _check_core(core.tolist(), mode)
     out = _lifted(core, n - degree(core), mode)
     return SynthesisResult(
         coeffs=out,
@@ -327,7 +331,8 @@ def verify_cot(q) -> CotReport:
     except DomainError:     # powers of roots beyond 1 overflow: the reversed
         solved = q[::-1]    # polynomial has the roots 1/z, in the same sectors
         rs = find_roots(solved)
-        with np.errstate(over="ignore", invalid="ignore"):   # 1/subnormal reads inf or nan
+        # 1/subnormal reads inf or nan, and 1/0 (a root that underflowed) inf
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             roots = 1 / rs.roots
         if not np.isfinite(roots).all():
             raise DomainError("a root lies beyond the float64 range")

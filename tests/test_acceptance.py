@@ -108,7 +108,7 @@ def test_criterion_5_reflection_identity_on_random_matrices():
         if not coeff_ok:
             bad += 1
             continue
-        rs = eigenvalues(a)
+        rs = eigenvalues(report)
         if not rs.converged:
             bad += 1
             continue

@@ -143,10 +143,9 @@ class TestSynthesizeCommand:
 
 class TestVerifyCommand:
     def test_inconclusive_exits_1(self, capsys, monkeypatch):
-        import sectorpoly.synthesis as syn
+        from sectorpoly import roots
 
-        real = syn.find_roots
-        monkeypatch.setattr(syn, "find_roots", lambda c: real(c, max_iters=0))
+        monkeypatch.setattr(roots, "DEFAULT_MAX_ITERS", 0)
         code, out = _run(capsys, "verify", "--poly", "[1,1,1]")
         assert code == 1
         assert json.loads(out)["status"] == "inconclusive"
@@ -542,6 +541,15 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--suite", "synth", "--cases", "-5"])
         assert exc.value.code == 2
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        # numpy's SeedSequence rejects a negative seed with ValueError
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--suite", "synth", "--cases", "1", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith("error: --seed must be >= 0")
 
     def test_region_csv_is_default_and_repeatable(self, capsys):
         args = ("region", "--n", "4", "--mode", "P0", "--samples", "90")

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from sectorpoly import (
     DegenerateInput,
     DomainError,
+    campaigns,
     find_roots,
     kernels,
     roots,
@@ -49,6 +52,15 @@ class TestFindRoots:
         # no stopping test may read as converged or as unconverged
         with pytest.raises(DomainError):
             find_roots([1.0] + [0.0] * 18 + [-1e20, 1.0])
+
+    def test_overflowing_derivative_coefficient_does_not_warn(self):
+        # p' = 2 + 2e308 t: 2 * 1e308 overflows, and in_scale leaves this
+        # input as it is (a_0 over 2**1024 would be subnormal). Today the
+        # residuals overflow too, and the solve raises DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.suppress(DomainError):
+                find_roots([1.0, 2.0, 1e308])
 
     @pytest.mark.parametrize("c", [2.0 ** 1000, 2.0 ** -1000, 1e308, 1e-310])
     def test_uniformly_scaled_coefficients(self, c):
@@ -116,8 +128,9 @@ class TestFindRoots:
         assert float(np.max(rs.residuals)) <= 4 * 4 * np.finfo(float).eps
         assert verify_cot(p).status == "pass"
 
-    def test_non_convergence_reported_not_raised(self):
-        rs = find_roots([-6, 11, -6, 1], max_iters=1)
+    def test_non_convergence_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(roots, "DEFAULT_MAX_ITERS", 1)
+        rs = find_roots([-6, 11, -6, 1])
         assert not rs.converged
         assert len(rs.roots) == 3
         assert float(np.max(rs.residuals)) > 1e-12
@@ -205,6 +218,43 @@ class TestStartingPoints:
         monkeypatch.setattr(roots, "_taylor_shift",
                             lambda a, s: shift(a, s)[:1] + [math.inf] + shift(a, s)[2:])
         np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+
+    @pytest.mark.parametrize("suite, cases", [("cot", 300), ("kellogg", 200)])
+    def test_starts_match_the_shift_first_rule(self, monkeypatch, suite, cases):
+        # p(s) from poly.horner is the shift's b[0] bit for bit, so testing it
+        # before the shift leaves every start of every campaign solve as it was
+        calls = []
+        real = roots.starting_points
+
+        def recorded(p, tol):
+            calls.append((p, tol))
+            return real(p, tol)
+
+        monkeypatch.setattr(roots, "starting_points", recorded)
+        campaigns.run_suite(suite, cases, 5)
+        shifted = 0
+        for p, tol in calls:
+            new, old = real(p, tol), _shift_first_starts(p, tol)
+            assert new.tobytes() == old.tobytes(), p
+            shifted += not np.array_equal(old, kernels.initial_guesses(p))
+        assert len(calls) >= cases and shifted > 0
+
+
+def _shift_first_starts(p, tol):
+    """roots.starting_points as it was before it took p(s) from poly.horner:
+    the whole shift first, its b[0] as p(s), and the scale in its own loop."""
+    a = p.tolist()
+    n = len(a) - 1
+    if n >= 2:
+        s = -a[-2] / (n * a[-1])
+        if 0.0 < roots.CENTROID_RATIO * abs(a[0] / a[-1]) ** (1.0 / n) <= abs(s):
+            b = roots._taylor_shift(a, s)
+            scale = 0.0
+            for x in reversed(a):
+                scale = scale * abs(s) + abs(x)
+            if tol * scale < abs(b[0]) < abs(a[0]) and all(map(math.isfinite, b)):
+                return kernels.initial_guesses(np.array(b)) + s
+    return kernels.initial_guesses(p)
 
 
 class TestReconstruction:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -24,7 +25,6 @@ from sectorpoly import (
     find_roots,
     from_polar,
     lift,
-    poly_eval,
     principal_arg,
     sector_index,
     sign_lemma_check,
@@ -506,6 +506,15 @@ class TestVerifyCot:
         assert report.status == "pass"
         assert not report.binomial
 
+    def test_root_of_the_reversed_polynomial_underflowing_to_zero(self):
+        # 1e300 + 1e-300 t: the start radius 1e600 overflows, and the root
+        # -1e-600 of the reversed polynomial underflows to 0, whose
+        # reciprocal must not warn on the way to DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                verify_cot([1e300, 1e-300])
+
     @pytest.mark.parametrize("c", [1e-20, 1e20])
     def test_roots_beyond_the_solver_powers_are_certified(self, c):
         # at c = 1e-20 the root near -4.9e25 overflows the solver's 12th
@@ -576,11 +585,10 @@ class TestVerifyCot:
             verify_cot(q)
 
     def test_inconclusive_on_non_convergence(self, monkeypatch):
-        import sectorpoly.synthesis as syn
+        from sectorpoly import roots
 
-        real = syn.find_roots
-        monkeypatch.setattr(syn, "find_roots", lambda c: real(c, max_iters=0))
-        assert syn.verify_cot([1, 1, 1]).status == "inconclusive"
+        monkeypatch.setattr(roots, "DEFAULT_MAX_ITERS", 0)
+        assert verify_cot([1, 1, 1]).status == "inconclusive"
 
     def test_each_argument_computed_once(self, monkeypatch):
         import sectorpoly.synthesis as syn
