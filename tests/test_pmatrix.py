@@ -204,6 +204,26 @@ class TestCharAndAuxPoly:
                 scale = max(1.0, abs(complex(rep.e_sums[k - 1])))
                 assert abs(complex(esym) - complex(rep.e_sums[k - 1])) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero_pivot"])
+    def test_eigenvalues_of_report_equal_eigenvalues_of_matrix(self, kind):
+        # the report's eigenvalues are LAPACK's for the matrix it was made
+        # of (worst gap 9e-14 * rho, at zero_pivot n = 8)
+        rng = np.random.default_rng(25)
+        for n in range(1, 13):
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            if kind == "complex":
+                # Hermitian: complex minors, real characteristic polynomial
+                b = a + 1j * rng.uniform(-1.0, 1.0, (n, n))
+                a = b + b.conj().T
+            elif kind == "zero_pivot":
+                a[0, 0] = 0.0
+            rs = eigenvalues(principal_minors(a))
+            assert rs.converged and len(rs.roots) == n, n
+            lapack = np.linalg.eigvals(a)
+            dist = np.abs(rs.roots[:, None] - lapack[None, :])
+            gap = max(dist.min(axis=0).max(), dist.min(axis=1).max())
+            assert gap <= 1e-10 * max(1.0, float(np.max(np.abs(lapack)))), n
+
     def test_eigenvalues_of_a_report_beyond_the_default_cap(self):
         rs = eigenvalues(principal_minors(np.eye(13), cap=13))
         assert rs.converged and len(rs.roots) == 13
