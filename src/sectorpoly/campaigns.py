@@ -1,14 +1,14 @@
 """Seeded randomized invariant campaigns.
 
 Shared by the CLI ``oracle`` subcommand and the acceptance suite. Every case
-derives its own generator from ``seed ^ case_index``, so campaigns are
-deterministic, order-independent and safe to fan out.
+derives its own generator from ``SeedSequence([seed, case_index])``, so
+campaigns are deterministic, order-independent and safe to fan out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .pmatrix import (
     eigen_witness,
     eigenvalues,
     generate_p_matrix,
-    kellogg_admissible,
     principal_minors,
     spectrum_aux_poly,
+    wedge_admissible,
 )
 from .poly import SignClass, classify_signs, from_polar, principal_arg
 from .synthesis import sector_index, synthesize, verify_cot
@@ -41,30 +41,51 @@ class SuiteReport:
     metrics: dict = field(default_factory=dict)
     failure: dict | None = None
 
-    def record(self, ok: bool, detail: dict | None = None) -> None:
-        if ok:
-            self.passes += 1
-        else:
-            self.failures += 1
-            if self.failure is None:
-                self.failure = detail
-
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "seed": self.seed,
-            "passes": self.passes,
-            "failures": self.failures,
-            "metrics": self.metrics,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 def _case_rng(seed: int, index: int) -> np.random.Generator:
     # SeedSequence hashing keeps neighboring (seed, index) pairs uncorrelated;
     # a plain xor would make nearby seeds permute the same case set
     return np.random.default_rng(np.random.SeedSequence([seed, index]))
+
+
+def _run_cases(report: SuiteReport, case) -> SuiteReport:
+    """Run ``case(rng, index, detail, metrics)`` for every case index: the one
+    place every case outcome passes through.
+
+    ``case`` samples from ``rng``, adds the case's identifying inputs to
+    ``detail`` (which starts as ``{"case": index}``), lowers or raises the
+    running extremes in ``metrics`` (``report.metrics``) and returns the names
+    of its failed checks. A case that raises a SectorPolyError fails as
+    ``error_<Name>``. The first failure is kept as ``detail`` plus
+    ``"failed"``. A minimum still at its start, math.inf, reads None.
+    """
+    for i in range(report.cases):
+        detail = {"case": i}
+        try:
+            bad = case(_case_rng(report.seed, i), i, detail, report.metrics)
+        except SectorPolyError as exc:
+            bad = [f"error_{exc.name}"]
+        if not bad:
+            report.passes += 1
+            continue
+        report.failures += 1
+        if report.failure is None:
+            detail["failed"] = bad
+            report.failure = detail
+    report.metrics = {k: None if v is math.inf else v for k, v in report.metrics.items()}
+    return report
+
+
+def _off_boundary_angle(rng: np.random.Generator, n: int) -> float:
+    """|alpha| in (pi/n, pi), redrawn until it is off every boundary angle
+    pi/k."""
+    while True:
+        alpha = float(rng.uniform(math.pi / n, math.pi))
+        if not sector_index(alpha).boundary:
+            return alpha
 
 
 def _sample_nonneg_target(rng: np.random.Generator, index: int):
@@ -91,10 +112,7 @@ def _sample_positive_target(rng: np.random.Generator):
     angle pi/k."""
     n = int(rng.integers(2, 13))
     r = float(rng.uniform(0.1, 10.0))
-    while True:
-        alpha = float(rng.uniform(math.pi / n, math.pi))
-        if not sector_index(alpha).boundary:
-            break
+    alpha = _off_boundary_angle(rng, n)
     if rng.integers(0, 2) == 1:
         alpha = -alpha
     return from_polar(r, alpha), n
@@ -122,88 +140,65 @@ def run_synth_suite(cases: int, seed: int, mode: SignClass | None = None,
     """Round-trip campaign: synthesize at random targets, check the result's
     shape, sign class and residual; optionally close the loop through the
     forward sector-bound checker."""
-    report = SuiteReport("cot" if verify_forward else "synth", cases, seed)
-    max_residual = 0.0
-    min_margin = math.inf
-    min_defect = math.inf
-    for i in range(cases):
-        rng = _case_rng(seed, i)
+    metrics = {"max_residual": 0.0, "min_coeff_margin": math.inf}
+    if verify_forward:
+        metrics["min_arg_defect"] = math.inf
+
+    def case(rng, i, detail, m):
         case_mode = mode
         if case_mode is None:
             case_mode = SignClass.NONNEGATIVE if i % 2 == 0 else SignClass.POSITIVE
-        try:
-            if case_mode is SignClass.POSITIVE:
-                mu, n = _sample_positive_target(rng)
-            else:
-                mu, n = _sample_nonneg_target(rng, i)
-            result = synthesize(mu, n, case_mode)
-            coeffs = result.coeffs.tolist()
-            bad = _check_synthesis(result, coeffs, n, case_mode)
-            max_residual = max(max_residual, result.residual)
-            min_margin = min(min_margin, min(coeffs) / max(coeffs))
-            if verify_forward:
-                cot = verify_cot(result.coeffs)
-                min_defect = min(min_defect, cot.min_defect)
-                if cot.status != "pass":
-                    bad.append(f"verify_{cot.status}")
-        except SectorPolyError as exc:
-            report.record(False, {"case": i, "failed": [f"error_{exc.name}"]})
-            continue
-        detail = None
-        if bad:
-            detail = {
-                "case": i,
-                "mu": {"re": mu.real, "im": mu.imag},
-                "n": n,
-                "mode": case_mode.value,
-                "failed": bad,
-            }
-        report.record(not bad, detail)
-    report.metrics = {
-        "max_residual": max_residual,
-        "min_coeff_margin": None if min_margin is math.inf else min_margin,
-    }
-    if verify_forward:
-        report.metrics["min_arg_defect"] = None if min_defect is math.inf else min_defect
-    return report
+        if case_mode is SignClass.POSITIVE:
+            mu, n = _sample_positive_target(rng)
+        else:
+            mu, n = _sample_nonneg_target(rng, i)
+        detail.update(mu={"re": mu.real, "im": mu.imag}, n=n, mode=case_mode.value)
+        result = synthesize(mu, n, case_mode)
+        coeffs = result.coeffs.tolist()
+        bad = _check_synthesis(result, coeffs, n, case_mode)
+        m["max_residual"] = max(m["max_residual"], result.residual)
+        m["min_coeff_margin"] = min(m["min_coeff_margin"], min(coeffs) / max(coeffs))
+        if verify_forward:
+            cot = verify_cot(result.coeffs)
+            m["min_arg_defect"] = min(m["min_arg_defect"], cot.min_defect)
+            if cot.status != "pass":
+                bad.append(f"verify_{cot.status}")
+        return bad
+
+    report = SuiteReport("cot" if verify_forward else "synth", cases, seed, metrics=metrics)
+    return _run_cases(report, case)
+
+
+def _kellogg_case(rng, i, detail, m) -> list[str]:
+    n = int(rng.integers(2, 9))
+    mseed = int(rng.integers(0, 2**63))
+    detail.update(n=n, matrix_seed=mseed)
+    bad = []
+    minors = principal_minors(generate_p_matrix(n, mseed))
+    if minors.matrix_class is not MatrixClass.P:
+        bad.append("class")
+    if minors.aux_sign_class() is not SignClass.POSITIVE:
+        bad.append("aux_signs")
+    rs = eigenvalues(minors)
+    m["max_root_residual"] = max(m["max_root_residual"], float(np.max(rs.residuals)))
+    if not rs.converged:
+        bad.append("eigen_convergence")
+    lams = rs.roots.tolist()
+    # the smallest |arg(-lambda)|, the angle kellogg_admissible judges; a
+    # P matrix has no zero eigenvalue, whose arg(-0) reads pi
+    gap = min(abs(principal_arg(-lam)) for lam in lams)
+    m["min_eigen_defect"] = min(m["min_eigen_defect"], gap - math.pi / n)
+    if 0 in lams or not wedge_admissible(gap, n, MatrixClass.P):
+        bad.append("admissible")
+    return bad
 
 
 def run_kellogg_suite(cases: int, seed: int) -> SuiteReport:
     """Forward eigenvalue-region campaign on generated P matrices: every
     eigenvalue must clear the strict wedge and the reflected characteristic
     polynomial must have strictly positive coefficients."""
-    report = SuiteReport("kellogg", cases, seed)
-    min_defect = math.inf
-    max_root_residual = 0.0
-    for i in range(cases):
-        rng = _case_rng(seed, i)
-        n = int(rng.integers(2, 9))
-        mseed = int(rng.integers(0, 2**63))
-        bad = []
-        a = generate_p_matrix(n, mseed)
-        minors = principal_minors(a)
-        if minors.matrix_class is not MatrixClass.P:
-            bad.append("class")
-        if minors.aux_sign_class() is not SignClass.POSITIVE:
-            bad.append("aux_signs")
-        rs = eigenvalues(minors)
-        max_root_residual = max(max_root_residual, float(np.max(rs.residuals)))
-        if not rs.converged:
-            bad.append("eigen_convergence")
-        for lam in rs.roots.tolist():
-            # |arg(-lambda)|, the angle kellogg_admissible judges
-            defect = abs(principal_arg(-lam)) - math.pi / n
-            min_defect = min(min_defect, defect)
-            if not kellogg_admissible(lam, n, MatrixClass.P):
-                bad.append("admissible")
-                break
-        detail = {"case": i, "n": n, "matrix_seed": mseed, "failed": bad} if bad else None
-        report.record(not bad, detail)
-    report.metrics = {
-        "min_eigen_defect": None if min_defect is math.inf else min_defect,
-        "max_root_residual": max_root_residual,
-    }
-    return report
+    metrics = {"min_eigen_defect": math.inf, "max_root_residual": 0.0}
+    return _run_cases(SuiteReport("kellogg", cases, seed, metrics=metrics), _kellogg_case)
 
 
 def _sample_admissible(rng: np.random.Generator, index: int):
@@ -212,65 +207,48 @@ def _sample_admissible(rng: np.random.Generator, index: int):
     mode = MatrixClass.P if index % 2 == 0 else MatrixClass.P0
     n = int(rng.integers(2, 13))
     r = float(rng.uniform(0.1, 10.0))
-    boundary = False
+    boundary = mode is MatrixClass.P0 and index % 10 == 1
     if mode is MatrixClass.P:
-        while True:
-            gap = float(rng.uniform(math.pi / n, math.pi))
-            if not sector_index(gap).boundary:
-                break
+        gap = _off_boundary_angle(rng, n)
+    elif boundary:
+        gap = math.pi / n
     else:
-        if index % 10 == 1:
-            gap = math.pi / n
-            boundary = True
-        else:
-            gap = float(rng.uniform(math.pi / n, math.pi))
+        gap = float(rng.uniform(math.pi / n, math.pi))
     side = 1.0 if rng.integers(0, 2) == 1 else -1.0
     theta = math.pi + side * gap
     return from_polar(r, theta), n, mode, boundary
 
 
+def _witness_case(rng, i, detail, m) -> list[str]:
+    lam, n, mode, boundary = _sample_admissible(rng, i)
+    detail.update({"lambda": {"re": lam.real, "im": lam.imag}, "n": n, "mode": mode.value})
+    bad = []
+    spectrum = eigen_witness(lam, n, mode)
+    values = spectrum.values
+    if len(values) != n:
+        bad.append("size")
+    dist = float(np.min(np.abs(values - lam))) / (1.0 + abs(lam))
+    m["max_match_distance"] = max(m["max_match_distance"], dist)
+    if dist > WITNESS_DIST_BOUND:
+        bad.append("contains_lambda")
+    feasibility = spectrum.feasibility
+    if mode is MatrixClass.P:
+        if feasibility is not MatrixClass.P:
+            bad.append("feasibility")
+    elif feasibility is MatrixClass.NEITHER:
+        bad.append("feasibility")
+    if not spectrum.conjugate_closed:
+        bad.append("conjugate_closure")
+    if boundary and not _is_binomial_spectrum(values):
+        bad.append("boundary_binomial")
+    return bad
+
+
 def run_witness_suite(cases: int, seed: int) -> SuiteReport:
     """Witness soundness campaign: every admissible (lambda, n) must extend to
     a full spectrum containing lambda whose feasibility matches the mode."""
-    report = SuiteReport("witness", cases, seed)
-    max_distance = 0.0
-    for i in range(cases):
-        rng = _case_rng(seed, i)
-        lam, n, mode, boundary = _sample_admissible(rng, i)
-        bad = []
-        try:
-            spectrum = eigen_witness(lam, n, mode)
-            values = spectrum.values
-            if len(values) != n:
-                bad.append("size")
-            dist = float(np.min(np.abs(values - lam))) / (1.0 + abs(lam))
-            max_distance = max(max_distance, dist)
-            if dist > WITNESS_DIST_BOUND:
-                bad.append("contains_lambda")
-            feasibility = spectrum.feasibility
-            if mode is MatrixClass.P:
-                if feasibility is not MatrixClass.P:
-                    bad.append("feasibility")
-            elif feasibility is MatrixClass.NEITHER:
-                bad.append("feasibility")
-            if not spectrum.conjugate_closed:
-                bad.append("conjugate_closure")
-            if boundary and not _is_binomial_spectrum(values):
-                bad.append("boundary_binomial")
-        except SectorPolyError as exc:
-            bad.append(f"error_{exc.name}")
-        detail = None
-        if bad:
-            detail = {
-                "case": i,
-                "lambda": {"re": lam.real, "im": lam.imag},
-                "n": n,
-                "mode": mode.value,
-                "failed": bad,
-            }
-        report.record(not bad, detail)
-    report.metrics = {"max_match_distance": max_distance}
-    return report
+    report = SuiteReport("witness", cases, seed, metrics={"max_match_distance": 0.0})
+    return _run_cases(report, _witness_case)
 
 
 def _is_binomial_spectrum(values) -> bool:

@@ -71,7 +71,7 @@ def find_roots(coeffs) -> RootSet:
     leaves the roots and the relative residuals as they are.
 
     Raises DegenerateInput for degree-0 input and DomainError for a
-    starting radius or a residual that overflows.
+    starting radius, a residual or a residual's scale that overflows.
     """
     p = canonical(coeffs)
     if len(p) < 2:
@@ -84,7 +84,13 @@ def find_roots(coeffs) -> RootSet:
     z0 = starting_points(p, tol)
     roots, residuals, iters = kernels.aberth_iterate(c, z0, DEFAULT_MAX_ITERS, tol)
     worst = float(residuals.max())      # NaN if any residual is NaN
-    if not math.isfinite(worst):
+    overflow = not math.isfinite(worst)
+    if not (overflow or residuals.all()):
+        # a residual reads 0 at an exact root, but also where its scale
+        # sum|a_i||z|^i overflows (|p(z)| / inf), as at the starts of
+        # 1e308 + 2t + t^2; the scale is largest at the largest root
+        overflow = math.isinf(horner(p.tolist(), float(np.abs(roots).max()))[1])
+    if overflow:
         raise DomainError("root residuals overflow the float64 range")
     return RootSet(
         roots=roots,

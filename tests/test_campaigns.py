@@ -1,12 +1,17 @@
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
-from sectorpoly import kernels
+from sectorpoly import DomainError, campaigns, kernels
 from sectorpoly.campaigns import (
     run_kellogg_suite,
     run_suite,
     run_synth_suite,
     run_witness_suite,
 )
+from sectorpoly.pmatrix import MatrixClass, MinorReport
 from sectorpoly.poly import SignClass
 
 
@@ -76,3 +81,208 @@ def test_zero_cases_vacuous_pass():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus", 10, seed=0)
+
+
+# Failure paths: each test patches one dependency of a suite so that exactly
+# one check fires, then reads the failure count and the first failure's detail,
+# which carries the case's identifying inputs.
+
+def _synth_inputs(seed, i, mode):
+    rng = campaigns._case_rng(seed, i)
+    if mode is SignClass.POSITIVE:
+        mu, n = campaigns._sample_positive_target(rng)
+    else:
+        mu, n = campaigns._sample_nonneg_target(rng, i)
+    return {"case": i, "mu": {"re": mu.real, "im": mu.imag}, "n": n, "mode": mode.value}
+
+
+def _kellogg_inputs(seed, i):
+    rng = campaigns._case_rng(seed, i)
+    n = int(rng.integers(2, 9))
+    return {"case": i, "n": n, "matrix_seed": int(rng.integers(0, 2**63))}
+
+
+def _witness_inputs(seed, i):
+    lam, n, mode, _ = campaigns._sample_admissible(campaigns._case_rng(seed, i), i)
+    return {"case": i, "lambda": {"re": lam.real, "im": lam.imag}, "n": n,
+            "mode": mode.value}
+
+
+def _patch_result(monkeypatch, name, changes):
+    """Make campaigns.<name> return its real result with the fields that
+    ``changes(result)`` maps replaced."""
+    real = getattr(campaigns, name)
+
+    def patched(*args):
+        result = real(*args)
+        return dataclasses.replace(result, **changes(result))
+
+    monkeypatch.setattr(campaigns, name, patched)
+
+
+def _raise_domain_error(*args):
+    raise DomainError("injected")
+
+
+class TestSynthFailures:
+    CASES, SEED = 6, 3
+
+    def _first_failure(self, mode, verify_forward=False):
+        report = run_synth_suite(self.CASES, self.SEED, mode, verify_forward)
+        assert report.failures == self.CASES and report.passes == 0
+        return report.failure
+
+    @pytest.mark.parametrize("mode", [SignClass.NONNEGATIVE, SignClass.POSITIVE])
+    @pytest.mark.parametrize("check, changes", [
+        ("degree", lambda r: {"coeffs": np.append(r.coeffs[0], r.coeffs)}),
+        ("monic", lambda r: {"coeffs": 2.0 * r.coeffs}),
+        ("residual", lambda r: {"residual": 1.0}),
+    ])
+    def test_result_check_fires(self, monkeypatch, mode, check, changes):
+        _patch_result(monkeypatch, "synthesize", changes)
+        assert self._first_failure(mode) == {**_synth_inputs(self.SEED, 0, mode),
+                                             "failed": [check]}
+
+    def test_constant_term_fires(self, monkeypatch):
+        # a zero constant term keeps a nonnegative sign class
+        _patch_result(monkeypatch, "synthesize",
+                      lambda r: {"coeffs": np.append(0.0, r.coeffs[1:])})
+        mode = SignClass.NONNEGATIVE
+        assert self._first_failure(mode) == {**_synth_inputs(self.SEED, 0, mode),
+                                             "failed": ["constant_term"]}
+
+    @pytest.mark.parametrize("mode, check", [(SignClass.NONNEGATIVE, "nonnegativity"),
+                                             (SignClass.POSITIVE, "positivity")])
+    def test_sign_check_fires(self, monkeypatch, mode, check):
+        monkeypatch.setattr(campaigns, "classify_signs", lambda values: SignClass.MIXED)
+        assert self._first_failure(mode) == {**_synth_inputs(self.SEED, 0, mode),
+                                             "failed": [check]}
+
+    def test_inconclusive_verdict_fires(self, monkeypatch):
+        _patch_result(monkeypatch, "verify_cot", lambda r: {"status": "inconclusive"})
+        mode = SignClass.POSITIVE
+        assert self._first_failure(mode, verify_forward=True) == {
+            **_synth_inputs(self.SEED, 0, mode), "failed": ["verify_inconclusive"]}
+
+    @pytest.mark.parametrize("target", ["synthesize", "verify_cot"])
+    def test_raising_case_is_a_failed_case_with_its_inputs(self, monkeypatch, target):
+        monkeypatch.setattr(campaigns, target, _raise_domain_error)
+        mode = SignClass.NONNEGATIVE
+        assert self._first_failure(mode, verify_forward=True) == {
+            **_synth_inputs(self.SEED, 0, mode), "failed": ["error_DomainError"]}
+
+    def test_suite_without_a_mode_alternates(self, monkeypatch):
+        # case 1 is the first positive case; a raising case still counts once
+        real = campaigns.synthesize
+
+        def fail_positive(mu, n, mode):
+            if mode is SignClass.POSITIVE:
+                raise DomainError("injected")
+            return real(mu, n, mode)
+
+        monkeypatch.setattr(campaigns, "synthesize", fail_positive)
+        report = run_suite("synth", 5, self.SEED)
+        assert (report.passes, report.failures) == (3, 2)
+        assert report.failure == {**_synth_inputs(self.SEED, 1, SignClass.POSITIVE),
+                                  "failed": ["error_DomainError"]}
+
+
+class TestKelloggFailures:
+    CASES, SEED = 4, 5
+
+    def _first_failure(self):
+        report = run_kellogg_suite(self.CASES, self.SEED)
+        assert report.failures == self.CASES and report.passes == 0
+        return report.failure
+
+    def test_class_fires(self, monkeypatch):
+        _patch_result(monkeypatch, "principal_minors",
+                      lambda r: {"matrix_class": MatrixClass.P0})
+        assert self._first_failure() == {**_kellogg_inputs(self.SEED, 0), "failed": ["class"]}
+
+    def test_aux_signs_fire(self, monkeypatch):
+        monkeypatch.setattr(MinorReport, "aux_sign_class", lambda self: SignClass.NONNEGATIVE)
+        assert self._first_failure() == {**_kellogg_inputs(self.SEED, 0),
+                                         "failed": ["aux_signs"]}
+
+    def test_eigen_convergence_fires(self, monkeypatch):
+        _patch_result(monkeypatch, "eigenvalues", lambda r: {"converged": False})
+        assert self._first_failure() == {**_kellogg_inputs(self.SEED, 0),
+                                         "failed": ["eigen_convergence"]}
+
+    @pytest.mark.parametrize("extra", [-1.0, 0.0, 1e-3 * (-1.0 + 0.1j)])
+    def test_admissible_fires(self, monkeypatch, extra):
+        # -1 and a root at arg(-lambda) = -0.0997 lie inside Kellogg's wedge;
+        # 0 is no eigenvalue of a P matrix, though |arg(-0)| reads pi
+        _patch_result(monkeypatch, "eigenvalues",
+                      lambda r: {"roots": np.append(extra, [1.0 + 1j, 1.0 - 1j])})
+        report = run_kellogg_suite(self.CASES, self.SEED)
+        assert report.failures == self.CASES
+        assert report.failure == {**_kellogg_inputs(self.SEED, 0), "failed": ["admissible"]}
+
+    def test_defect_is_the_smallest_angle_less_pi_over_n(self, monkeypatch):
+        # a failing case's defect covers every root: -1 + 0.2i is already
+        # inadmissible at n <= 8, and -1 beyond it lies deeper in the wedge
+        _patch_result(monkeypatch, "eigenvalues",
+                      lambda r: {"roots": np.array([-1.0 + 0.2j, -1.0])})
+        report = run_kellogg_suite(1, self.SEED)
+        n = _kellogg_inputs(self.SEED, 0)["n"]
+        assert report.metrics["min_eigen_defect"] == 0.0 - math.pi / n
+
+    def test_raising_case_is_a_failed_case_with_its_inputs(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "generate_p_matrix", _raise_domain_error)
+        assert self._first_failure() == {**_kellogg_inputs(self.SEED, 0),
+                                         "failed": ["error_DomainError"]}
+        assert run_kellogg_suite(self.CASES, self.SEED).metrics == {
+            "min_eigen_defect": None, "max_root_residual": 0.0}
+
+
+class TestWitnessFailures:
+    SEED = 4
+
+    def _report(self, cases):
+        return run_witness_suite(cases, self.SEED)
+
+    def _assert_first(self, report, i, check):
+        assert report.failure == {**_witness_inputs(self.SEED, i), "failed": [check]}
+
+    def test_size_fires(self, monkeypatch):
+        _patch_result(monkeypatch, "eigen_witness",
+                      lambda r: {"values": np.append(r.values[0], r.values)})
+        report = self._report(4)
+        assert report.failures == 4
+        self._assert_first(report, 0, "size")
+
+    def test_contains_lambda_fires(self, monkeypatch):
+        _patch_result(monkeypatch, "eigen_witness", lambda r: {"values": 2.0 * r.values})
+        report = self._report(4)
+        assert report.failures == 4
+        self._assert_first(report, 0, "contains_lambda")
+
+    @pytest.mark.parametrize("wrong, failures", [(MatrixClass.P0, 1), (MatrixClass.NEITHER, 2)])
+    def test_feasibility_fires(self, monkeypatch, wrong, failures):
+        # case 0 asks for a P spectrum, which P0 fails; case 1 asks for a P0
+        # one, which only NEITHER fails
+        _patch_result(monkeypatch, "eigen_witness", lambda r: {"feasibility": wrong})
+        report = self._report(2)
+        assert report.failures == failures
+        self._assert_first(report, 0, "feasibility")
+
+    def test_conjugate_closure_fires(self, monkeypatch):
+        _patch_result(monkeypatch, "eigen_witness", lambda r: {"conjugate_closed": False})
+        report = self._report(4)
+        assert report.failures == 4
+        self._assert_first(report, 0, "conjugate_closure")
+
+    def test_boundary_binomial_fires(self, monkeypatch):
+        # only every 5th P0 case (index 1, 11, ...) sits on the boundary
+        monkeypatch.setattr(campaigns, "_is_binomial_spectrum", lambda values: False)
+        report = self._report(12)
+        assert (report.passes, report.failures) == (10, 2)
+        self._assert_first(report, 1, "boundary_binomial")
+
+    def test_raising_case_is_a_failed_case_with_its_inputs(self, monkeypatch):
+        monkeypatch.setattr(campaigns, "eigen_witness", _raise_domain_error)
+        report = self._report(4)
+        assert report.failures == 4
+        self._assert_first(report, 0, "error_DomainError")

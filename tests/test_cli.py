@@ -3,11 +3,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from sectorpoly import campaigns, cli, kernels
+from sectorpoly import DomainError, campaigns, cli, kernels
 from sectorpoly.cli import main
 from sectorpoly.pmatrix import (
     DEFAULT_DIM_CAP,
@@ -196,6 +197,18 @@ class TestVerifyCommand:
         assert (code, report["status"], report["converged"]) == (0, "pass", True)
         assert min(r["re"] for r in report["roots"]) == pytest.approx(-1e20, rel=1e-12)
         assert report["min_arg_defect"] > 0
+
+    @pytest.mark.parametrize("poly", ["[1e308,2,1]", "[1,2,1e308]"])
+    def test_overflowing_residual_scale_exits_2(self, capsys, poly):
+        # 1e308 + 2t + t^2 has the roots -1 +- 1e154 i, where the residual
+        # scale overflows; 1 + 2t + 1e308 t^2 is its reversal, which the
+        # certificate solves when the direct solve overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = _run(capsys, "verify", "--poly", poly)
+        assert code == 2
+        assert json.loads(out) == {"error": "DomainError",
+                                   "message": "root residuals overflow the float64 range"}
 
     @pytest.mark.parametrize("poly", ["[1e308,1e308,1e308]", "[1e-310,1e-310,1e-310]"])
     def test_uniformly_scaled_poly_passes(self, capsys, poly):
@@ -493,6 +506,29 @@ class TestOracleCommand:
         assert code == 0
         assert out == ""
         assert json.loads(path.read_text())["failures"] == 0
+
+
+    def test_raising_case_fails_with_its_inputs(self, capsys, monkeypatch):
+        # one kellogg case raises: the report names it, and the others pass
+        args = ("oracle", "--suite", "kellogg", "--cases", "6", "--seed", "3")
+        code, out = _run(capsys, *args)
+        assert code == 0
+        rng = campaigns._case_rng(3, 2)
+        n, mseed = int(rng.integers(2, 9)), int(rng.integers(0, 2**63))
+        real = campaigns.generate_p_matrix
+
+        def raise_at_case_2(size, seed):
+            if seed == mseed:
+                raise DomainError("injected")
+            return real(size, seed)
+
+        monkeypatch.setattr(campaigns, "generate_p_matrix", raise_at_case_2)
+        code, out = _run(capsys, *args)
+        report = json.loads(out)
+        assert code == 1
+        assert (report["passes"], report["failures"]) == (5, 1)
+        assert report["failure"] == {"case": 2, "n": n, "matrix_seed": mseed,
+                                     "failed": ["error_DomainError"]}
 
 
 class TestFlagValidation:

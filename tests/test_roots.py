@@ -62,6 +62,22 @@ class TestFindRoots:
             with contextlib.suppress(DomainError):
                 find_roots([1.0, 2.0, 1e308])
 
+    def test_overflowing_residual_scale_raises(self):
+        # 1e308 + 2t + t^2 has the roots -1 +- 1e154 i: at its starts, about
+        # 1e154 e^(+-0.7i), the scale 1e308 + 2|z| + |z|^2 overflows, and
+        # |p(z)| / inf would read 0, converged after 0 sweeps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow"):
+                find_roots([1e308, 2.0, 1.0])
+
+    def test_exact_roots_keep_their_zero_residuals(self):
+        # a zero residual at a root whose scale is finite is an exact root
+        rs = find_roots([-4.0, 0.0, 1.0])
+        assert rs.converged
+        assert rs.residuals.tolist() == [0.0, 0.0]
+        np.testing.assert_array_equal(_sorted(rs.roots), [-2.0, 2.0])
+
     @pytest.mark.parametrize("c", [2.0 ** 1000, 2.0 ** -1000, 1e308, 1e-310])
     def test_uniformly_scaled_coefficients(self, c):
         # c * p has the roots of p; beyond roots.UNSCALED_MAX both ways the
