@@ -2,21 +2,13 @@
 
 Two inner loops dominate the randomized campaigns: the simultaneous
 (Aberth-Ehrlich) root iteration and the 2^n principal-minor enumeration.
-Both are numpy code, one implementation each. The iteration starts from
-Bini's Newton-polygon points (``initial_guesses``), which put every start
-near the modulus of a root, so the sweep count stays small at every degree
-and coefficient scale. ``initial_guesses`` draws its circles about 0;
-``roots.starting_points`` calls it on p(t + s) and adds s, for the root
-centroid s = -a_{n-1}/(n a_n), where |s| is at least 0.9 times the
-geometric-mean root modulus (the characteristic polynomials of P matrices,
-whose roots cluster away from 0), p(s) lies above its rounding error and
-below |p(0)|, and p(t + s) is finite. On arrays this small a sweep costs
-mostly numpy call overhead, so the common sweep runs without zero guards; a
-sweep whose new residuals read NaN or inf (a zero the guards would catch,
-or an overflow) is done again by the guarded sweep, with bit-identical
-results. The minors come from recursive Schur complements (MAT2PM), O(2^n)
-operations for all 2^n - 1 of them, with a pseudo-pivot in place of any
-pivot near zero.
+Both are numpy code, one implementation each; ``roots`` chooses the
+iteration's starts. On arrays this small a sweep costs mostly numpy call
+overhead, so the common sweep runs without zero guards; a sweep whose new
+residuals read NaN or inf (a zero the guards would catch, or an overflow) is
+done again by the guarded sweep, with bit-identical results. The minors come
+from recursive Schur complements (MAT2PM), O(2^n) operations for all
+2^n - 1 of them, with a pseudo-pivot in place of any pivot near zero.
 """
 
 from __future__ import annotations
@@ -26,17 +18,11 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
-
 # Sweeps after the residual tolerance trips. A residual at the rounding level
 # can still leave clustered roots far off: at 4 * deg * eps, the eigenvalues
 # of a clustered n = 12 characteristic polynomial ended 2.5e-3 * rho from
 # LAPACK's with no polish sweep and 4.4e-5 * rho with one.
 POLISH_SWEEPS = 1
-
-# Angular offset of the starting points (Bini's sigma): keeps the starts of
-# binomials such as t^n + c off the axes and off the roots of unity.
-_START_ROTATION = 0.7
 
 # A principal-minor pivot at or below this multiple of the max row norm gets
 # a pseudo-pivot. Dividing by a pivot p amplifies rounding by about norm/|p|.
@@ -46,70 +32,27 @@ _START_ROTATION = 0.7
 _PIVOT_FLOOR = 1e-3
 
 
-def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
-    """Starting points from the Newton polygon of the coefficients.
-
-    Following Bini (Numer. Algorithms 13, 1996), take the upper convex hull of
-    the points (i, log|a_i|) over the nonzero coefficients. A hull edge from
-    vertex a to vertex b places b - a points on the circle of radius
-    (|a_a| / |a_b|)^(1/(b-a)), the modulus the roots of a_a t^a + a_b t^b
-    share. Each circle is rotated by 2*pi*b/deg plus a fixed offset, so that
-    the circles do not line up and no start lies on an axis.
-
-    Each leading zero coefficient (a_0 = 0, a_1 = 0, ...) is an exact zero
-    root; its start is 0 itself, where p vanishes exactly. A radius beyond
-    the float64 range raises DomainError.
-    """
-    deg = coeffs.size - 1
-    nonzero = np.flatnonzero(coeffs)
-    logs = np.log(np.abs(coeffs[nonzero])).tolist()
-    hull: list[tuple[int, float]] = []
-    for point in zip(nonzero.tolist(), logs):
-        # pop the last vertex while it lies on or below the chord to `point`
-        while len(hull) >= 2:
-            (i0, y0), (i1, y1) = hull[-2], hull[-1]
-            if (i1 - i0) * (point[1] - y0) < (point[0] - i0) * (y1 - y0):
-                break
-            hull.pop()
-        hull.append(point)
-    zero_roots = hull[0][0]       # the index of the first nonzero coefficient
-    radii = [0.0] * zero_roots
-    angles = [0.0] * zero_roots
-    for (a, ya), (b, yb) in zip(hull, hull[1:]):
-        try:
-            radius = math.exp((ya - yb) / (b - a))
-        except OverflowError:
-            raise DomainError("a root modulus lies beyond the float64 range") from None
-        while radii and radii[-1] == radius:    # one circle per radius, or starts can coincide
-            del radii[-1], angles[-1]
-            a -= 1
-        count = b - a
-        offset = 2.0 * math.pi * b / deg + _START_ROTATION
-        radii += [radius] * count
-        angles += [2.0 * math.pi * m / count + offset for m in range(count)]
-    return np.asarray(radii) * np.exp(1j * np.asarray(angles))
-
-
 def aberth_iterate(coeffs, z0, max_iters, tol):
     """Simultaneous root iteration; returns (roots, residuals, iterations).
 
-    ``coeffs`` are ascending complex128 coefficients with nonzero leading
-    term; ``z0`` the initial guesses. Iterates full Jacobi sweeps until the
-    worst relative residual |p(z)| / sum|a_i||z|^i (Horner's running-error
-    bound, Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run, then
-    runs ``POLISH_SWEEPS`` more sweeps if it dropped, in which a root keeps
-    its new iterate only where its residual is no larger than before, so the
+    ``coeffs`` are ascending complex128 coefficients with nonzero constant
+    and leading terms (so the scale below is at least |a_0| > 0); ``z0`` the
+    initial guesses. Iterates full Jacobi sweeps until the worst relative
+    residual |p(z)| / sum|a_i||z|^i (Horner's running-error bound, Bini 1996)
+    drops to ``tol`` or ``max_iters`` sweeps have run, then runs
+    ``POLISH_SWEEPS`` more sweeps if it dropped, in which a root keeps its
+    new iterate only where its residual is no larger than before, so the
     polish cannot undo convergence. ``iterations`` counts the sweeps before
     the polish.
 
     Each sweep and the evaluation after it first run unguarded, as a few
     ufunc calls on buffers allocated once per call. Every zero that the
-    guarded code catches (coincident iterates, p' = 0, 1 - w*s = 0, and
-    z = 0 = a_0) leaves a NaN or inf among the new residuals, as does an
-    overflow. Only then is the step done again, from the same (z, p, p'),
-    by the guarded sweep and residual. Where no guard fires, both do the same
-    arithmetic in the same order, so the results are bit for bit those of
-    the guarded code alone. A redone step counts as one sweep.
+    guarded sweep catches (coincident iterates, p' = 0 and 1 - w*s = 0)
+    leaves a NaN or inf among the new residuals, as does an overflow. Only
+    then is the sweep done again, from the same (z, p, p'), guarded. Where no
+    guard fires, both do the same arithmetic in the same order, so the
+    results are bit for bit those of the guarded sweep alone. A redone step
+    counts as one sweep.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1
@@ -129,12 +72,6 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         values = powers.dot(pair)
         p, dp = values[:, 0], values[:, 1]     # unpacking values.T iterates: slower
         return p, dp, np.abs(p) / np.abs(powers, out=abs_powers).dot(abs_coeffs)
-
-    def _guarded_residual(p):
-        # the residual of the last _eval, whose powers are still in place
-        scale = np.abs(powers, out=abs_powers).dot(abs_coeffs)
-        # scale 0 means z = 0 and a_0 = 0, an exact root: its residual reads 0
-        return np.abs(p) / (scale if scale.all() else np.where(scale == 0, 1.0, scale))
 
     def _sweep(zz, p, dp):
         np.subtract(zz[:, None], zz, out=diff)
@@ -166,8 +103,7 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         worst = np.maximum.reduce(resid)
         if not math.isfinite(worst):      # NaN or inf: a guard case or overflow
             znew = _guarded_sweep(zz, p, dp)
-            p_new, dp_new, _ = _eval(znew)
-            resid = _guarded_residual(p_new)
+            p_new, dp_new, resid = _eval(znew)
             worst = np.maximum.reduce(resid)
         return znew, p_new, dp_new, resid, worst
 
@@ -179,9 +115,6 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
         pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
         p, dp, resid = _eval(z)
         worst = np.maximum.reduce(resid)
-        if not math.isfinite(worst):
-            resid = _guarded_residual(p)
-            worst = np.maximum.reduce(resid)
         iters = 0
         while iters < max_iters and worst > tol:
             z, p, dp, resid, worst = _step(z, p, dp)

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sectorpoly import DomainError, campaigns, cli, kernels
+from sectorpoly import DomainError, campaigns, cli, kernels, roots
 from sectorpoly.cli import main
 from sectorpoly.pmatrix import (
     DEFAULT_DIM_CAP,
@@ -187,6 +187,18 @@ class TestVerifyCommand:
         code, out = _run(capsys, "verify", "--poly", "[1,1e10,1e-300]")
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("degree", [roots.MAX_SOLVE_DEGREE + 1, 500])
+    def test_degree_above_the_solver_limit_exits_2(self, capsys, degree):
+        # at degree 500 an Aberth iterate can overflow its powers, though
+        # every root of this polynomial lies in 0.53 .. 1.39
+        poly = json.dumps(np.random.default_rng(1).uniform(0.1, 1.0, degree + 1).tolist())
+        code = main(["verify", "--poly", poly])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        assert json.loads(captured.out) == {
+            "error": "DomainError",
+            "message": f"degree {degree} is above MAX_SOLVE_DEGREE = {roots.MAX_SOLVE_DEGREE}"}
 
     def test_roots_beyond_the_solver_reach_are_certified(self, capsys):
         # t^20 + 1e20 t^19 + 1 overflows the solver's powers, but not those

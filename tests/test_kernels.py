@@ -1,4 +1,3 @@
-import math
 from itertools import combinations
 
 import mpmath
@@ -7,79 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectorpoly import DomainError, campaigns, find_roots, kernels
-
-
-class TestInitialGuesses:
-    def test_two_term_radius(self):
-        # hull edge 0 -> 2: radius (6/2)^(1/2)
-        c = np.array([6.0, 0.0, 2.0], dtype=np.complex128)
-        z0 = kernels.initial_guesses(c)
-        np.testing.assert_allclose(np.abs(z0), math.sqrt(3.0), rtol=1e-12)
-        assert len(z0) == 2
-
-    def test_radius_follows_coefficient_scale(self):
-        c = np.zeros(13, dtype=np.complex128)
-        c[0], c[12] = 1e12, 1.0
-        z0 = kernels.initial_guesses(c)
-        np.testing.assert_allclose(np.abs(z0), 10.0, rtol=1e-12)
-        assert len(z0) == 12
-
-    def test_one_radius_per_hull_edge(self):
-        # 1 + 1e6 t^2 + t^5: hull (0,0) -> (2,log 1e6) -> (5,0), with the
-        # interior zeros a_1, a_3, a_4 left out
-        c = np.array([1.0, 0.0, 1e6, 0.0, 0.0, 1.0], dtype=np.complex128)
-        z0 = kernels.initial_guesses(c)
-        np.testing.assert_allclose(np.sort(np.abs(z0)), [1e-3] * 2 + [100.0] * 3, rtol=1e-12)
-
-    def test_points_below_the_hull_add_no_radius(self):
-        # a_1 = 1 lies below the chord from (0, log 4) to (2, 0)
-        c = np.array([4.0, 1.0, 1.0], dtype=np.complex128)
-        np.testing.assert_allclose(np.abs(kernels.initial_guesses(c)), 2.0, rtol=1e-12)
-
-    def test_zero_constant_term_gives_exact_zero_roots(self):
-        c = np.array([0.0, 0.0, 2.0, 3.0, 1.0], dtype=np.complex128)   # t^2 (t+1)(t+2)
-        z0 = kernels.initial_guesses(c)
-        assert len(z0) == 4 and np.all(np.isfinite(z0))
-        rs = find_roots(c.real)
-        assert rs.converged
-        assert np.count_nonzero(rs.roots == 0) == 2
-        np.testing.assert_allclose(np.sort_complex(rs.roots[rs.roots != 0]), [-2.0, -1.0],
-                                   atol=1e-12)
-
-    def test_edges_of_one_radius_share_one_circle(self):
-        # q(1e8 t) for q = 487.6875 (1 + t^3 + t^5) + t^6: the vertex at t^3
-        # survives the hull only by rounding of the logs, its two edges give
-        # the radius 1e-8 exactly, and their circles shared a start, so the
-        # solver returned one root twice and lost its conjugate
-        c = np.array([487.6875, 0, 0, 487.6875, 0, 487.6875, 1.0]) * 1e8 ** np.arange(7)
-        z0 = kernels.initial_guesses(c.astype(np.complex128))
-        assert len(set(z0.tolist())) == 6
-        np.testing.assert_allclose(np.abs(z0[:5]), np.abs(z0[0]), rtol=1e-15)
-        rs = find_roots(c)
-        assert rs.converged
-        expected = np.roots(c[::-1])
-        gaps = np.abs(rs.roots[:, None] - expected).min(axis=0)
-        assert np.all(gaps <= 1e-9 * np.abs(expected))
-
-    def test_radius_beyond_float64_raises(self):
-        # 1 + 1e10 t + 1e-300 t^2: the hull edge from t to t^2 has the radius
-        # 1e310, whose exp overflows
-        c = np.array([1.0, 1e10, 1e-300], dtype=np.complex128)
-        with pytest.raises(DomainError, match="float64"):
-            kernels.initial_guesses(c)
-
-    def test_offbeat_rotation_breaks_axis_symmetry(self):
-        c = np.array([1.0, 0.0, 1.0], dtype=np.complex128)
-        z0 = kernels.initial_guesses(c)
-        assert np.all(np.abs(z0.real) > 1e-3)
-        assert np.all(np.abs(z0.imag) > 1e-3)
+from sectorpoly import campaigns, kernels, roots
 
 
 class TestNumpyPath:
     def test_solves_quadratic(self):
         c = np.array([1.0, 0.0, 1.0], dtype=np.complex128)
-        z, resid, iters = kernels.aberth_iterate(c, kernels.initial_guesses(c), 500, 1e-12)
+        z, resid, iters = kernels.aberth_iterate(c, roots.initial_guesses(c), 500, 1e-12)
         np.testing.assert_allclose(np.sort_complex(z), [-1j, 1j], atol=1e-10)
         assert float(np.max(resid)) <= 1e-12
 
@@ -199,13 +132,6 @@ class TestAberthMatchesGuardedReference:
         for call in calls:
             _assert_same_bits(*call)
 
-    @pytest.mark.parametrize("coeffs", [[0, 0, 1], [0, 0, 1, 1]])
-    def test_zero_starts(self, coeffs):
-        # the starts at 0 coincide, and there z = 0 = a_0 makes the scale 0
-        c = np.asarray(coeffs, dtype=np.complex128)
-        _, resid = _assert_same_bits(c, kernels.initial_guesses(c), 500, _tol(c.size - 1))
-        assert float(np.max(resid)) <= _tol(c.size - 1)
-
     @pytest.mark.parametrize("coeffs, z0, stalls", [
         ([1, 0, 1], [0, 2j], False),          # p'(0) = 0
         ([3, 0, 1], [1, -1], True),           # 1 - w * s = 0 on both iterates
@@ -221,7 +147,7 @@ class TestAberthMatchesGuardedReference:
         # overflow, so the residuals stay non-finite after the redo
         c = np.zeros(21, dtype=np.complex128)
         c[0], c[19], c[20] = 1e-300, 1e20, 1.0
-        _, resid = _assert_same_bits(c, kernels.initial_guesses(c), 500, _tol(20))
+        _, resid = _assert_same_bits(c, roots.initial_guesses(c), 500, _tol(20))
         assert not np.isfinite(resid).all()
 
 

@@ -228,6 +228,13 @@ class TestCharAndAuxPoly:
         rs = eigenvalues(principal_minors(np.eye(13), cap=13))
         assert rs.converged and len(rs.roots) == 13
 
+    def test_singular_matrix_has_an_exact_zero_eigenvalue(self):
+        # det [[1, 1], [1, 1]] = 0 exactly: the characteristic polynomial is
+        # t (t - 2), whose zero root find_roots returns exactly
+        rs = eigenvalues(principal_minors([[1.0, 1.0], [1.0, 1.0]]))
+        assert rs.converged and 0j in rs.roots.tolist()
+        np.testing.assert_allclose(np.sort_complex(rs.roots), [0.0, 2.0], rtol=0, atol=1e-15)
+
     def test_complex_char_poly_rejected(self):
         with pytest.raises(ComplexCharPoly):
             principal_minors([[1j]]).char_poly()

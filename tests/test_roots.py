@@ -162,6 +162,119 @@ class TestFindRoots:
                 assert is_conjugate_closed(rs.roots, tol=1e-8)
 
 
+def _kernel_calls(monkeypatch):
+    """The coefficients of every later kernel.aberth_iterate call."""
+    calls = []
+    iterate = kernels.aberth_iterate
+    monkeypatch.setattr(kernels, "aberth_iterate",
+                        lambda c, *rest: calls.append(np.array(c)) or iterate(c, *rest))
+    return calls
+
+
+class TestZeroRoots:
+    Q = [2.0, 3.0, 1.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_roots_are_exact_and_the_rest_solves_q(self, monkeypatch, k):
+        # t^k q: k exact zeros, then find_roots(q) bit for bit, and the
+        # kernel never sees a zero constant term
+        calls = _kernel_calls(monkeypatch)
+        rs, base = find_roots([0.0] * k + self.Q), find_roots(self.Q)
+        assert rs.roots[:k].tolist() == [0j] * k
+        assert rs.residuals[:k].tolist() == [0.0] * k
+        assert rs.roots[k:].tobytes() == base.roots.tobytes()
+        assert rs.residuals[k:].tobytes() == base.residuals.tobytes()
+        assert (rs.converged, rs.iterations) == (base.converged, base.iterations)
+        assert len(calls) == 2 and all(c[0] != 0 for c in calls)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_monomial_needs_no_solve(self, monkeypatch, k):
+        calls = _kernel_calls(monkeypatch)
+        rs = find_roots([0.0] * k + [3.0])
+        assert calls == []
+        assert rs.roots.tolist() == [0j] * k and rs.residuals.tolist() == [0.0] * k
+        assert rs.converged and rs.iterations == 0
+
+
+class TestDegreeLimit:
+    @staticmethod
+    def _poly(deg):
+        return np.random.default_rng(1).uniform(0.1, 1.0, deg + 1)
+
+    def test_solves_at_the_limit(self):
+        rs = find_roots(self._poly(roots.MAX_SOLVE_DEGREE))
+        assert rs.converged and len(rs.roots) == roots.MAX_SOLVE_DEGREE
+
+    def test_raises_above_the_limit_before_the_kernel(self, monkeypatch):
+        calls = _kernel_calls(monkeypatch)
+        with pytest.raises(DomainError, match=f"MAX_SOLVE_DEGREE = {roots.MAX_SOLVE_DEGREE}"):
+            find_roots(self._poly(roots.MAX_SOLVE_DEGREE + 1))
+        assert calls == []
+
+    def test_zero_roots_do_not_count(self):
+        # t^k q hands the kernel q alone, so only the degree of q is limited
+        p = np.concatenate((np.zeros(5), self._poly(roots.MAX_SOLVE_DEGREE)))
+        rs = find_roots(p)
+        assert rs.converged and np.count_nonzero(rs.roots == 0) == 5
+
+
+class TestInitialGuesses:
+    def test_two_term_radius(self):
+        # hull edge 0 -> 2: radius (6/2)^(1/2)
+        c = np.array([6.0, 0.0, 2.0], dtype=np.complex128)
+        z0 = roots.initial_guesses(c)
+        np.testing.assert_allclose(np.abs(z0), math.sqrt(3.0), rtol=1e-12)
+        assert len(z0) == 2
+
+    def test_radius_follows_coefficient_scale(self):
+        c = np.zeros(13, dtype=np.complex128)
+        c[0], c[12] = 1e12, 1.0
+        z0 = roots.initial_guesses(c)
+        np.testing.assert_allclose(np.abs(z0), 10.0, rtol=1e-12)
+        assert len(z0) == 12
+
+    def test_one_radius_per_hull_edge(self):
+        # 1 + 1e6 t^2 + t^5: hull (0,0) -> (2,log 1e6) -> (5,0), with the
+        # interior zeros a_1, a_3, a_4 left out
+        c = np.array([1.0, 0.0, 1e6, 0.0, 0.0, 1.0], dtype=np.complex128)
+        z0 = roots.initial_guesses(c)
+        np.testing.assert_allclose(np.sort(np.abs(z0)), [1e-3] * 2 + [100.0] * 3, rtol=1e-12)
+
+    def test_points_below_the_hull_add_no_radius(self):
+        # a_1 = 1 lies below the chord from (0, log 4) to (2, 0)
+        c = np.array([4.0, 1.0, 1.0], dtype=np.complex128)
+        np.testing.assert_allclose(np.abs(roots.initial_guesses(c)), 2.0, rtol=1e-12)
+
+    def test_edges_of_one_radius_share_one_circle(self):
+        # q(1e8 t) for q = 487.6875 (1 + t^3 + t^5) + t^6: the vertex at t^3
+        # survives the hull only by rounding of the logs, its two edges give
+        # the radius 1e-8 exactly, and their circles shared a start, so the
+        # solver returned one root twice and lost its conjugate
+        c = np.array([487.6875, 0, 0, 487.6875, 0, 487.6875, 1.0]) * 1e8 ** np.arange(7)
+        z0 = roots.initial_guesses(c.astype(np.complex128))
+        assert len(set(z0.tolist())) == 6
+        np.testing.assert_allclose(np.abs(z0[:5]), np.abs(z0[0]), rtol=1e-15)
+        rs = find_roots(c)
+        assert rs.converged
+        expected = np.roots(c[::-1])
+        gaps = np.abs(rs.roots[:, None] - expected).min(axis=0)
+        assert np.all(gaps <= 1e-9 * np.abs(expected))
+
+    def test_radius_beyond_float64_raises(self):
+        # 1 + 1e10 t + 1e-300 t^2: the hull edge from t to t^2 has the radius
+        # 1e310, whose exp overflows
+        c = np.array([1.0, 1e10, 1e-300], dtype=np.complex128)
+        with pytest.raises(DomainError, match="float64"):
+            roots.initial_guesses(c)
+
+    def test_offbeat_rotation_breaks_axis_symmetry(self):
+        c = np.array([1.0, 0.0, 1.0], dtype=np.complex128)
+        z0 = roots.initial_guesses(c)
+        assert np.all(np.abs(z0.real) > 1e-3)
+        assert np.all(np.abs(z0.imag) > 1e-3)
+
+
+
 def _starts(p):
     return roots.starting_points(p, 4 * (len(p) - 1) * np.finfo(np.float64).eps)
 
@@ -182,18 +295,17 @@ class TestStartingPoints:
         [1.0, 1.0, 1.0],                # centroid -1/2, geometric mean 1
         [2.0, 3.0, 1.0, 4.0, 1.0],      # centroid -1, geometric mean 2^(1/4)
         [1.0, 0.0, 0.0, 1.0],           # centroid 0
-        [0.0, 0.0, 2.0, 3.0, 1.0],      # a_0 = 0
         [3.0, 1.0],                     # degree 1
     ])
     def test_roots_about_zero_keep_the_polygon_about_zero(self, p):
         c = np.array(p, dtype=np.complex128)
-        np.testing.assert_array_equal(_starts(c.real), kernels.initial_guesses(c))
+        np.testing.assert_array_equal(_starts(c.real), roots.initial_guesses(c))
 
     def test_centroid_on_a_root_keeps_the_polygon_about_zero(self):
         # (t+2)(t+3)(t+4): the centroid -3 is a root, so p(t - 3) has the
         # constant term 0 and the polygon about -3 would start a root there
         p = np.array([24.0, 26.0, 9.0, 1.0])
-        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        np.testing.assert_array_equal(_starts(p), roots.initial_guesses(p))
         rs = find_roots(p)
         assert rs.converged
         assert len(set(rs.roots.tolist())) == 3
@@ -205,7 +317,7 @@ class TestStartingPoints:
         # polish sweep left them unconverged
         p = np.array([-1344.7733049288063, 1591.8028228948522, -753.6842707145682,
                       178.42661476876273, -21.120287363613713, 1.0])
-        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        np.testing.assert_array_equal(_starts(p), roots.initial_guesses(p))
         rs = find_roots(p)
         assert rs.converged and rs.iterations > 0
         np.testing.assert_allclose(np.abs(rs.roots - 4.2238), 0.0, atol=1e-2)
@@ -214,7 +326,7 @@ class TestStartingPoints:
         # (t+20)(t-1)(t-2): |s| = 17/3 passes the ratio to the geometric mean
         # 40^(1/3), but |p(s)| = 733 > |p(0)| = 40: the roots lie nearer 0
         p = np.array([40.0, -58.0, 17.0, 1.0])
-        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        np.testing.assert_array_equal(_starts(p), roots.initial_guesses(p))
         rs = find_roots(p)
         assert rs.converged
         np.testing.assert_allclose(np.sort_complex(rs.roots), [-20.0, 1.0, 2.0], atol=1e-12)
@@ -224,7 +336,7 @@ class TestStartingPoints:
         # overflows; a RuntimeWarning fails the run
         p = np.array([1e-300, -1e160, 5e9])
         assert not np.isfinite(roots._taylor_shift(p.tolist(), 1e150)).all()
-        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        np.testing.assert_array_equal(_starts(p), roots.initial_guesses(p))
 
     def test_any_non_finite_shifted_coefficient_keeps_the_polygon_about_zero(self, monkeypatch):
         # a finite p(s) does not bound the other coefficients of p(t + s)
@@ -233,7 +345,7 @@ class TestStartingPoints:
         shift = roots._taylor_shift
         monkeypatch.setattr(roots, "_taylor_shift",
                             lambda a, s: shift(a, s)[:1] + [math.inf] + shift(a, s)[2:])
-        np.testing.assert_array_equal(_starts(p), kernels.initial_guesses(p))
+        np.testing.assert_array_equal(_starts(p), roots.initial_guesses(p))
 
     @pytest.mark.parametrize("suite, cases", [("cot", 300), ("kellogg", 200)])
     def test_starts_match_the_shift_first_rule(self, monkeypatch, suite, cases):
@@ -252,7 +364,7 @@ class TestStartingPoints:
         for p, tol in calls:
             new, old = real(p, tol), _shift_first_starts(p, tol)
             assert new.tobytes() == old.tobytes(), p
-            shifted += not np.array_equal(old, kernels.initial_guesses(p))
+            shifted += not np.array_equal(old, roots.initial_guesses(p))
         assert len(calls) >= cases and shifted > 0
 
 
@@ -269,8 +381,8 @@ def _shift_first_starts(p, tol):
             for x in reversed(a):
                 scale = scale * abs(s) + abs(x)
             if tol * scale < abs(b[0]) < abs(a[0]) and all(map(math.isfinite, b)):
-                return kernels.initial_guesses(np.array(b)) + s
-    return kernels.initial_guesses(p)
+                return roots.initial_guesses(np.array(b)) + s
+    return roots.initial_guesses(p)
 
 
 class TestReconstruction:
