@@ -35,11 +35,11 @@ _PIVOT_FLOOR = 1e-3
 def aberth_iterate(coeffs, z0, max_iters, tol):
     """Simultaneous root iteration; returns (roots, residuals, iterations).
 
-    ``coeffs`` are ascending complex128 coefficients with nonzero constant
-    and leading terms (so the scale below is at least |a_0| > 0); ``z0`` the
-    initial guesses. Iterates full Jacobi sweeps until the worst relative
-    residual |p(z)| / sum|a_i||z|^i (Horner's running-error bound, Bini 1996)
-    drops to ``tol`` or ``max_iters`` sweeps have run, then runs
+    ``coeffs`` are ascending coefficients, real or complex, with nonzero
+    constant and leading terms (so the scale below is at least |a_0| > 0);
+    ``z0`` the initial guesses. Iterates full Jacobi sweeps until the worst
+    relative residual |p(z)| / sum|a_i||z|^i (Horner's running-error bound,
+    Bini 1996) drops to ``tol`` or ``max_iters`` sweeps have run, then runs
     ``POLISH_SWEEPS`` more sweeps if it dropped, in which a root keeps its
     new iterate only where its residual is no larger than before, so the
     polish cannot undo convergence. ``iterations`` counts the sweeps before
@@ -109,8 +109,7 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
 
     # iterates whose powers overflow leave non-finite residuals, which the
     # caller turns into DomainError; numpy need not warn on the way there,
-    # nor on the unguarded divisions by zero that send a step to the redo,
-    # nor on a coefficient i * a_i of p' beyond float64 (in_scale keeps 1e308)
+    # nor on the unguarded divisions by zero that send a step to the redo
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
         p, dp, resid = _eval(z)

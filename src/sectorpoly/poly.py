@@ -17,6 +17,13 @@ import numpy as np
 
 from .errors import DomainError
 
+# working_form leaves a polynomial of degree n as it is while every |a_i| and
+# the n-th powers of its root bounds lie within 2**-WINDOW .. 2**WINDOW. The
+# kernel multiplies each a_i by |z|^i, and by i <= 128 for p', and sums up to
+# 129 terms: at any root a term then lies within 2**-1000 .. 2**1007, and the
+# sum below 2**1015, in float64's normal range.
+WINDOW = 500
+
 
 class SignClass(enum.Enum):
     """Coefficient-sign classification of a real vector."""
@@ -71,16 +78,73 @@ def horner(coeffs, z):
     return value, scale
 
 
+def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
+    """(w, e) with w(u) = 2^-f p(2^e u) for finite ascending float64
+    coefficients ``p``: w_i = a_i 2^(i e - f) exactly, so w has the roots of
+    p divided by 2^e, with the same arguments, and w at z / 2^e has the
+    relative residual of p at z. This change of variable is the package's one
+    answer to extreme moduli: the solver, the sector certificate and the
+    residual all work on w.
+
+    Over the nonzero a_i (a_k the lowest, a_n the highest), the Newton-polygon
+    root bounds (Bini, Numer. Algorithms 13, 1996) hi = max_{i<n} (log2|a_i| -
+    log2|a_n|) / (n - i) and lo = min_{i>k} (log2|a_k| - log2|a_i|) / (i - k)
+    put every nonzero root's modulus within 2^(lo-1) .. 2^(hi+1) (Fujiwara).
+    While n (max(hi, -lo) + 1) <= WINDOW and every |log2|a_i|| <= WINDOW, the
+    answer is (p, 0), so every such input keeps its bytes. A spread
+    max|a_i| / min|a_i| within 2^(WINDOW/n - 2) implies that; it is tested
+    first, in Python scalars, at less cost than the logarithms.
+
+    Otherwise e = round((hi + lo) / 2) centres the root moduli on 1 (e = 0
+    where |hi + lo| <= 2 already), and f puts the largest |w_i| in [1/2, 1).
+    Each log2|a_i| is read as its binary exponent plus log2 of its mantissa,
+    which w shares. Where e = 0, w's bounds are then p's bit for bit;
+    elsewhere they are p's less e up to rounding, so |hi + lo| <= 2 for w.
+    Either way working_form(w) is (w, 0), in value. Root bounds beyond float64 (2^(hi+1) above
+    2^1023 or 2^(lo-1) below 2^-1074) raise DomainError, and so does a
+    nonzero w_i outside the normal range.
+    """
+    a = p.tolist()
+    mags = sorted(map(abs, a))
+    smallest = mags[mags.count(0.0)] if mags[-1] else 1.0     # 1.0 keeps the zero polynomial
+    in_window = 2.0 ** -WINDOW <= smallest and mags[-1] <= 2.0 ** WINDOW    # |log2|a_i|| <= WINDOW
+    if in_window and mags[-1] <= smallest * 2.0 ** (WINDOW / max(len(a) - 1, 1) - 2):
+        return p, 0
+    nonzero = [i for i, c in enumerate(a) if c]
+    # log2|a_i| as x + log2|m| for a_i = m 2^x, 1/2 <= |m| < 1: w shares
+    # every m, so its bounds repeat these less e
+    mants, exps = zip(*(math.frexp(a[i]) for i in nonzero))
+    logm = [math.log2(abs(m)) for m in mants]
+
+    def slope(j, l):        # (log2|a_i| - log2|a_h|) / (h - i) for i, h = nonzero[j], nonzero[l]
+        return (exps[j] - exps[l] + (logm[j] - logm[l])) / (nonzero[l] - nonzero[j])
+
+    hi = max((slope(j, -1) for j in range(len(nonzero) - 1)), default=0.0)
+    lo = min((slope(0, j) for j in range(1, len(nonzero))), default=0.0)
+    if in_window and nonzero[-1] * (max(hi, -lo) + 1) <= WINDOW:
+        return p, 0
+    if hi + 1 > 1023 or lo - 1 < -1074:
+        raise DomainError("a root modulus lies beyond the float64 range")
+    e = round((hi + lo) / 2) if abs(hi + lo) > 2 else 0
+    exps = [x + i * e for i, x in zip(nonzero, exps)]
+    if min(exps) - max(exps) < -1021:   # 2^-1022 = (1/2) 2^-1021 is the least normal
+        raise DomainError("the coefficients span more than float64 holds")
+    return np.ldexp(p, np.arange(len(a)) * e - max(exps)), e
+
+
 def relative_residual(coeffs, z) -> float:
     """|p(z)| / sum|a_i||z|^i (Horner's running-error scale); ~eps at a root.
+    Evaluated as w at z / 2^e for ``working_form`` (w, e) of the finite
+    ``coeffs``, which gives the same value wherever both stay in range.
 
-    An overflow of ``horner`` raises DomainError.
+    An overflow of ``horner`` raises DomainError, as do coefficients that
+    ``working_form`` refuses.
     """
-    z = complex(z)
-    value, scale = horner(np.asarray(coeffs).tolist(), z)
+    w, e = working_form(np.asarray(coeffs, dtype=np.float64))
+    value, scale = horner(w.tolist(), complex(z) / 2.0 ** e)    # exact while z / 2^e is normal
     value = _modulus(value)
     if not math.isfinite(value + scale):
-        raise DomainError(f"the residual at |z| = {_modulus(z)!r} overflows float64")
+        raise DomainError(f"the residual at |z| = {_modulus(complex(z))!r} overflows float64")
     return value / scale if scale else 0.0
 
 

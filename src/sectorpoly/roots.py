@@ -19,19 +19,9 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateInput, DomainError
-from .poly import canonical, horner
+from .poly import canonical, horner, working_form
 
 DEFAULT_MAX_ITERS = 500
-
-# find_roots hands the kernel the coefficients as they are while their largest
-# magnitude lies within 1 / UNSCALED_MAX .. UNSCALED_MAX, so every such
-# input keeps its bytes. The kernel multiplies each a_i by i <= deg and by
-# |z|^i and sums the terms: inside the window, a term with |z|^i anywhere in
-# 2**-500 .. 2**500 stays in float64's normal range with 2**22 to spare.
-# Outside it, a_i near the top overflow (a_i * i already at 1e308) and a_i
-# near the bottom lose digits to subnormals, so they are divided by a power
-# of two, which moves no root and no relative residual.
-UNSCALED_MAX = 2.0 ** 500
 
 # The starts are centred at the root centroid s = -a_{n-1} / (n a_n) when
 # |s| is at least this multiple of the geometric-mean root modulus
@@ -79,13 +69,15 @@ def find_roots(coeffs) -> RootSet:
     DEFAULT_MAX_ITERS sweeps (read at each call) is not an error: the
     best-effort roots are returned with ``converged=False``.
 
-    Coefficients whose largest magnitude lies beyond UNSCALED_MAX, or below
-    its reciprocal, are first divided by a power of two (``in_scale``), which
-    leaves the roots and the relative residuals as they are.
+    The iteration runs on ``poly.working_form`` (w, e) of q, whose roots u
+    are those of q over 2^e, and returns 2^e u: the same arguments and the
+    same relative residuals, and the one rule for extreme moduli. A w that
+    is its own working form (e = 0) is solved as it is.
 
     Raises DegenerateInput for degree-0 input, and DomainError for a q of
-    degree beyond MAX_SOLVE_DEGREE and for a starting radius, a residual or
-    a residual's scale that overflows.
+    degree beyond MAX_SOLVE_DEGREE, for root bounds beyond float64 or
+    coefficients that no working form holds (``working_form``), and for
+    residuals that overflow.
     """
     p = canonical(coeffs)
     if len(p) < 2:
@@ -99,25 +91,18 @@ def find_roots(coeffs) -> RootSet:
         return RootSet(roots=zeros + 0j, residuals=zeros, converged=True, iterations=0)
     if n > MAX_SOLVE_DEGREE:
         raise DomainError(f"degree {n} is above MAX_SOLVE_DEGREE = {MAX_SOLVE_DEGREE}")
-    q = in_scale(p[k:])
-    c = q.astype(np.complex128)
+    w, e = working_form(p[k:])
     # the powers-and-dot evaluation errs by at most about 1.6 * deg * eps
     # times the residual's scale, so this level is reachable at every degree
     tol = 4 * n * np.finfo(np.float64).eps
-    z0 = starting_points(q, tol)
-    roots, residuals, iters = kernels.aberth_iterate(c, z0, DEFAULT_MAX_ITERS, tol)
+    z0 = starting_points(w, tol)
+    roots, residuals, iters = kernels.aberth_iterate(w, z0, DEFAULT_MAX_ITERS, tol)
     worst = float(residuals.max())      # NaN if any residual is NaN
-    overflow = not math.isfinite(worst)
-    if not (overflow or residuals.all()):
-        # a residual reads 0 at an exact root, but also where its scale
-        # sum|a_i||z|^i overflows (|p(z)| / inf), as at the starts of
-        # 1e308 + 2t + t^2; the scale is largest at the largest root
-        overflow = math.isinf(horner(q.tolist(), float(np.abs(roots).max()))[1])
-    if overflow:
+    if not math.isfinite(worst):
         raise DomainError("root residuals overflow the float64 range")
-    if k:
-        roots = np.concatenate((zeros, roots))
-        residuals = np.concatenate((zeros, residuals))
+    # the k zeros, then 2^e u, exact: working_form bounds the roots within float64
+    roots = np.concatenate((zeros, roots * 2.0 ** e))
+    residuals = np.concatenate((zeros, residuals))
     return RootSet(
         roots=roots,
         residuals=residuals,
@@ -167,8 +152,10 @@ def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
     vertex a to vertex b places b - a points on the circle of radius
     (|a_a| / |a_b|)^(1/(b-a)), the modulus the roots of a_a t^a + a_b t^b
     share. Each circle is rotated by 2*pi*b/deg plus a fixed offset, so that
-    the circles do not line up and no start lies on an axis. A radius beyond
-    the float64 range raises DomainError.
+    the circles do not line up and no start lies on an axis. For a working
+    form (``poly.working_form``) no radius leaves float64: about 0 the largest
+    is 2^hi, below 2^1023, and about the root centroid s, the shifted
+    coefficient of t^(n-1) is rounding noise.
     """
     deg = coeffs.size - 1
     nonzero = np.flatnonzero(coeffs)
@@ -185,10 +172,7 @@ def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
     radii: list[float] = []
     angles: list[float] = []
     for (a, ya), (b, yb) in zip(hull, hull[1:]):
-        try:
-            radius = math.exp((ya - yb) / (b - a))
-        except OverflowError:
-            raise DomainError("a root modulus lies beyond the float64 range") from None
+        radius = math.exp((ya - yb) / (b - a))
         while radii and radii[-1] == radius:    # one circle per radius, or starts can coincide
             del radii[-1], angles[-1]
             a -= 1
@@ -208,22 +192,6 @@ def _taylor_shift(a: list, s: float) -> list:
         for j in range(n - 1, i - 1, -1):
             b[j] += s * b[j + 1]
     return b
-
-
-def in_scale(p: np.ndarray) -> np.ndarray:
-    """``p`` itself while its largest magnitude lies within 1 / UNSCALED_MAX
-    .. UNSCALED_MAX, else ``p`` divided by the power of two just above it,
-    which has exactly the same roots. Where that division would leave a
-    nonzero coefficient subnormal or 0 (a spread beyond 2**1021, as in
-    1e-200 + t + 1e200 t^2), ``p`` stays as it is: a flushed a_0 would be a
-    zero root that p does not have."""
-    largest = np.abs(p).max()
-    if 1.0 / UNSCALED_MAX <= largest <= UNSCALED_MAX:
-        return p
-    scaled = np.ldexp(p, -math.frexp(largest)[1])
-    if np.abs(scaled[p != 0]).min() < np.finfo(np.float64).tiny:
-        return p
-    return scaled
 
 
 def sector_defect(arguments, n: int) -> float:

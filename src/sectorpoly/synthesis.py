@@ -41,8 +41,9 @@ from .poly import (
     degree,
     principal_arg,
     relative_residual,
+    working_form,
 )
-from .roots import find_roots, in_scale, sector_defect
+from .roots import find_roots, sector_defect
 
 ANGLE_TOL = 1e-13
 # numpy counts an array's bytes in intp; n + 1 float64 coefficients must fit
@@ -305,11 +306,14 @@ def verify_cot(q) -> CotReport:
     """Certify the forward sector bound on a nonnegative-coefficient polynomial.
 
     Every root of such a polynomial of degree n with a_0 != 0 has |arg| >=
-    pi/n, with equality only for binomials. "pass" needs a converged solve
-    and a binomial (every n = 1 polynomial is one) or ``_disks_avoid_sector``
-    (on the reversed polynomial, roots 1/z, where the solver's powers
-    overflow); anything else is "inconclusive": no accepted input can fail.
-    A negative coefficient, however small, raises PreconditionError.
+    pi/n, with equality only for binomials. The solve and the certificate
+    work on ``working_form`` (w, e) of q: find_roots solves w as it is, and
+    the disks are drawn about its roots u, in the frame the kernel solved
+    in; their arguments are those of the reported roots 2^e u. "pass" needs
+    a converged solve and a binomial (every n = 1 polynomial is one) or
+    ``_disks_avoid_sector``; anything else is "inconclusive": no accepted
+    input can fail. A negative coefficient, however small, raises
+    PreconditionError.
 
     The bookkeeping around the solve (the binomial test, the root arguments
     and the defect) reads Python scalars from ``q.tolist()`` and
@@ -325,29 +329,17 @@ def verify_cot(q) -> CotReport:
     if classify_signs(q) is SignClass.MIXED:
         raise PreconditionError("coefficients must be nonnegative")
 
-    try:
-        solved, rs = q, find_roots(q)
-        roots = rs.roots
-    except DomainError:     # powers of roots beyond 1 overflow: the reversed
-        solved = q[::-1]    # polynomial has the roots 1/z, in the same sectors
-        rs = find_roots(solved)
-        # 1/subnormal reads inf or nan, and 1/0 (a root that underflowed) inf
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            roots = 1 / rs.roots
-        if not np.isfinite(roots).all():
-            raise DomainError("a root lies beyond the float64 range")
-    args = [principal_arg(z) for z in roots.tolist()]
+    w, e = working_form(q)
+    rs = find_roots(w)      # w is its own working form: the roots u = z / 2^e
+    args = [principal_arg(u) for u in rs.roots.tolist()]      # arg 2^e u = arg u
     binomial = len(c) - c.count(0.0) == 2
-    # the disks scale with the coefficients; at find_roots's scale their
-    # Horner sums stay in range
-    passed = rs.converged and (
-        binomial or _disks_avoid_sector(in_scale(solved), rs.roots, args))
+    passed = rs.converged and (binomial or _disks_avoid_sector(w, rs.roots, args))
     return CotReport(
         status="pass" if passed else "inconclusive",
         degree=n,
         binomial=binomial,
         min_defect=sector_defect(args, n),
-        roots=roots,
+        roots=rs.roots * 2.0 ** e,
         arguments=np.array(args),
         converged=rs.converged,
     )
@@ -359,14 +351,14 @@ def _disks_avoid_sector(q: np.ndarray, z: np.ndarray, args: list) -> bool:
     q(z_i) / (a_n prod_{j!=i} (z_i - z_j)) they hold every root (Braess &
     Hadeler, Numer. Math. 21, 1973; Bini & Fiorentino, Numer. Algorithms 23,
     2000). A disk does when |arg z_i| >= pi/n and its radius is below |z_i|
-    sin(min(|arg z_i| - pi/n, pi/2)); ``args`` hold arg z_i, or arg 1/z_i.
+    sin(min(|arg z_i| - pi/n, pi/2)); ``args`` hold arg z_i.
 
     The radius bounds the true one: Horner's fl q(z_i) errs by at most
     (1 + sqrt(5)) u mu_i, u = eps/2, mu_i = sum_k |z_i|^k |y_k| over its partial
     sums y_k (Higham, Accuracy and Stability, 5.1; sqrt(5) u per complex product:
     Brent, Percival & Zimmermann, Math. Comp. 76, 2007), so |fl q(z_i)| + 2 eps
     mu_i bounds |q(z_i)|; 1 + 8n eps covers the other relative roundings, 6 eps
-    those of the arguments, 1/z_i and pi/n. a_n |z_i| prod |z_i - z_j| is formed
+    those of the arguments and pi/n. a_n |z_i| prod |z_i - z_j| is formed
     from a_n on, in float64 at every scale. Overflow or coincident iterates fail.
     """
     n = z.size

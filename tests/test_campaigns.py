@@ -286,3 +286,78 @@ class TestWitnessFailures:
         report = self._report(4)
         assert report.failures == 4
         self._assert_first(report, 0, "error_DomainError")
+
+
+def _record_working_forms(monkeypatch):
+    """(p, w, e) of every later working_form call, by whichever module."""
+    from sectorpoly import poly, roots, synthesis
+
+    calls = []
+    real = poly.working_form
+
+    def recorded(p):
+        w, e = real(p)
+        calls.append((p, w, e))
+        return w, e
+
+    for module in (poly, roots, synthesis):
+        monkeypatch.setattr(module, "working_form", recorded)
+    return calls
+
+
+def _solves(monkeypatch):
+    """A counter of later kernel solves."""
+    count = [0]
+    iterate = kernels.aberth_iterate
+
+    def counted(*args):
+        count[0] += 1
+        return iterate(*args)
+
+    monkeypatch.setattr(kernels, "aberth_iterate", counted)
+    return count
+
+
+def test_seeded_campaigns_solve_their_inputs_as_they_are(monkeypatch):
+    # every solve, residual and certificate of a 200-case seed-5 run of each
+    # suite works on its input: the working form changes no seeded byte
+    calls = _record_working_forms(monkeypatch)
+    solves = _solves(monkeypatch)
+    for suite in campaigns.SUITE_NAMES:
+        assert run_suite(suite, 200, 5).failures == 0
+    assert solves[0] > 0 and len(calls) > solves[0]
+    assert all(w is p and e == 0 for p, w, e in calls)
+
+
+def test_cli_calls_solve_their_inputs_as_they_are(monkeypatch, tmp_path, capsys):
+    # the CLI calls that CI repeats byte for byte, the classify inputs with a
+    # zero pivot and a scaled P matrix, and a near-boundary synthesis
+    import json
+
+    from sectorpoly import cli
+    from sectorpoly.pmatrix import generate_p_matrix
+
+    a = np.random.default_rng(12).uniform(-1.0, 1.0, (12, 12))
+    a[0, 0] = 0.0
+    matrices = {
+        "matrix6": np.random.default_rng(12).uniform(-1.0, 1.0, (6, 6)),
+        "singular": np.ones((2, 2)),
+        "zero_pivot": a,
+        "scaled_p": 10 * generate_p_matrix(12, 1),
+    }
+    for name, m in matrices.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": len(m), "rows": m.tolist()}))
+    calls = _record_working_forms(monkeypatch)
+    solves = _solves(monkeypatch)
+    argvs = [
+        ["verify", "--poly", "[1,2,3,1]"],
+        ["synthesize", "--r", "2", "--alpha", "1.2", "--n", "5", "--mode", "nonneg", "--j", "2"],
+        ["synthesize", "--r", "1", "--alpha", "1.0471975511", "--n", "5", "--mode", "nonneg"],
+        ["region", "--n", "4", "--mode", "P", "--samples", "90"],
+        ["region", "--n", "5", "--mode", "P0", "--samples", "720", "--format", "json"],
+    ] + [["classify", "--matrix", str(tmp_path / f"{name}.json")] for name in matrices]
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert solves[0] == 5       # one verify and four classify solves
+    assert all(w is p and e == 0 for p, w, e in calls)

@@ -117,13 +117,25 @@ class TestSynthesizeCommand:
         ("inf", "3", "nonneg"),
         ("1e30", "12", "positive"),     # r^n overflows
         ("1e-200", "12", "positive"),   # r^n underflows to 0
-        ("4.6e25", "12", "positive"),   # r^n fits, sum|a_i| r^i overflows
     ])
     def test_modulus_out_of_range_exits_2(self, capsys, r, n, mode):
         code, out = _run(capsys, "synthesize", "--r", r, "--alpha", "2",
                          "--n", n, "--mode", mode)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    def test_residual_at_an_extreme_modulus_is_ok(self, capsys):
+        # |mu|^12 = 9e305 fits, but sum|a_i| |mu|^i of the coefficients as
+        # given overflowed; that of the working form at mu / 2^e does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synthesize", "--r", "4.6e25", "--alpha", "2", "--n", "12",
+                         "--mode", "positive"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        report = json.loads(captured.out)
+        assert report["residual_ok"] is True
+        assert report["residual"] <= 1e-15
 
     def test_underflowing_constant_term_exits_2(self, capsys):
         # r^3 = 1e-321 is in range, but a_0 = (sin 2a / sin a) r^3 underflows to 0
@@ -172,18 +184,16 @@ class TestVerifyCommand:
         assert json.loads(out)["error"] == "DomainError"
 
     def test_overflowing_residual_exits_2(self, capsys):
-        # t^20 + 1e20 t^19 + 1e-300: the powers of the root near -1e20
-        # overflow, and so do those of the reversed polynomial's root 1/z
-        # near -1e17
+        # t^20 + 1e20 t^19 + 1e-300: roots near -1e20 and 19 of modulus
+        # 1.6e-17, a spread that no working form holds (w_0 = 2^-1158)
         poly = json.dumps([1e-300] + [0.0] * 18 + [1e20, 1.0])
         code, out = _run(capsys, "verify", "--poly", poly)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
     def test_root_beyond_float64_exits_2(self, capsys):
-        # 1 + 1e10 t + 1e-300 t^2 has a root near -1e310: its start radius
-        # overflows, and the reversed polynomial's root 1/z near -1e-310 is
-        # subnormal, so its reciprocal overflows too
+        # 1 + 1e10 t + 1e-300 t^2 has a root near -1e310, beyond its root
+        # bound's float64 limit
         code, out = _run(capsys, "verify", "--poly", "[1,1e10,1e-300]")
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
@@ -201,8 +211,8 @@ class TestVerifyCommand:
             "message": f"degree {degree} is above MAX_SOLVE_DEGREE = {roots.MAX_SOLVE_DEGREE}"}
 
     def test_roots_beyond_the_solver_reach_are_certified(self, capsys):
-        # t^20 + 1e20 t^19 + 1 overflows the solver's powers, but not those
-        # of the reversed polynomial, whose roots are the reciprocals
+        # t^20 + 1e20 t^19 + 1 overflows the solver's powers of the root near
+        # -1e20, but not those of its working form's roots
         poly = json.dumps([1.0] + [0.0] * 18 + [1e20, 1.0])
         code, out = _run(capsys, "verify", "--poly", poly)
         report = json.loads(out)
@@ -210,17 +220,48 @@ class TestVerifyCommand:
         assert min(r["re"] for r in report["roots"]) == pytest.approx(-1e20, rel=1e-12)
         assert report["min_arg_defect"] > 0
 
-    @pytest.mark.parametrize("poly", ["[1e308,2,1]", "[1,2,1e308]"])
-    def test_overflowing_residual_scale_exits_2(self, capsys, poly):
+    @pytest.mark.parametrize("poly, expected", [
+        ("[1e308,2,1]", [complex(-1.0, 1e154), complex(-1.0, -1e154)]),
+        ("[1,2,1e308]", [complex(-1e-308, 1e-154), complex(-1e-308, -1e-154)]),
+    ])
+    def test_quadratics_at_the_float64_edge_converge(self, capsys, poly, expected):
         # 1e308 + 2t + t^2 has the roots -1 +- 1e154 i, where the residual
-        # scale overflows; 1 + 2t + 1e308 t^2 is its reversal, which the
-        # certificate solves when the direct solve overflows
+        # scale of the coefficients as given overflows; 1 + 2t + 1e308 t^2
+        # is its reversal. Both converge in their working forms and stay
+        # inconclusive: their root arguments are +-pi/2 in float64, where the
+        # disks cannot clear the sector
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = _run(capsys, "verify", "--poly", poly)
-        assert code == 2
-        assert json.loads(out) == {"error": "DomainError",
-                                   "message": "root residuals overflow the float64 range"}
+            code = main(["verify", "--poly", poly])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        report = json.loads(captured.out)
+        assert (report["status"], report["converged"]) == ("inconclusive", True)
+        got = [complex(r["re"], r["im"]) for r in report["roots"]]
+        for z in expected:
+            assert min(abs(g - z) for g in got) <= 1e-15 * abs(z)
+
+    @pytest.mark.parametrize("poly, expected", [
+        ("[1e-200,1,1e200]", [complex(-0.5, s * 3 ** 0.5 / 2) / 1e200 for s in (1, -1)]),
+        ("[1e200,1,1e-200]", [complex(-0.5, s * 3 ** 0.5 / 2) * 1e200 for s in (1, -1)]),
+        ("[1,1e200,1e308]", [-1e-108, -1e-200]),
+        ("[1e-320,0,1]", [1j * math.sqrt(1e-320), -1j * math.sqrt(1e-320)]),
+    ])
+    def test_extreme_moduli_pass(self, capsys, poly, expected):
+        # every root is a normal float, but the kernel's powers of them leave
+        # float64 (|z|^2 of +-1e-160 i is subnormal): the working form's do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--poly", poly])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        report = json.loads(captured.out)
+        assert (report["status"], report["converged"]) == ("pass", True)
+        got = [complex(r["re"], r["im"]) for r in report["roots"]]
+        for z in expected:
+            assert min(abs(g - z) for g in got) <= 1e-14 * abs(z)
+        if poly == "[1e-320,0,1]":      # a binomial: the arguments are exactly +-pi/2
+            assert report["min_arg_defect"] == 0.0
 
     @pytest.mark.parametrize("poly", ["[1e308,1e308,1e308]", "[1e-310,1e-310,1e-310]"])
     def test_uniformly_scaled_poly_passes(self, capsys, poly):

@@ -17,11 +17,13 @@ from sectorpoly import (
     verify_cot,
 )
 from sectorpoly.poly import (
+    WINDOW,
     complex_to_json,
     horner,
     is_conjugate_closed,
     parse_complex,
     relative_residual,
+    working_form,
 )
 
 # expansion of (t-1)(t-2)(t-3), cross-checked by convolution below
@@ -81,6 +83,102 @@ class TestEval:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="overflows float64"):
                 relative_residual(coeffs, z)
+
+
+# inputs beyond the identity window: root moduli from 1e-200 to 1e200,
+# coefficients near both ends of float64, subnormal coefficients, a degree-20
+# root spread of 2^70, and mantissas shared across a half-integer exponent gap
+EXTREME = [
+    [1e-200, 1.0, 1e200],
+    [1e200, 1.0, 1e-200],
+    [1.0, 1e200, 1e308],
+    [1e308, 2.0, 1.0],
+    [1.0, 2.0, 1e308],
+    [1e-320, 0.0, 1.0],
+    [1e-310, 1e-310, 1e-310],
+    [1e308, 1e308, 1e308],
+    [1.0] + [0.0] * 18 + [-1e20, 1.0],
+    [3.0 * 2.0 ** 602, 0.0, 3.0 * 2.0 ** 600],
+    [3.0, 0.0, 3.0 * 2.0 ** -1001],
+    [0.0, 0.0, 1e300, 7.0],
+]
+
+
+def _log2_rule(a):
+    """(identity, e) by the rule with plain math.log2 of each coefficient."""
+    nonzero = [i for i, c in enumerate(a) if c]
+    logs = [math.log2(abs(a[i])) for i in nonzero]
+    k, n = nonzero[0], nonzero[-1]
+    hi = max([(y - logs[-1]) / (n - i) for i, y in zip(nonzero, logs) if i < n], default=0.0)
+    lo = min([(logs[0] - y) / (i - k) for i, y in zip(nonzero, logs) if i > k], default=0.0)
+    identity = n * (max(hi, -lo) + 1) <= WINDOW and max(map(abs, logs)) <= WINDOW
+    return identity, round((hi + lo) / 2) if abs(hi + lo) > 2 else 0
+
+
+class TestWorkingForm:
+    def test_inside_the_window_returns_its_input(self):
+        # r = 10, n = 12: a_0 = 1e12 spreads beyond the cheap pre-test's
+        # 2^(WINDOW/n - 2), but the root bounds keep it in the window
+        for p in ([1.0, 1.0, 1.0], [1e12] + [1.0] * 11 + [1.0], [2.0 ** WINDOW, 2.0 ** WINDOW],
+                  [0.0, 1.3], [0.0, 0.0]):
+            p = np.asarray(p)
+            w, e = working_form(p)
+            assert w is p and e == 0
+
+    @pytest.mark.parametrize("p", EXTREME, ids=range(len(EXTREME)))
+    def test_exact_change_of_variable(self, p):
+        p = np.asarray(p)
+        w, e = working_form(p)
+        i = np.arange(p.size)
+        # one f with w_i = a_i 2^(i e - f) for every i, and max |w_i| in [1/2, 1)
+        n = int(np.flatnonzero(p)[-1])
+        f = math.frexp(p[n])[1] + n * e - math.frexp(w[n])[1]
+        np.testing.assert_array_equal(np.ldexp(p, i * e - f), w)
+        assert 0.5 <= np.abs(w).max() < 1.0
+        assert np.all(np.abs(w[p != 0]) >= np.finfo(np.float64).tiny)
+
+    @pytest.mark.parametrize("p", EXTREME, ids=range(len(EXTREME)))
+    def test_a_working_form_is_its_own(self, p):
+        w, e = working_form(np.asarray(p))
+        w2, e2 = working_form(w)
+        assert e2 == 0
+        np.testing.assert_array_equal(w2, w)
+
+    def test_matches_the_log2_rule(self):
+        # identity and e agree with the rule read off math.log2, over random
+        # polynomials of degree 1..12 with coefficients scaled by 2^(s i + c)
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            n = int(rng.integers(1, 13))
+            a = rng.uniform(0.5, 2.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+            a[rng.random(n + 1) < 0.2] = 0.0
+            a[-1] = a[-1] or 1.0
+            shift = rng.integers(-80, 81) * np.arange(n + 1) + rng.integers(-600, 601)
+            if np.abs(shift).max() > 1000:      # keep every a_i a normal float
+                continue
+            a = np.ldexp(a, shift)
+            identity, e = _log2_rule(a.tolist())
+            try:
+                w, got = working_form(a)
+            except DomainError:
+                continue
+            assert (w is a, got) == (identity, 0 if identity else e)
+
+    @pytest.mark.parametrize("p, match", [
+        ([1.0, 1e10, 1e-300], "beyond the float64 range"),     # a root near -1e310
+        ([1e300, 1e-300], "beyond the float64 range"),         # the root -1e600
+        ([1e-320, 1e300], "beyond the float64 range"),         # the root -1e-620
+        ([1e-300] + [0.0] * 18 + [1e20, 1.0], "span"),         # w_0 would be 2^-1158
+    ])
+    def test_out_of_range_raises(self, p, match):
+        with pytest.raises(DomainError, match=match):
+            working_form(np.asarray(p))
+
+    def test_relative_residual_through_the_working_form(self):
+        # 1e-200 + t + 1e200 t^2 at its root (-1 + i sqrt 3) / 2e200: a_2 z^2
+        # underflowed in the coefficients as given
+        z = complex(-1.0, math.sqrt(3.0)) / 2e200
+        assert relative_residual([1e-200, 1.0, 1e200], z) <= 4 * np.finfo(np.float64).eps
 
 
 class TestCanonical:

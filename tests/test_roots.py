@@ -1,4 +1,3 @@
-import contextlib
 import math
 import warnings
 
@@ -11,6 +10,7 @@ from sectorpoly import (
     campaigns,
     find_roots,
     kernels,
+    poly,
     roots,
     verify_cot,
 )
@@ -47,29 +47,59 @@ class TestFindRoots:
         with pytest.raises(DegenerateInput):
             find_roots([5])
 
-    def test_overflowing_residual_raises(self):
-        # |z|^20 overflows at the start near 1e20: the residual is NaN, which
-        # no stopping test may read as converged or as unconverged
-        with pytest.raises(DomainError):
-            find_roots([1.0] + [0.0] * 18 + [-1e20, 1.0])
+    def test_roots_whose_powers_leave_float64_converge(self):
+        # t^20 - 1e20 t^19 + 1: the 20th power of the root near 1e20 overflows,
+        # and its residual read NaN; the working form's roots lie within
+        # 2^-36 .. 2^36, and the other 19 roots keep their modulus 1e-20^(1/19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rs = find_roots([1.0] + [0.0] * 18 + [-1e20, 1.0])
+        assert rs.converged
+        moduli = np.sort(np.abs(rs.roots))
+        assert moduli[-1] == pytest.approx(1e20, rel=1e-15)
+        np.testing.assert_allclose(moduli[:-1], 1e-20 ** (1 / 19), rtol=1e-14)
+
+    def test_largest_root_beyond_the_powers_of_its_degree_converges(self):
+        # a_n = 8.5e-4 and a largest root of 745, whose 112th power (1e322)
+        # overflowed: the working form divides every root by 2^e
+        coeffs = np.random.default_rng([112, 939]).uniform(-1, 1, 113)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rs = find_roots(coeffs)
+        assert rs.converged
+        expected = np.roots(coeffs[::-1])
+        gaps = np.abs(rs.roots[:, None] - expected).min(axis=0)
+        assert np.all(gaps <= 1e-12 * np.abs(expected))
 
     def test_overflowing_derivative_coefficient_does_not_warn(self):
-        # p' = 2 + 2e308 t: 2 * 1e308 overflows, and in_scale leaves this
-        # input as it is (a_0 over 2**1024 would be subnormal). Today the
-        # residuals overflow too, and the solve raises DomainError
+        # p' = 2 + 2e308 t: 2 * 1e308 overflows, but the kernel only sees the
+        # working form, whose coefficients lie below 1; the roots are
+        # -1e-308 +- 1e-154 i
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with contextlib.suppress(DomainError):
-                find_roots([1.0, 2.0, 1e308])
+            rs = find_roots([1.0, 2.0, 1e308])
+        assert rs.converged
+        np.testing.assert_allclose(np.abs(rs.roots), [1e-154, 1e-154], rtol=1e-15)
 
-    def test_overflowing_residual_scale_raises(self):
-        # 1e308 + 2t + t^2 has the roots -1 +- 1e154 i: at its starts, about
-        # 1e154 e^(+-0.7i), the scale 1e308 + 2|z| + |z|^2 overflows, and
-        # |p(z)| / inf would read 0, converged after 0 sweeps
+    def test_residual_scale_beyond_float64_at_the_starts_converges(self):
+        # 1e308 + 2t + t^2 has the roots -1 +- 1e154 i. The scale 1e308 +
+        # 2|z| + |z|^2 of the coefficients as given overflows at its starts,
+        # where |p(z)| / inf read 0; that of the working form does not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="overflow"):
-                find_roots([1e308, 2.0, 1.0])
+            rs = find_roots([1e308, 2.0, 1.0])
+        assert rs.converged
+        assert rs.roots.real.tolist() == pytest.approx([-1.0, -1.0], rel=1e-12)
+        assert sorted(rs.roots.imag.tolist()) == pytest.approx([-1e154, 1e154], rel=1e-15)
+
+    def test_radius_beyond_float64_raises(self):
+        # 1 + 1e10 t + 1e-300 t^2 has a root near -1e310: its root bound
+        # 2^(hi + 1) is beyond float64, which working_form refuses before
+        # any start is drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                find_roots([1.0, 1e10, 1e-300])
 
     def test_exact_roots_keep_their_zero_residuals(self):
         # a zero residual at a root whose scale is finite is an exact root
@@ -80,33 +110,34 @@ class TestFindRoots:
 
     @pytest.mark.parametrize("c", [2.0 ** 1000, 2.0 ** -1000, 1e308, 1e-310])
     def test_uniformly_scaled_coefficients(self, c):
-        # c * p has the roots of p; beyond roots.UNSCALED_MAX both ways the
-        # coefficients are divided by a power of two before the kernel runs
+        # c * p has the roots of p; beyond 2^-WINDOW .. 2^WINDOW both ways the
+        # working form divides the coefficients by a power of two
         base = find_roots([1.0, 1.0, 1.0])
         rs = find_roots(c * np.array([1.0, 1.0, 1.0]))
         assert rs.converged
         np.testing.assert_allclose(_sorted(rs.roots), _sorted(base.roots), rtol=0, atol=1e-15)
 
-    def test_only_out_of_range_coefficients_are_rescaled(self, monkeypatch):
-        from sectorpoly import kernels
-
-        seen = []
-        iterate = kernels.aberth_iterate
-        monkeypatch.setattr(kernels, "aberth_iterate",
-                            lambda c, *rest: seen.append(c) or iterate(c, *rest))
-        coeffs = np.array([0.25, -0.5, 1.0])     # largest magnitude 1
-        for scale in (roots.UNSCALED_MAX, 1.0 / roots.UNSCALED_MAX, 1.0):
+    def test_the_kernel_solves_the_working_form(self, monkeypatch):
+        seen = _kernel_calls(monkeypatch)
+        coeffs = np.array([0.25, -0.5, 1.0])     # magnitudes 1/4 .. 1, roots of modulus 1/2
+        # every |a_i| within 2^-WINDOW .. 2^WINDOW: the kernel gets them as they are
+        for scale in (2.0 ** poly.WINDOW, 2.0 ** (2 - poly.WINDOW), 1.0):
             find_roots(scale * coeffs)
-            np.testing.assert_array_equal(seen[-1].real, scale * coeffs)
-        for scale in (2.0 * roots.UNSCALED_MAX, 0.5 / roots.UNSCALED_MAX):
+            np.testing.assert_array_equal(seen[-1], scale * coeffs)
+        # beyond it: the same roots (e = 0), the largest |w_i| in [1/2, 1)
+        for scale in (2.0 ** (poly.WINDOW + 1), 2.0 ** (1 - poly.WINDOW)):
             find_roots(scale * coeffs)
-            np.testing.assert_array_equal(seen[-1].real, 0.5 * coeffs)
-        # over 2**665, a_0 = 1e-200 would drop to 1.6e-400, which is 0: the
-        # solver would report a converged zero root of a polynomial without one
+            np.testing.assert_array_equal(seen[-1], 0.5 * coeffs)
+        # 1e-200 + t + 1e200 t^2: a power-of-two divisor of the coefficients
+        # alone would flush a_0; u = 2^664 t centres the roots on modulus 1
         wide = np.array([1e-200, 1.0, 1e200])
         rs = find_roots(wide)
-        np.testing.assert_array_equal(seen[-1].real, wide)
-        assert not (rs.converged and np.any(rs.roots == 0))
+        w, e = poly.working_form(wide)
+        assert e == -664
+        np.testing.assert_array_equal(seen[-1], w)
+        assert rs.converged
+        expected = np.array([complex(-1, -math.sqrt(3)), complex(-1, math.sqrt(3))]) / 2e200
+        np.testing.assert_allclose(_sorted(rs.roots), expected, rtol=1e-15)
 
     def test_root_count_matches_degree(self):
         rng = np.random.default_rng(0)
@@ -259,13 +290,6 @@ class TestInitialGuesses:
         expected = np.roots(c[::-1])
         gaps = np.abs(rs.roots[:, None] - expected).min(axis=0)
         assert np.all(gaps <= 1e-9 * np.abs(expected))
-
-    def test_radius_beyond_float64_raises(self):
-        # 1 + 1e10 t + 1e-300 t^2: the hull edge from t to t^2 has the radius
-        # 1e310, whose exp overflows
-        c = np.array([1.0, 1e10, 1e-300], dtype=np.complex128)
-        with pytest.raises(DomainError, match="float64"):
-            roots.initial_guesses(c)
 
     def test_offbeat_rotation_breaks_axis_symmetry(self):
         c = np.array([1.0, 0.0, 1.0], dtype=np.complex128)

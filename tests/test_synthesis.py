@@ -32,7 +32,7 @@ from sectorpoly import (
     verify_cot,
 )
 from sectorpoly.poly import relative_residual
-from sectorpoly.roots import in_scale, sector_defect
+from sectorpoly.roots import sector_defect
 from sectorpoly.synthesis import ANGLE_TOL
 
 
@@ -416,8 +416,9 @@ class TestSynthesize:
 
 def _numpy_cot_bookkeeping(q):
     """(status, binomial, min_defect, arguments) of verify_cot(q) for a
-    polynomial whose roots stay in range, from numpy arrays as verify_cot
-    formed them before it read Python scalars."""
+    polynomial that is its own working form, as every campaign polynomial
+    is, from numpy arrays as verify_cot formed them before it read Python
+    scalars."""
     import sectorpoly.synthesis as syn
 
     q = canonical(q)
@@ -426,7 +427,7 @@ def _numpy_cot_bookkeeping(q):
     args = np.array([principal_arg(complex(z)) for z in rs.roots])
     binomial = int(np.count_nonzero(q)) == 2
     passed = rs.converged and (
-        binomial or syn._disks_avoid_sector(in_scale(q), rs.roots, args.tolist()))
+        binomial or syn._disks_avoid_sector(q, rs.roots, args.tolist()))
     min_defect = float(np.min(np.abs(args)) - math.pi / n)
     return "pass" if passed else "inconclusive", binomial, min_defect, args
 
@@ -506,10 +507,9 @@ class TestVerifyCot:
         assert report.status == "pass"
         assert not report.binomial
 
-    def test_root_of_the_reversed_polynomial_underflowing_to_zero(self):
-        # 1e300 + 1e-300 t: the start radius 1e600 overflows, and the root
-        # -1e-600 of the reversed polynomial underflows to 0, whose
-        # reciprocal must not warn on the way to DomainError
+    def test_root_beyond_float64_raises_without_warning(self):
+        # 1e300 + 1e-300 t: the root -1e600 is beyond float64, which
+        # working_form reads off the root bound before any solve
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="beyond the float64 range"):
@@ -517,14 +517,22 @@ class TestVerifyCot:
 
     @pytest.mark.parametrize("c", [1e-20, 1e20])
     def test_roots_beyond_the_solver_powers_are_certified(self, c):
-        # at c = 1e-20 the root near -4.9e25 overflows the solver's 12th
-        # powers; the reversed polynomial, with roots 1/z, is solved instead
+        # at c = 1e-20 the 12th power of the root near -4.9e25 overflows;
+        # the working form's roots, divided by 2^e, do not
         q = np.array([1e-3] + [0.0] * 10 + [488.0, 1e-3])
         report = verify_cot(q * c ** np.arange(13))
         assert report.status == verify_cot(q).status == "pass"
         roots = verify_cot(q).roots
         gaps = np.abs(report.roots[:, None] * c - roots).min(axis=0)
         assert np.all(gaps <= 1e-12 * np.abs(roots))
+
+    def test_scaled_cot_target_is_certified(self):
+        # a seed-5 cot target times 2^90: |mu| = 9.6e27, |mu|^11 = 6.4e307.
+        # The disk test's Horner sums of the coefficients as given overflowed
+        # and read inconclusive; in the working form they stay in range
+        result = synthesize(complex(5.2716, -5.6842) * 2.0 ** 90, 11, SignClass.NONNEGATIVE)
+        report = verify_cot(result.coeffs)
+        assert (report.status, report.converged, report.binomial) == ("pass", True, False)
 
     def test_root_computed_inside_the_sector_is_inconclusive(self, monkeypatch):
         # one converged root turned 5e-8 into the sector |arg| < pi/n: the
@@ -625,3 +633,36 @@ class TestVerifyCot:
             alpha = float(rng.uniform(math.pi / n, math.pi))
             result = synthesize(from_polar(r, alpha), n, SignClass.NONNEGATIVE)
             assert verify_cot(result.coeffs).status == "pass"
+
+
+class TestScaleInvariance:
+    SCALES = (-1000, -520, -300, 300, 520, 1000)
+
+    def test_seeded_cot_targets_keep_their_verdicts_at_every_scale(self):
+        # the first 40 targets of a seed-5 cot campaign, times 2^e wherever
+        # |mu|^n stays in float64, as synthesize requires: the residual stays
+        # within the campaign's bound, and verify_cot keeps its status. The
+        # coefficients as given read n = 2 at |mu| = 1.5e-156 inconclusive
+        from sectorpoly import campaigns
+
+        checked = 0
+        for i in range(40):
+            rng = campaigns._case_rng(5, i)
+            if i % 2:
+                mode, (mu, n) = SignClass.POSITIVE, campaigns._sample_positive_target(rng)
+            else:
+                mode, (mu, n) = SignClass.NONNEGATIVE, campaigns._sample_nonneg_target(rng, i)
+            status = verify_cot(synthesize(mu, n, mode).coeffs).status
+            for e in self.SCALES:
+                scaled = mu * 2.0 ** e
+                try:
+                    in_range = 0.0 < abs(scaled) ** n < math.inf
+                except OverflowError:
+                    in_range = False
+                if not in_range:
+                    continue
+                result = synthesize(scaled, n, mode)
+                assert result.residual <= campaigns.RESIDUAL_BOUND, (i, e)
+                assert verify_cot(result.coeffs).status == status, (i, e)
+                checked += 1
+        assert checked == 25
