@@ -10,9 +10,9 @@ That turns eigenvalue-region questions into coefficient-sign questions,
 which the synthesis module answers constructively.
 
 Spectra have a dozen values or fewer, so their per-value algebra (the
-products prod (t + v), the witness quotients of degree 1 and 2) runs in
-Python scalars and closed forms: a numpy call on arrays this small costs
-more than its arithmetic.
+products prod (t + v), the witness quotients of degree 1 and 2, the roots
+of binomials) runs in Python scalars and closed forms: a numpy call on
+arrays this small costs more than its arithmetic.
 
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
@@ -47,6 +47,7 @@ from .poly import (
     SignClass,
     classify_signs,
     is_conjugate_closed,
+    ldexp_complex,
     principal_arg,
 )
 from .roots import find_roots
@@ -272,7 +273,7 @@ def spectrum_feasible(values) -> MatrixClass:
     moduli = np.abs(vals)
     for exponent in (0, math.frexp(moduli.max())[1]):
         if exponent:
-            scaled = np.ldexp(vals.view(np.float64), -exponent).view(np.complex128)
+            scaled = ldexp_complex(vals, -exponent)
             moduli = np.abs(scaled)
         else:
             scaled = vals
@@ -300,11 +301,14 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     them are known in closed form: lambda and its conjugate (the core's
     quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), and the g lift roots,
     e^{i(2j+1)pi/g} for t^g + 1 and the nontrivial (g+1)-th roots of unity for
-    1 + ... + t^g, built as exact conjugate pairs. The core's other k - 2
-    roots are those of the quotient left by deflating that quadratic: in
-    closed form through k = 4 (one real root at k = 3, the stable quadratic
-    formula at k = 4, ``_quotient_values``), from the solver from k = 5 on.
-    A k = 1 core, t + |lambda| for lambda on the positive real axis (within
+    1 + ... + t^g, built as exact conjugate pairs. On the boundary
+    |theta - pi| = pi/k (nonnegative mode) the core is the binomial t^k + c,
+    and the binomial rule of t^g + 1 (``_binomial_values``) at the modulus
+    |lambda| gives its other k - 2 roots with no solve. Off it, they are the
+    roots of the quotient left by deflating that quadratic: in closed form
+    through k = 4 (one real root at k = 3, the stable quadratic formula at
+    k = 4, ``_quotient_values``), from the solver from k = 5 on. A k = 1
+    core, t + |lambda| for lambda on the positive real axis (within
     ANGLE_TOL of it), contributes lambda alone.
 
     The result contains lambda itself, has exactly n values and is
@@ -335,7 +339,10 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     values = [lam]
     if core.size > 2:
         values.append(lam.conjugate())
-    if core.size > 3:
+    if result.k_used.boundary:
+        # t^k + c: the j = 0 pair of its binomial rule is lambda and its conjugate
+        values.extend(_binomial_values(core.size - 1, abs(lam))[2:])
+    elif core.size > 3:
         values.extend(_quotient_values(_deflate(core, lam)))
     values.extend(_lift_values(result.lift_terms, result.mode))
     values = np.array(values, dtype=np.complex128)
@@ -375,8 +382,10 @@ def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def _quotient_values(q: np.ndarray) -> list[complex]:
-    """The negated roots of the deflated quotient ``q``: in closed form for
-    degree 1 and 2 (cores of degree k = 3 and 4), else from ``find_roots``.
+    """The negated roots of the deflated quotient ``q`` of an off-boundary
+    core (a boundary core's come from ``_binomial_values``): in closed form
+    for degree 1 and 2 (cores of degree k = 3 and 4), else from
+    ``find_roots``.
 
     Degree 1 gives q_0/q_1. Degree 2, c + b t + a t^2 with disc = b^2 - 4ac,
     gives the exact conjugate pair b/2a -+ i sqrt(-disc)/2a when disc < 0;
@@ -401,19 +410,34 @@ def _quotient_values(q: np.ndarray) -> list[complex]:
 
 
 def _lift_values(g: int, mode: SignClass) -> list[complex]:
-    """The negated roots of the lift factor, in conjugate pairs: t^g + 1 in
-    nonnegative mode, 1 + t + ... + t^g in positive mode. For odd g the real
-    root -1 gives exactly 1."""
-    if mode is SignClass.POSITIVE:
-        angles = [2.0 * math.pi * j / (g + 1) for j in range(1, g // 2 + 1)]
-    else:
-        angles = [(2 * j + 1) * math.pi / g for j in range(g // 2)]
+    """The negated roots of the lift factor, in conjugate pairs:
+    ``_binomial_values(g, 1.0)`` for t^g + 1 in nonnegative mode, and the
+    nontrivial (g+1)-th roots of unity for 1 + t + ... + t^g in positive
+    mode, where for odd g the real root -1 gives exactly 1."""
+    if mode is not SignClass.POSITIVE:
+        return _binomial_values(g, 1.0)
     values = []
-    for a in angles:
+    for j in range(1, g // 2 + 1):
+        a = 2.0 * math.pi * j / (g + 1)
         v = complex(-math.cos(a), -math.sin(a))
         values += [v, v.conjugate()]
     if g % 2 == 1:
         values.append(1.0 + 0.0j)
+    return values
+
+
+def _binomial_values(g: int, rho: float) -> list[complex]:
+    """The negated roots of t^g + rho^g, -rho e^{+-i(2j+1)pi/g} for j = 0 ..
+    floor(g/2) - 1 as exact conjugate pairs, then the real root -rho as rho
+    for odd g. At rho = 1.0 the products are exact: the roots of the lift
+    factor t^g + 1."""
+    values = []
+    for j in range(g // 2):
+        a = (2 * j + 1) * math.pi / g
+        v = complex(-rho * math.cos(a), -rho * math.sin(a))
+        values += [v, v.conjugate()]
+    if g % 2 == 1:
+        values.append(complex(rho))
     return values
 
 

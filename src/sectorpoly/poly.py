@@ -89,7 +89,9 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     Over the nonzero a_i (a_k the lowest, a_n the highest), the Newton-polygon
     root bounds (Bini, Numer. Algorithms 13, 1996) hi = max_{i<n} (log2|a_i| -
     log2|a_n|) / (n - i) and lo = min_{i>k} (log2|a_k| - log2|a_i|) / (i - k)
-    put every nonzero root's modulus within 2^(lo-1) .. 2^(hi+1) (Fujiwara).
+    put every nonzero root's modulus within 2^(lo-1) .. 2^(hi+1) (Fujiwara);
+    with exactly two nonzero a_i, hi = lo and every nonzero root has the
+    modulus 2^hi.
     While n (max(hi, -lo) + 1) <= WINDOW and every |log2|a_i|| <= WINDOW, the
     answer is (p, 0), so every such input keeps its bytes. A spread
     max|a_i| / min|a_i| within 2^(WINDOW/n - 2) implies that; it is tested
@@ -101,8 +103,11 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     which w shares. Where e = 0, w's bounds are then p's bit for bit;
     elsewhere they are p's less e up to rounding, so |hi + lo| <= 2 for w.
     Either way working_form(w) is (w, 0), in value. Root bounds beyond float64 (2^(hi+1) above
-    2^1023 or 2^(lo-1) below 2^-1074) raise DomainError, and so does a
-    nonzero w_i outside the normal range.
+    2^1023 or 2^(lo-1) below 2^-1074; for two nonzero a_i, the root modulus
+    2^hi at or above 2^1024 or below 2^-1074) raise DomainError, and so does
+    a nonzero w_i outside the normal range. The two-term root modulus can
+    reach 2^1023.5 and e then 1024, where 2.0 ** e overflows: ``ldexp_complex``
+    scales by 2^e.
     """
     a = p.tolist()
     mags = sorted(map(abs, a))
@@ -123,13 +128,28 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     lo = min((slope(0, j) for j in range(1, len(nonzero))), default=0.0)
     if in_window and nonzero[-1] * (max(hi, -lo) + 1) <= WINDOW:
         return p, 0
-    if hi + 1 > 1023 or lo - 1 < -1074:
+    if len(nonzero) == 2:       # every nonzero root has the modulus 2^hi = 2^lo
+        beyond = hi >= 1024 or lo < -1074
+    else:
+        beyond = hi + 1 > 1023 or lo - 1 < -1074
+    if beyond:
         raise DomainError("a root modulus lies beyond the float64 range")
     e = round((hi + lo) / 2) if abs(hi + lo) > 2 else 0
     exps = [x + i * e for i, x in zip(nonzero, exps)]
     if min(exps) - max(exps) < -1021:   # 2^-1022 = (1/2) 2^-1021 is the least normal
         raise DomainError("the coefficients span more than float64 holds")
     return np.ldexp(p, np.arange(len(a)) * e - max(exps)), e
+
+
+def ldexp_complex(z, e: int) -> np.ndarray:
+    """z 2^e for complex ``z`` (a scalar or an array), as a complex128 array
+    of at least one dimension: each part is rounded once, so the product is
+    exact while it stays normal, and an overflow reads inf without a warning.
+    np.ldexp, since 2.0 ** e itself overflows at e = 1024, the exponent of a
+    two-term working form whose roots lie in [2^1023.5, 2^1024)."""
+    parts = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+    with np.errstate(over="ignore"):
+        return np.ldexp(parts, e).view(np.complex128)
 
 
 def relative_residual(coeffs, z) -> float:
@@ -141,7 +161,10 @@ def relative_residual(coeffs, z) -> float:
     ``working_form`` refuses.
     """
     w, e = working_form(np.asarray(coeffs, dtype=np.float64))
-    value, scale = horner(w.tolist(), complex(z) / 2.0 ** e)    # exact while z / 2^e is normal
+    u = complex(z)
+    if e:
+        u = complex(ldexp_complex(u, -e)[0])     # exact while z / 2^e is normal
+    value, scale = horner(w.tolist(), u)
     value = _modulus(value)
     if not math.isfinite(value + scale):
         raise DomainError(f"the residual at |z| = {_modulus(complex(z))!r} overflows float64")

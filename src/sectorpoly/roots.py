@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateInput, DomainError
-from .poly import canonical, horner, working_form
+from .poly import canonical, horner, ldexp_complex, working_form
 
 DEFAULT_MAX_ITERS = 500
 
@@ -101,7 +101,9 @@ def find_roots(coeffs) -> RootSet:
     if not math.isfinite(worst):
         raise DomainError("root residuals overflow the float64 range")
     # the k zeros, then 2^e u, exact: working_form bounds the roots within float64
-    roots = np.concatenate((zeros, roots * 2.0 ** e))
+    if e:
+        roots = ldexp_complex(roots, e)
+    roots = np.concatenate((zeros, roots))
     residuals = np.concatenate((zeros, residuals))
     return RootSet(
         roots=roots,

@@ -39,6 +39,7 @@ from .poly import (
     canonical,
     classify_signs,
     degree,
+    ldexp_complex,
     principal_arg,
     relative_residual,
     working_form,
@@ -339,7 +340,7 @@ def verify_cot(q) -> CotReport:
         degree=n,
         binomial=binomial,
         min_defect=sector_defect(args, n),
-        roots=rs.roots * 2.0 ** e,
+        roots=ldexp_complex(rs.roots, e) if e else rs.roots,
         arguments=np.array(args),
         converged=rs.converged,
     )

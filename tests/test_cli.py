@@ -193,10 +193,11 @@ class TestVerifyCommand:
 
     def test_root_beyond_float64_exits_2(self, capsys):
         # 1 + 1e10 t + 1e-300 t^2 has a root near -1e310, beyond its root
-        # bound's float64 limit
-        code, out = _run(capsys, "verify", "--poly", "[1,1e10,1e-300]")
-        assert code == 2
-        assert json.loads(out)["error"] == "DomainError"
+        # bound's float64 limit; 1e300 + 1e-300 t has the root -1e600
+        for poly in ("[1,1e10,1e-300]", "[1e300,1e-300]"):
+            code, out = _run(capsys, "verify", "--poly", poly)
+            assert code == 2
+            assert json.loads(out)["error"] == "DomainError"
 
     @pytest.mark.parametrize("degree", [roots.MAX_SOLVE_DEGREE + 1, 500])
     def test_degree_above_the_solver_limit_exits_2(self, capsys, degree):
@@ -246,10 +247,15 @@ class TestVerifyCommand:
         ("[1e200,1,1e-200]", [complex(-0.5, s * 3 ** 0.5 / 2) * 1e200 for s in (1, -1)]),
         ("[1,1e200,1e308]", [-1e-108, -1e-200]),
         ("[1e-320,0,1]", [1j * math.sqrt(1e-320), -1j * math.sqrt(1e-320)]),
+        ("[8.98846567431158e307,1]", [-(2.0 ** 1023)]),
+        ("[1,1.1125369292536007e-308]", [-(2.0 ** 1023)]),
+        ("[1.7e308,1]", [-1.7e308]),
     ])
     def test_extreme_moduli_pass(self, capsys, poly, expected):
         # every root is a normal float, but the kernel's powers of them leave
-        # float64 (|z|^2 of +-1e-160 i is subnormal): the working form's do not
+        # float64 (|z|^2 of +-1e-160 i is subnormal): the working form's do not.
+        # The last three have two terms, whose root modulus, at 2^1023 and
+        # above, is its own bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["verify", "--poly", poly])

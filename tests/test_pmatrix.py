@@ -535,7 +535,51 @@ class TestQuotientValues:
         assert degrees == [3, 4, 5]
 
 
+class TestBoundaryValues:
+    """A boundary core t^k + c takes its values from the binomial rule, in
+    closed form, against 40-digit roots of the synthesized core (closed form
+    too: mpmath.polyroots does not converge on these binomials)."""
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_match_forty_digit_roots_without_a_solve(self, monkeypatch, k):
+        monkeypatch.setattr(pmatrix, "find_roots", lambda q: pytest.fail(f"solved {q}"))
+        eps = np.finfo(np.float64).eps
+        for r, side in itertools.product((1e-20, 1e-3, 1.0, 7.0, 1e3, 1e20), (1.0, -1.0)):
+            lam = from_polar(r, math.pi + side * math.pi / k)
+            spectrum = eigen_witness(lam, k, MatrixClass.P0)
+            core = synthesize(-lam, k, SignClass.NONNEGATIVE).core
+            assert np.count_nonzero(core) == 2
+            values = spectrum.values.tolist()
+            assert len(values) == k
+            with mpmath.workdps(40):
+                rho = mpmath.root(mpmath.mpf(core[0]), k)
+                exact = [-rho * mpmath.expjpi(mpmath.mpf(2 * j + 1) / k) for j in range(k)]
+                for v in values:
+                    err = min(abs(mpmath.mpc(v) - z) for z in exact) / rho
+                    assert err <= 8 * eps, (r, side, v)
+            for v, w in zip(values[0:k - 1:2], values[1:k:2]):
+                assert w == v.conjugate()
+            if k % 2 == 1:
+                assert values[-1].imag == 0.0
+            assert spectrum.feasibility is MatrixClass.P0
+
+
 class TestEigenWitness:
+    def test_campaign_witnesses_expand_to_their_synthesis(self):
+        # prod (t + v) over a witness is the polynomial synthesized at -lambda,
+        # each coefficient within SIGN_TOL of the bound prod (t + |v|) that
+        # spectrum_feasible judges against: a check on every value, where the
+        # campaign's match distance reads lambda itself
+        worst = 0.0
+        for i in range(2000):
+            lam, n, mode, _ = campaigns._sample_admissible(campaigns._case_rng(5, i), i)
+            values = eigen_witness(lam, n, mode).values
+            sign = SignClass.POSITIVE if mode is MatrixClass.P else SignClass.NONNEGATIVE
+            q = synthesize(-lam, n, sign).coeffs
+            gap = np.abs(spectrum_aux_poly(values) - q) / spectrum_aux_poly(np.abs(values)).real
+            worst = max(worst, float(gap.max()))
+        assert worst <= pmatrix.SIGN_TOL
+
     def test_strict_witness_on_unit_circle(self):
         lam = from_polar(1.0, -math.pi / 3)
         spectrum = eigen_witness(lam, 2, MatrixClass.P)

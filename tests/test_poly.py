@@ -101,6 +101,13 @@ EXTREME = [
     [3.0 * 2.0 ** 602, 0.0, 3.0 * 2.0 ** 600],
     [3.0, 0.0, 3.0 * 2.0 ** -1001],
     [0.0, 0.0, 1e300, 7.0],
+    # two nonzero terms, whose roots share one modulus at the ends of float64:
+    # 2^1023 from both sides, 1.7e308 (e = 1024), 2^1023.1 at degree 2, 2^-1074
+    [2.0 ** 1023, 1.0],
+    [1.0, 2.0 ** -1023],
+    [1.7e308, 1.0],
+    [1e308, 0.0, 2.0 ** -1023],
+    [2.0 ** -1074, 1.0],
 ]
 
 
@@ -168,11 +175,27 @@ class TestWorkingForm:
         ([1.0, 1e10, 1e-300], "beyond the float64 range"),     # a root near -1e310
         ([1e300, 1e-300], "beyond the float64 range"),         # the root -1e600
         ([1e-320, 1e300], "beyond the float64 range"),         # the root -1e-620
+        ([2.0 ** 1023, 0.5], "beyond the float64 range"),      # the root -2^1024
+        ([2.0 ** -1074, 2.0], "beyond the float64 range"),     # the root -2^-1075
         ([1e-300] + [0.0] * 18 + [1e20, 1.0], "span"),         # w_0 would be 2^-1158
     ])
     def test_out_of_range_raises(self, p, match):
         with pytest.raises(DomainError, match=match):
             working_form(np.asarray(p))
+
+    @pytest.mark.parametrize("p, e", [
+        ([2.0 ** 1023, 1.0], 1023), ([1.0, 2.0 ** -1023], 1023), ([1.7e308, 1.0], 1024),
+        ([1e308, 0.0, 2.0 ** -1023], 1023), ([2.0 ** -1074, 1.0], -1074),
+    ])
+    def test_two_terms_judge_their_root_modulus(self, p, e):
+        # the modulus 2^hi = 2^lo itself, not Fujiwara's 2^(hi + 1) and 2^(lo - 1)
+        assert working_form(np.asarray(p))[1] == e
+
+    def test_relative_residual_at_a_root_scaled_by_2_to_the_1024(self):
+        # 2.0 ** 1024 overflows; the scaling to the working form does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relative_residual([1.7e308, 1.0], -1.7e308) == 0.0
 
     def test_relative_residual_through_the_working_form(self):
         # 1e-200 + t + 1e200 t^2 at its root (-1 + i sqrt 3) / 2e200: a_2 z^2

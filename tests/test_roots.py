@@ -101,6 +101,21 @@ class TestFindRoots:
             with pytest.raises(DomainError, match="beyond the float64 range"):
                 find_roots([1.0, 1e10, 1e-300])
 
+    @pytest.mark.parametrize("coeffs, expected", [
+        ([2.0 ** 1023, 1.0], [-(2.0 ** 1023)]),
+        ([1.0, 2.0 ** -1023], [-(2.0 ** 1023)]),
+        ([1.7e308, 1.0], [-1.7e308]),          # working_form's e = 1024
+        ([0.0, 2.0 ** -1074, 1.0], [0.0, -(2.0 ** -1074)]),
+    ])
+    def test_two_term_roots_at_the_ends_of_float64(self, coeffs, expected):
+        # every root of a two-term polynomial has the modulus its working form
+        # judges, representable here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rs = find_roots(coeffs)
+        assert rs.converged
+        assert rs.roots.tolist() == expected
+
     def test_exact_roots_keep_their_zero_residuals(self):
         # a zero residual at a root whose scale is finite is an exact root
         rs = find_roots([-4.0, 0.0, 1.0])
