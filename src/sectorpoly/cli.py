@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,6 @@ from .pmatrix import (
     HARD_DIM_CAP,
     MatrixClass,
     eigenvalues,
-    kellogg_admissible,
     principal_minors,
     wedge_admissible,
     wedge_angle,
@@ -43,6 +43,7 @@ from .poly import (
     complex_to_json,
     from_polar,
     parse_complex,
+    principal_arg,
 )
 from .synthesis import synthesize, verify_cot
 
@@ -68,6 +69,61 @@ def _jsonable(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+# json's words for the floats whose repr holds an "n"; no finite repr does
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE[text] if "n" in text else text
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, default=_jsonable), byte for byte.
+
+    CPython runs json.dumps in its pure-Python encoder whenever ``indent`` is
+    set; this writer makes the same type tests in json's order (str, None,
+    the bools, int, float, list or tuple, dict, then the default) with less
+    work per value. Floats, np.float64 among them, are float.__repr__ or
+    json's NaN / Infinity / -Infinity; a list of plain floats is one join;
+    a complex number is written as its {"re", "im"} object, and anything
+    else as its ``_jsonable`` form (an ndarray as its tolist()). Every dict
+    key is a str, as in every report; any other raises TypeError. ``newline``
+    is a newline and the indent of the line the value starts on.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is float for v in value):
+            text = sep.join(map(float.__repr__, value))
+            if "n" not in text:
+                return "[" + inner + text + newline + "]"
+        return "[" + inner + sep.join([_dumps(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in value.items()]
+        return "{" + inner + sep.join(items) + newline + "}"
+    if isinstance(value, complex):
+        return (f'{{{inner}"re": {_float_text(value.real)}{sep}'
+                f'"im": {_float_text(value.imag)}{newline}}}')
+    return _dumps(_jsonable(value), newline)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
@@ -76,7 +132,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _emit_json(obj, out_path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, default=_jsonable) + "\n", out_path)
+    """Write ``obj`` as the bytes of json.dumps(obj, indent=2) and a newline:
+    every report and the error payload pass through ``_dumps``."""
+    _emit(_dumps(obj) + "\n", out_path)
 
 
 def _cmd_synthesize(args) -> int:
@@ -93,10 +151,10 @@ def _cmd_synthesize(args) -> int:
     result = synthesize(mu, args.n, MODE_BY_FLAG[args.mode], j=args.j)
     _emit_json(
         {
-            "mu": complex_to_json(mu),
+            "mu": mu,
             "n": args.n,
             "mode": args.mode,
-            "coeffs": list(result.coeffs),
+            "coeffs": result.coeffs.tolist(),
             "k": result.k_used.k,
             "boundary": result.k_used.boundary,
             "construction": result.construction,
@@ -123,14 +181,14 @@ def _cmd_verify(args) -> int:
     report = verify_cot(coeffs)
     _emit_json(
         {
-            "poly": list(coeffs),
+            "poly": coeffs.tolist(),
             "degree": report.degree,
             "status": report.status,
             "binomial": report.binomial,
             "min_arg_defect": report.min_defect,
             "converged": report.converged,
-            "roots": [complex_to_json(complex(z)) for z in report.roots],
-            "arguments": list(report.arguments),
+            "roots": report.roots.tolist(),
+            "arguments": report.arguments.tolist(),
         },
         args.out,
     )
@@ -147,8 +205,10 @@ def _parse_matrix_file(path: str) -> np.ndarray:
         raise DomainError('matrix file must be {"n": int, "rows": [[...]]}')
     if len(rows) != n or any(not isinstance(r, list) or len(r) != n for r in rows):
         raise DomainError(f"rows do not form an {n}x{n} matrix")
-    # reshape keeps n = 0 a 0x0 matrix
-    entries = [[parse_complex(entry) for entry in row] for row in rows]
+    # reshape keeps n = 0 a 0x0 matrix; a plain float is parse_complex's
+    # complex(x, 0.0) without its checks
+    entries = [[complex(x) if type(x) is float else parse_complex(x) for x in row]
+               for row in rows]
     return np.array(entries, dtype=np.complex128).reshape(n, n)
 
 
@@ -157,6 +217,17 @@ def _cmd_classify(args) -> int:
     n = a.shape[0]
     report = principal_minors(a, cap=args.cap)
     rs = eigenvalues(report)
+    rows = []
+    for lam in rs.roots.tolist():
+        # kellogg_admissible's rule, on one angle: |theta - pi| = |arg(-lambda)|;
+        # lambda = 0 is not P-admissible and has no P0 verdict
+        gap = abs(principal_arg(-lam))
+        rows.append({
+            "value": lam,
+            "theta": wedge_angle(lam) if lam else None,
+            "kellogg_P": wedge_admissible(gap, n, MatrixClass.P) if lam else False,
+            "kellogg_P0": wedge_admissible(gap, n, MatrixClass.P0) if lam else None,
+        })
     _emit_json(
         {
             "n": n,
@@ -168,15 +239,7 @@ def _cmd_classify(args) -> int:
             "aux_poly": report.aux_poly(),
             "aux_sign_class": report.aux_sign_class().value,
             "eigen_converged": rs.converged,
-            "eigenvalues": [
-                {
-                    "value": lam,
-                    "theta": wedge_angle(lam) if lam else None,
-                    "kellogg_P": kellogg_admissible(lam, n, MatrixClass.P),
-                    "kellogg_P0": kellogg_admissible(lam, n, MatrixClass.P0) if lam else None,
-                }
-                for lam in map(complex, rs.roots)
-            ],
+            "eigenvalues": rows,
         },
         args.out,
     )

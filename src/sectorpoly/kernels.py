@@ -100,12 +100,12 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     def _step(zz, p, dp):
         znew = _sweep(zz, p, dp)
         p_new, dp_new, resid = _eval(znew)
-        worst = np.maximum.reduce(resid)
-        if not math.isfinite(worst):      # NaN or inf: a guard case or overflow
-            znew = _guarded_sweep(zz, p, dp)
-            p_new, dp_new, resid = _eval(znew)
-            worst = np.maximum.reduce(resid)
-        return znew, p_new, dp_new, resid, worst
+        r = resid.tolist()
+        if math.isfinite(sum(r)):       # else NaN or inf: a guard case or overflow
+            return znew, p_new, dp_new, resid, max(r)
+        znew = _guarded_sweep(zz, p, dp)
+        p_new, dp_new, resid = _eval(znew)
+        return znew, p_new, dp_new, resid, np.maximum.reduce(resid)
 
     # iterates whose powers overflow leave non-finite residuals, which the
     # caller turns into DomainError; numpy need not warn on the way there,

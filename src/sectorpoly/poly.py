@@ -102,12 +102,14 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     Each log2|a_i| is read as its binary exponent plus log2 of its mantissa,
     which w shares. Where e = 0, w's bounds are then p's bit for bit;
     elsewhere they are p's less e up to rounding, so |hi + lo| <= 2 for w.
-    Either way working_form(w) is (w, 0), in value. Root bounds beyond float64 (2^(hi+1) above
-    2^1023 or 2^(lo-1) below 2^-1074; for two nonzero a_i, the root modulus
-    2^hi at or above 2^1024 or below 2^-1074) raise DomainError, and so does
-    a nonzero w_i outside the normal range. The two-term root modulus can
-    reach 2^1023.5 and e then 1024, where 2.0 ** e overflows: ``ldexp_complex``
-    scales by 2^e.
+    Either way working_form(w) is (w, 0), in value. Bounds at hi >= 1024 or
+    lo < -1074 raise DomainError, and so does a nonzero w_i outside the
+    normal range. For two nonzero a_i that is exact: the root modulus 2^hi
+    is beyond float64. For more, Fujiwara's bounds 2^(hi+1) and 2^(lo-1) may
+    pass the range while every root is in it, as (t + 1e308)(t + 1) is, so
+    the callers that form the roots 2^e u (``scale_roots``) raise where one
+    of them leaves float64. e can reach 1024, where 2.0 ** e overflows:
+    ``ldexp_complex`` scales by 2^e.
     """
     a = p.tolist()
     mags = sorted(map(abs, a))
@@ -128,11 +130,7 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     lo = min((slope(0, j) for j in range(1, len(nonzero))), default=0.0)
     if in_window and nonzero[-1] * (max(hi, -lo) + 1) <= WINDOW:
         return p, 0
-    if len(nonzero) == 2:       # every nonzero root has the modulus 2^hi = 2^lo
-        beyond = hi >= 1024 or lo < -1074
-    else:
-        beyond = hi + 1 > 1023 or lo - 1 < -1074
-    if beyond:
+    if hi >= 1024 or lo < -1074:
         raise DomainError("a root modulus lies beyond the float64 range")
     e = round((hi + lo) / 2) if abs(hi + lo) > 2 else 0
     exps = [x + i * e for i, x in zip(nonzero, exps)]
@@ -150,6 +148,16 @@ def ldexp_complex(z, e: int) -> np.ndarray:
     parts = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
     with np.errstate(over="ignore"):
         return np.ldexp(parts, e).view(np.complex128)
+
+
+def scale_roots(u: np.ndarray, e: int) -> np.ndarray:
+    """The roots 2^e u of p for the roots ``u`` of its working form (w, e),
+    exact while each stays normal. Raises DomainError where a root leaves
+    float64: a part of 2^e u overflows, or a nonzero u reads 0."""
+    z = ldexp_complex(u, e)
+    if not np.isfinite(z).all() or ((z == 0) & (u != 0)).any():
+        raise DomainError("a root modulus lies beyond the float64 range")
+    return z
 
 
 def relative_residual(coeffs, z) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateInput, DomainError
-from .poly import canonical, horner, ldexp_complex, working_form
+from .poly import canonical, horner, scale_roots, working_form
 
 DEFAULT_MAX_ITERS = 500
 
@@ -46,6 +46,8 @@ _START_ROTATION = 0.7
 # times at degrees 112, 128 and 144, once at 152 and 3 times in 1,000 at 176.
 # The limit also keeps the kernel's deg x (deg + 1) arrays within 264 KB.
 MAX_SOLVE_DEGREE = 128
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ def find_roots(coeffs) -> RootSet:
 
     Raises DegenerateInput for degree-0 input, and DomainError for a q of
     degree beyond MAX_SOLVE_DEGREE, for root bounds beyond float64 or
-    coefficients that no working form holds (``working_form``), and for
-    residuals that overflow.
+    coefficients that no working form holds (``working_form``), for a root
+    2^e u beyond float64 (``scale_roots``), and for residuals that overflow.
     """
     p = canonical(coeffs)
     if len(p) < 2:
@@ -85,26 +87,28 @@ def find_roots(coeffs) -> RootSet:
     k = 0
     if not p[0]:        # p = t^k q with q(0) != 0
         k = int(np.flatnonzero(p)[0])
-    zeros = np.zeros(k)
     n = len(p) - 1 - k      # the degree of q
     if n == 0:              # c t^k: nothing left to solve
+        zeros = np.zeros(k)
         return RootSet(roots=zeros + 0j, residuals=zeros, converged=True, iterations=0)
     if n > MAX_SOLVE_DEGREE:
         raise DomainError(f"degree {n} is above MAX_SOLVE_DEGREE = {MAX_SOLVE_DEGREE}")
     w, e = working_form(p[k:])
     # the powers-and-dot evaluation errs by at most about 1.6 * deg * eps
     # times the residual's scale, so this level is reachable at every degree
-    tol = 4 * n * np.finfo(np.float64).eps
+    tol = 4 * n * _EPS
     z0 = starting_points(w, tol)
     roots, residuals, iters = kernels.aberth_iterate(w, z0, DEFAULT_MAX_ITERS, tol)
     worst = float(residuals.max())      # NaN if any residual is NaN
     if not math.isfinite(worst):
         raise DomainError("root residuals overflow the float64 range")
-    # the k zeros, then 2^e u, exact: working_form bounds the roots within float64
+    # 2^e u, exact while it stays normal, then the k zeros
     if e:
-        roots = ldexp_complex(roots, e)
-    roots = np.concatenate((zeros, roots))
-    residuals = np.concatenate((zeros, residuals))
+        roots = scale_roots(roots, e)
+    if k:
+        zeros = np.zeros(k)
+        roots = np.concatenate((zeros, roots))
+        residuals = np.concatenate((zeros, residuals))
     return RootSet(
         roots=roots,
         residuals=residuals,
@@ -182,7 +186,7 @@ def initial_guesses(coeffs: np.ndarray) -> np.ndarray:
         offset = 2.0 * math.pi * b / deg + _START_ROTATION
         radii += [radius] * count
         angles += [2.0 * math.pi * m / count + offset for m in range(count)]
-    return np.asarray(radii) * np.exp(1j * np.asarray(angles))
+    return np.array([complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)])
 
 
 def _taylor_shift(a: list, s: float) -> list:

@@ -37,11 +37,10 @@ from .errors import (
 from .poly import (
     SignClass,
     canonical,
-    classify_signs,
     degree,
-    ldexp_complex,
     principal_arg,
     relative_residual,
+    scale_roots,
     working_form,
 )
 from .roots import find_roots, sector_defect
@@ -327,7 +326,7 @@ def verify_cot(q) -> CotReport:
         raise PreconditionError("degree must be >= 1")
     if c[0] == 0.0:
         raise PreconditionError("constant term must be nonzero")
-    if classify_signs(q) is SignClass.MIXED:
+    if min(c) < 0.0:        # canonical has made every c finite
         raise PreconditionError("coefficients must be nonnegative")
 
     w, e = working_form(q)
@@ -340,7 +339,7 @@ def verify_cot(q) -> CotReport:
         degree=n,
         binomial=binomial,
         min_defect=sector_defect(args, n),
-        roots=ldexp_complex(rs.roots, e) if e else rs.roots,
+        roots=scale_roots(rs.roots, e) if e else rs.roots,
         arguments=np.array(args),
         converged=rs.converged,
     )

@@ -7,6 +7,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sectorpoly import DomainError, campaigns, cli, kernels, roots
 from sectorpoly.cli import main
@@ -16,8 +19,10 @@ from sectorpoly.pmatrix import (
     MatrixClass,
     generate_p_matrix,
     kellogg_admissible,
+    wedge_angle,
 )
 from sectorpoly.poly import from_polar, parse_complex
+from sectorpoly.synthesis import ANGLE_TOL
 
 PI = math.pi
 REGION_SAMPLES = (1, 2, 3, 7, 12, 360, 720, 1000, 4096)
@@ -43,6 +48,46 @@ VALID_CALLS = {
 def _run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\xe9')))
+_SCALARS = st.one_of(
+    st.floats(),            # NaN, +-inf, -0.0 and subnormals among them
+    st.integers(-(10**30), 10**30),
+    st.booleans(),
+    st.none(),
+    _TEXT,
+    st.complex_numbers(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from([np.float64, np.complex128]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+)
+_REPORTS = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.floats(), max_size=4),      # the one-join path
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=500, deadline=None)
+    @given(_REPORTS)
+    def test_writes_the_bytes_of_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2, default=cli._jsonable)
+
+    @pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, {(1, 2): 3}, {1: 2.0}])
+    def test_unserializable_values_raise_type_error(self, value):
+        # a key other than a str raises, where json.dumps writes a number key
+        with pytest.raises(TypeError):
+            cli._dumps(value)
 
 
 class TestSynthesizeCommand:
@@ -250,12 +295,16 @@ class TestVerifyCommand:
         ("[8.98846567431158e307,1]", [-(2.0 ** 1023)]),
         ("[1,1.1125369292536007e-308]", [-(2.0 ** 1023)]),
         ("[1.7e308,1]", [-1.7e308]),
+        # three terms whose Fujiwara bound 2^(hi + 1) passes 2^1023 while
+        # every root is in range: (t + 1e308)(t + 1) and its reversal
+        ("[1e308,1e308,1]", [-1.0, -1e308]),
+        ("[1,1,1e-308]", [-1.0, -1e308]),
     ])
     def test_extreme_moduli_pass(self, capsys, poly, expected):
         # every root is a normal float, but the kernel's powers of them leave
         # float64 (|z|^2 of +-1e-160 i is subnormal): the working form's do not.
-        # The last three have two terms, whose root modulus, at 2^1023 and
-        # above, is its own bound
+        # Three have two terms, whose root modulus, at 2^1023 and above, is
+        # its own bound
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["verify", "--poly", poly])
@@ -286,6 +335,20 @@ class TestVerifyCommand:
         code, out = _run(capsys, "verify", "--poly", poly)
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("poly, message", [
+        ("[1e300,1e-300]", "beyond the float64 range"),          # the root -1e600
+        ("[1,1e10,1e-300]", "beyond the float64 range"),         # a root near -1e310
+        (json.dumps([1e-300] + [0.0] * 18 + [1e20, 1.0]), "span"),
+    ])
+    def test_roots_beyond_float64_exit_2(self, capsys, poly, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["verify", "--poly", poly])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        report = json.loads(captured.out)
+        assert report["error"] == "DomainError" and message in report["message"]
 
     def test_mixed_signs_exit_2(self, capsys):
         code, out = _run(capsys, "verify", "--poly", "[-1,1]")
@@ -412,6 +475,58 @@ class TestClassifyCommand:
         code, out = _run(capsys, "classify", "--matrix", str(path))
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
+
+    @pytest.mark.parametrize("entry", [
+        True, "1.5", 10**400, {"re": "x", "im": 1}, {"re": 1.0, "im": False},
+        {"re": 1.0}, {"r": True, "alpha": 0}, {"r": 1.0, "alpha": 10**400},
+        {"r": 1, "alpha": 0, "re": 1},
+    ])
+    def test_malformed_entry_reports_parse_complex_error(self, capsys, tmp_path, entry):
+        # the error payload is the one parse_complex raises for the entry
+        with pytest.raises(DomainError) as exc:
+            parse_complex(entry)
+        path = self._write(tmp_path, {"n": 2, "rows": [[1.5, 2.0], [entry, 0.5]]})
+        code, out = _run(capsys, "classify", "--matrix", path)
+        assert code == 2
+        assert json.loads(out) == {"error": "DomainError", "message": str(exc.value)}
+
+    def test_float_entries_read_as_parse_complex_reads_them(self, tmp_path):
+        rows = [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.5, 1e-310],
+                [3.0, {"re": -0.0, "im": 0.5}, -1e300]]
+        path = self._write(tmp_path, {"n": 3, "rows": rows})
+        expected = np.array([[parse_complex(x) for x in row] for row in rows])
+        assert cli._parse_matrix_file(path).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 1], [1, 1]],                           # eigenvalues 0 and 2
+        [[0, 0, 0], [0, 1, 0], [0, 0, 2]],          # 0 on the zero-root path
+        [[-2, 0], [0, 3]],                          # a negative real
+        [[-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+    ] + [
+        # a +- i at |theta - pi| = pi/2 + a, for a about ANGLE_TOL from the
+        # boundary on both sides
+        [[a, -1], [1, a]] for a in (0.0, 0.3 * ANGLE_TOL, -0.3 * ANGLE_TOL, 3 * ANGLE_TOL,
+                                    -3 * ANGLE_TOL, 1e-9)
+    ] + [
+        # cos t +- i sin t and 1, with t within ANGLE_TOL of 2pi/3: |theta -
+        # pi| within it of pi/3
+        [[math.cos(t), -math.sin(t), 0], [math.sin(t), math.cos(t), 0], [0, 0, 1]]
+        for t in (2 * PI / 3, 2 * PI / 3 + 0.4 * ANGLE_TOL, 2 * PI / 3 - 0.4 * ANGLE_TOL,
+                  2 * PI / 3 + 4 * ANGLE_TOL, 2 * PI / 3 - 4 * ANGLE_TOL)
+    ])
+    def test_eigenvalue_rows_follow_kellogg_admissible(self, capsys, tmp_path, rows):
+        n = len(rows)
+        code, out = _run(capsys, "classify", "--matrix",
+                         self._write(tmp_path, {"n": n, "rows": rows}))
+        assert code == 0
+        for row in json.loads(out)["eigenvalues"]:
+            lam = complex(row["value"]["re"], row["value"]["im"])
+            assert row["kellogg_P"] is kellogg_admissible(lam, n, MatrixClass.P)
+            if lam:
+                assert row["theta"] == wedge_angle(lam)
+                assert row["kellogg_P0"] is kellogg_admissible(lam, n, MatrixClass.P0)
+            else:
+                assert row["theta"] is None and row["kellogg_P0"] is None
 
     def test_enumerates_minors_once(self, capsys, tmp_path, monkeypatch):
         # one principal_minors report serves the class, char_poly, aux_poly

@@ -23,6 +23,7 @@ from sectorpoly.poly import (
     is_conjugate_closed,
     parse_complex,
     relative_residual,
+    scale_roots,
     working_form,
 )
 
@@ -108,6 +109,10 @@ EXTREME = [
     [1.7e308, 1.0],
     [1e308, 0.0, 2.0 ** -1023],
     [2.0 ** -1074, 1.0],
+    # three terms whose Fujiwara bound 2^(hi + 1) passes 2^1023, hi = 1023.1,
+    # with the roots -1 and -1e308
+    [1e308, 1e308, 1.0],
+    [1.0, 1.0, 1e-308],
 ]
 
 
@@ -191,6 +196,12 @@ class TestWorkingForm:
         # the modulus 2^hi = 2^lo itself, not Fujiwara's 2^(hi + 1) and 2^(lo - 1)
         assert working_form(np.asarray(p))[1] == e
 
+    @pytest.mark.parametrize("p, e", [([1e308, 1e308, 1.0], 512), ([1.0, 1.0, 1e-308], 512)])
+    def test_three_terms_take_the_two_term_thresholds(self, p, e):
+        # hi = 1023.1 is below 1024: the roots are formed and judged by the
+        # callers (scale_roots), not refused on Fujiwara's 2^(hi + 1)
+        assert working_form(np.asarray(p))[1] == e
+
     def test_relative_residual_at_a_root_scaled_by_2_to_the_1024(self):
         # 2.0 ** 1024 overflows; the scaling to the working form does not
         with warnings.catch_warnings():
@@ -202,6 +213,29 @@ class TestWorkingForm:
         # underflowed in the coefficients as given
         z = complex(-1.0, math.sqrt(3.0)) / 2e200
         assert relative_residual([1e-200, 1.0, 1e200], z) <= 4 * np.finfo(np.float64).eps
+
+
+class TestScaleRoots:
+    def test_exact_while_normal(self):
+        u = np.array([0.75 + 0.5j, -1.0, 0j, 1.0 + 1e-300j])
+        z = scale_roots(u, -900)
+        assert z.tolist()[:3] == [complex(0.75 * 2.0 ** -900, 0.5 * 2.0 ** -900),
+                                  -(2.0 ** -900), 0j]
+        # a part may underflow while the root stays nonzero
+        assert z[3] == 2.0 ** -900
+        assert scale_roots(np.array([0.75 + 0j]), 1024).tolist() == [0.75 * 2.0 ** 1023 * 2]
+
+    @pytest.mark.parametrize("u, e", [
+        ([1.5 + 0j], 1024),             # 1.5 * 2^1024 overflows
+        ([-1.0, 1e300j], 100),          # so does one part of one root
+        ([0.5j], -1074),                # 2^-1075 rounds to 0
+        ([1.0, 0.75 + 0.75j], -1075),   # both parts of a nonzero root read 0
+    ])
+    def test_a_root_beyond_float64_raises(self, u, e):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                scale_roots(np.array(u, dtype=np.complex128), e)
 
 
 class TestCanonical:

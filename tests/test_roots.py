@@ -101,6 +101,26 @@ class TestFindRoots:
             with pytest.raises(DomainError, match="beyond the float64 range"):
                 find_roots([1.0, 1e10, 1e-300])
 
+    def test_root_scaled_beyond_float64_raises(self):
+        # 1e-310 t^2 - 0.012 t - 1.44e306 has the roots 1.94e308, beyond
+        # float64, and -7.4e307. Its root bounds pass working_form (hi is
+        # below 1024), and the solve converges in the working form; scaling
+        # the roots back must not report an inf root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                find_roots([-1.44e306, -0.012, 1e-310])
+
+    @pytest.mark.parametrize("coeffs", [[1e308, 1e308, 1.0], [1.0, 1.0, 1e-308]])
+    def test_three_terms_at_the_top_of_float64(self, coeffs):
+        # (t + 1e308)(t + 1) and its reversal: Fujiwara's bound passes 2^1023,
+        # the roots -1 and -1e308 do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rs = find_roots(coeffs)
+        assert rs.converged
+        np.testing.assert_allclose(_sorted(rs.roots), [-1e308, -1.0], rtol=1e-15)
+
     @pytest.mark.parametrize("coeffs, expected", [
         ([2.0 ** 1023, 1.0], [-(2.0 ** 1023)]),
         ([1.0, 2.0 ** -1023], [-(2.0 ** 1023)]),
