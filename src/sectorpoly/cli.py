@@ -9,7 +9,11 @@ byte-identical JSON/CSV. Angles are radians only.
 ``main`` may be called any number of times in one process. It builds the
 parser from ``build_parser`` on its first call and reuses it afterwards:
 argparse reads a parser without changing it and gives every call a fresh
-namespace, so no flag of one call carries over into the next.
+namespace, so no flag of one call carries over into the next. ``region``
+reuses its grid the same way: the angles of the latest ``--samples`` and
+their texts are built once and kept read-only, so no call changes what the
+next one reads. Every report is written in pieces, as it is formed, to
+stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ from .synthesis import synthesize, verify_cot
 
 MODE_BY_FLAG = {"nonneg": SignClass.NONNEGATIVE, "positive": SignClass.POSITIVE}
 # 2**20 rows space the region grid 6e-6 rad apart, finer than any plot or
-# check needs, and already make a 31 MB CSV report from a 240 MB peak (about
-# 1.5 s on a 2-core x86_64). Every row costs memory, so a larger --samples
+# check needs, and already make a 31 MB CSV report from a 173 MB peak RSS
+# (about 1.0 s for a fresh process on a 2-core x86_64) and a 102 MB JSON one
+# from 228 MB (about 1.2 s). Every row costs memory, so a larger --samples
 # would only grow the run, up to a grid that cannot be built at all.
 MAX_REGION_SAMPLES = 2**20
 # pi - math.pi: theta - math.pi - PI_TAIL is |theta - pi| to an ulp, as the
@@ -124,17 +129,19 @@ def _dumps(value, newline: str = "\n") -> str:
     return _dumps(_jsonable(value), newline)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces, out_path: str | None) -> None:
+    """Write the report's text pieces, in order, to ``out_path`` or stdout."""
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(obj, out_path: str | None) -> None:
     """Write ``obj`` as the bytes of json.dumps(obj, indent=2) and a newline:
     every report and the error payload pass through ``_dumps``."""
-    _emit(_dumps(obj) + "\n", out_path)
+    _emit((_dumps(obj), "\n"), out_path)
 
 
 def _cmd_synthesize(args) -> int:
@@ -246,37 +253,75 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
+def _region_grid(samples: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The grid theta = 2*pi*i/samples, i = 1..samples, and the text of each
+    theta in a report (read-only; shared by every call). Only the latest
+    samples stays cached: the texts are most of a default call's work and
+    depend on nothing else, and at 2**20 samples they hold about 80 MB."""
+    grid = 2.0 * math.pi * np.arange(1, samples + 1) / samples
+    grid.setflags(write=False)
+    return grid, tuple(map(float.__repr__, grid.tolist()))
+
+
+# Each region format's template: the text before the rows (str.format'ed
+# with n and mode), a row's text before its theta and after it (str.format'ed
+# with the admissible and boundary words), the text between two rows and the
+# text after the last one
+_REGION_FORMATS = {
+    "csv": ("theta,admissible,boundary\n", "", ",{},{}", "\n", "\n"),
+    "json": ('{{\n  "n": {n},\n  "mode": "{mode}",\n  "rows": [\n',
+             '    {\n      "theta": ',
+             ',\n      "admissible": {},\n      "boundary": {}\n    }}',
+             ",\n", "\n  ]\n}\n"),
+}
+_WORDS = ("false", "true")
+
+
+def _region_pieces(fmt: str, n: int, mode: str, texts, admissible, boundary):
+    """The pieces of a region report: each run of rows with equal verdicts is
+    one join of its theta texts, with the format's row template between."""
+    head, before, after, between, tail = _REGION_FORMATS[fmt]
+    cuts = np.flatnonzero((admissible[1:] != admissible[:-1])
+                          | (boundary[1:] != boundary[:-1])) + 1
+    starts = [0, *cuts.tolist()]
+    lead = head.format(n=n, mode=mode) + before     # the text before a run's first theta
+    for i, j, a, b in zip(starts, [*starts[1:], len(texts)],
+                          admissible[starts].tolist(), boundary[starts].tolist()):
+        row_end = after.format(_WORDS[a], _WORDS[b])
+        link = row_end + between + before           # from one theta to the next
+        yield lead
+        yield link.join(texts[i:j])
+        lead = link
+    yield row_end + tail
+
+
 def _cmd_region(args) -> int:
     """Sample the wedge at theta = 2*pi*i/samples, i = 1..samples, plus the
     two boundary angles pi -/+ pi/n inside (0, 2*pi], deduplicated and
     sorted. One wedge_admissible call decides every row on |theta - pi|,
-    the rule kellogg_admissible applies to arg(-lambda). Both formats
-    write their rows as f-strings; the JSON bytes are those of
-    json.dumps(..., indent=2)."""
+    the rule kellogg_admissible applies to arg(-lambda). The grid and its
+    texts come from ``_region_grid``; both formats write each run of rows
+    with equal verdicts as one join of those texts, and the JSON bytes are
+    those of json.dumps(..., indent=2)."""
     if args.samples > MAX_REGION_SAMPLES:
         raise DomainError(f"--samples must be <= {MAX_REGION_SAMPLES}")
     n = args.n
     mode = MatrixClass.P if args.mode == "P" else MatrixClass.P0
     half = wedge_half_angle(n)
-    edges = [t for t in (math.pi - half, math.pi + half) if t > 0.0]
-    thetas = np.sort(np.concatenate(
-        (2.0 * math.pi * np.arange(1, args.samples + 1) / args.samples, edges)))
-    thetas = thetas[np.diff(thetas, prepend=0.0) != 0.0]    # every theta is > 0
-    admissible = wedge_admissible(np.abs(thetas - math.pi - PI_TAIL), n, mode).tolist()
-    boundary = np.isin(thetas, edges).tolist()
-    thetas = thetas.tolist()
-    word = ("false", "true")
-    if args.format == "json":
-        # the bytes of json.dumps(..., indent=2) without a dict per row
-        rows = ",\n".join(
-            f'    {{\n      "theta": {t!r},\n      "admissible": {word[a]},\n'
-            f'      "boundary": {word[b]}\n    }}'
-            for t, a, b in zip(thetas, admissible, boundary))
-        _emit(f'{{\n  "n": {n},\n  "mode": "{args.mode}",\n  "rows": [\n{rows}\n  ]\n}}\n',
-              args.out)
-    else:
-        lines = [f"{t!r},{word[a]},{word[b]}" for t, a, b in zip(thetas, admissible, boundary)]
-        _emit("\n".join(["theta,admissible,boundary", *lines]) + "\n", args.out)
+    grid, grid_texts = _region_grid(args.samples)
+    # both edges round to pi where pi/n is below half its ulp (n > 1.4e16)
+    edges = sorted({t for t in (math.pi - half, math.pi + half) if t > 0.0})
+    # an edge that is a grid angle adds no row; the others go in sorted order
+    added = [(i, t) for i, t in zip(np.searchsorted(grid, edges).tolist(), edges)
+             if i == len(grid) or grid[i] != t]
+    thetas = np.insert(grid, [i for i, _ in added], [t for _, t in added])
+    texts = list(grid_texts)
+    for i, t in reversed(added):
+        texts.insert(i, float.__repr__(t))
+    admissible = wedge_admissible(np.abs(thetas - math.pi - PI_TAIL), n, mode)
+    boundary = np.isin(thetas, edges)
+    _emit(_region_pieces(args.format, n, args.mode, texts, admissible, boundary), args.out)
     return 0
 
 

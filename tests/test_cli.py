@@ -646,6 +646,39 @@ class TestRegionCommand:
         assert len(json.loads(text)["rows"]) >= 65536
         assert peak < 5 * len(text)
 
+    def test_csv_report_memory(self, tmp_path):
+        # each run of rows with equal verdicts is one join of the cached theta
+        # texts, streamed to the file; an f-string per row, joined into one
+        # report, peaked at 6.5x the report
+        import tracemalloc
+
+        out = tmp_path / "region.csv"
+        argv = ["region", "--n", "4", "--mode", "P", "--samples", "65536", "--out", str(out)]
+        main(["region", "--n", "4", "--mode", "P", "--samples", "1", "--out", str(out)])
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = out.read_text(encoding="utf-8")
+        assert len(text.splitlines()) >= 1 + 65536
+        assert peak < 5 * len(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edges_that_round_to_pi_make_one_row(self, capsys, fmt):
+        # pi -/+ pi/n are both math.pi once pi/n is below half an ulp of pi
+        # (n > 1.4e16): one boundary row, weakly but not strictly admissible
+        for mode in ("P", "P0"):
+            code, out = _run(capsys, "region", "--n", str(10**17), "--mode", mode,
+                             "--samples", "7", "--format", fmt)
+            assert code == 0
+            rows = (self._rows(out) if fmt == "csv" else
+                    [(r["theta"], r["admissible"], r["boundary"])
+                     for r in json.loads(out)["rows"]])
+            assert len(rows) == 8
+            assert [(t, adm) for t, adm, bnd in rows if bnd] == [(PI, mode == "P0")]
+
     def test_json_format(self, capsys):
         code, out = _run(capsys, "region", "--n", "2", "--mode", "P",
                          "--samples", "4", "--format", "json")
@@ -858,3 +891,60 @@ class TestParserReuse:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "0"
+
+
+class TestRegionGridReuse:
+    """region builds its grid and the grid's texts once per samples and keeps
+    the latest read-only: each output equals the same call on an empty cache."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        cli._region_grid.cache_clear()
+        yield
+        cli._region_grid.cache_clear()
+
+    def _sequence(self, capsys, calls, out_path=None):
+        """Outputs of the calls with the grid cache kept, then each call's
+        on an empty cache."""
+        shared = [TestParserReuse._call(capsys, argv, out_path) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._region_grid.cache_clear()
+            fresh.append(TestParserReuse._call(capsys, argv, out_path))
+        assert shared == fresh
+        return shared
+
+    def test_samples_change_between_calls(self, capsys, tmp_path):
+        path = tmp_path / "wedge.csv"
+        outputs = self._sequence(capsys, [
+            ["region", "--n", "4", "--mode", "P"],
+            ["region", "--n", "4", "--mode", "P", "--samples", "90"],
+            ["region", "--n", "7", "--mode", "P0", "--format", "json"],
+            ["region", "--n", "1", "--mode", "P", "--samples", "1"],
+            ["region", "--n", "10", "--mode", "P0", "--samples", "4096", "--format", "json"],
+            ["region", "--n", "3", "--mode", "P", "--out", str(path)],
+        ], out_path=path)
+        assert all(code == 0 and err == "" for code, _, err, _ in outputs)
+        assert outputs[-1][1] == "" and outputs[-1][3].startswith(b"theta,admissible,boundary\n")
+
+    def test_one_grid_serves_every_n_mode_and_format(self, capsys):
+        calls = [["region", "--n", str(n), "--mode", mode, "--samples", "360", "--format", fmt]
+                 for n in (1, 2, 5, 12) for mode in ("P", "P0") for fmt in ("csv", "json")]
+        for argv in calls:
+            TestParserReuse._call(capsys, argv)
+        info = cli._region_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, len(calls) - 1, 1)
+        self._sequence(capsys, calls)
+
+    def test_cached_grid_is_read_only(self):
+        grid, texts = cli._region_grid(360)
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+        with pytest.raises(ValueError):
+            np.add(grid, 1.0, out=grid)
+        with pytest.raises(TypeError):
+            texts[0] = "0.0"
+        again = cli._region_grid(360)
+        assert again[0] is grid and again[1] is texts
+        assert grid.tolist() == [2.0 * PI * i / 360 for i in range(1, 361)]
+        assert texts == tuple(map(repr, grid.tolist()))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -414,6 +415,12 @@ class TestSynthesize:
         assert result.construction == "linear"
 
 
+CERTIFIED_NON_BINOMIALS = [
+    [1.0, 1e-12] + [0.0] * 10 + [1.0],                  # defect 2.2e-14
+    [float(math.comb(12, k)) for k in range(13)],      # (t+1)^12, one 12-fold root
+]
+
+
 def _numpy_cot_bookkeeping(q):
     """(status, binomial, min_defect, arguments) of verify_cot(q) for a
     polynomial that is its own working form, as every campaign polynomial
@@ -498,10 +505,7 @@ class TestVerifyCot:
         scaled = q * c ** np.arange(q.size)
         assert verify_cot(scaled).status == verify_cot(q).status
 
-    @pytest.mark.parametrize("q", [
-        [1.0, 1e-12] + [0.0] * 10 + [1.0],                  # defect 2.2e-14
-        [float(math.comb(12, k)) for k in range(13)],      # (t+1)^12, one 12-fold root
-    ])
+    @pytest.mark.parametrize("q", CERTIFIED_NON_BINOMIALS)
     def test_certified_non_binomials(self, q):
         report = verify_cot(q)
         assert report.status == "pass"
@@ -633,6 +637,102 @@ class TestVerifyCot:
             alpha = float(rng.uniform(math.pi / n, math.pi))
             result = synthesize(from_polar(r, alpha), n, SignClass.NONNEGATIVE)
             assert verify_cot(result.coeffs).status == "pass"
+
+
+def _pi_over_n_brackets(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Rational bounds lo <= cos(pi/n) <= hi and lo <= sin(pi/n) <= hi, the
+    ends of 200-bit mpmath intervals."""
+    prec, mp.iv.prec = mp.iv.prec, 200
+    try:
+        values = mp.iv.cos(mp.iv.pi / n), mp.iv.sin(mp.iv.pi / n)
+    finally:
+        mp.iv.prec = prec
+    with mp.workprec(200):
+        ends = [[mp.mpf(end).man_exp for end in (v.a, v.b)] for v in values]
+    return tuple(tuple(Fraction(m) * Fraction(2) ** e for m, e in pair) for pair in ends)
+
+
+def _disks_avoid_sector_exactly(q, z) -> bool:
+    """_disks_avoid_sector without rounding: whether every Braess-Hadeler
+    disk D(z_i, n|w_i|), w_i = q(z_i) / (a_n prod_{j!=i} (z_i - z_j)), about
+    the float roots ``z`` of the float polynomial ``q`` avoids the open sector
+    |arg| < pi/n. Squared radii and distances are compared as Fractions.
+
+    The ray at angle pi/n is the part of the sector's edge nearest to
+    (x, |y|). The distance to it is |z_i| where z_i lies a right angle or more
+    past the ray, and otherwise h = |y| cos(pi/n) - x sin(pi/n), the distance
+    to its line, which is never more; both are bounded from below.
+    """
+    a = [Fraction(c) for c in canonical(q).tolist()]
+    n = len(a) - 1
+    (cos_lo, cos_hi), (sin_lo, sin_hi) = _pi_over_n_brackets(n)
+    points = [(Fraction(t.real), Fraction(t.imag)) for t in np.asarray(z).tolist()]
+    for i, (x, y) in enumerate(points):
+        re, im = Fraction(0), Fraction(0)
+        for c in reversed(a):                           # q(z_i) by Horner
+            re, im = re * x - im * y + c, re * y + im * x
+        gaps2 = math.prod((x - u) ** 2 + (y - v) ** 2
+                          for j, (u, v) in enumerate(points) if j != i)
+        if gaps2 == 0:
+            return False
+        radius2 = n * n * (re * re + im * im) / (a[-1] ** 2 * gaps2)
+        y = abs(y)
+        if x * (cos_hi if x > 0 else cos_lo) + y * sin_hi <= 0:
+            distance2 = x * x + y * y
+        else:
+            h = y * cos_lo - x * (sin_hi if x > 0 else sin_lo)
+            if h < 0:
+                return False
+            distance2 = h * h
+        if distance2 < radius2:
+            return False
+    return True
+
+
+class TestExactDiskCertificate:
+    """Every float "pass" of verify_cot on a non-binomial also passes when its
+    disks are computed exactly: the rounding allowances of _disks_avoid_sector
+    (2 eps mu_i, 1 + 8n eps, 6 eps) cover every rounding they stand for."""
+
+    @staticmethod
+    def _passes_exactly(q):
+        report = verify_cot(q)
+        assert report.status == "pass" and not report.binomial
+        return _disks_avoid_sector_exactly(q, report.roots)
+
+    def test_seeded_cot_campaign(self, monkeypatch):
+        from sectorpoly import campaigns
+
+        checked = []
+
+        def recorded(q):
+            report = verify_cot(q)
+            if report.status == "pass" and not report.binomial:
+                checked.append((q, report.roots))
+            return report
+
+        monkeypatch.setattr(campaigns, "verify_cot", recorded)
+        assert campaigns.run_suite("cot", 200, 5).failures == 0
+        assert len(checked) >= 150
+        assert [q.tolist() for q, z in checked if not _disks_avoid_sector_exactly(q, z)] == []
+
+    @pytest.mark.parametrize("q", CERTIFIED_NON_BINOMIALS)
+    def test_certified_non_binomials(self, q):
+        assert self._passes_exactly(q)
+
+    def test_scaled_cot_target(self):
+        # the roots are 2^e u of the working form's roots u
+        result = synthesize(complex(5.2716, -5.6842) * 2.0 ** 90, 11, SignClass.NONNEGATIVE)
+        assert self._passes_exactly(result.coeffs)
+
+    def test_disk_in_the_sector_fails(self):
+        # t^2 - t + 1 has its roots e^(+-i pi/3) inside |arg| < pi/2, and the
+        # certified roots of t^12 + 1e-12 t + 1, turned 0.1 rad toward the
+        # positive real axis, lie inside |arg| < pi/12
+        assert not _disks_avoid_sector_exactly([1.0, -1.0, 1.0], np.roots([1.0, -1.0, 1.0]))
+        q = CERTIFIED_NON_BINOMIALS[0]
+        z = verify_cot(q).roots
+        assert not _disks_avoid_sector_exactly(q, z * np.exp(-0.1j * np.sign(z.imag)))
 
 
 class TestScaleInvariance:
