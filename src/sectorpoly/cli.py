@@ -10,10 +10,10 @@ byte-identical JSON/CSV. Angles are radians only.
 parser from ``build_parser`` on its first call and reuses it afterwards:
 argparse reads a parser without changing it and gives every call a fresh
 namespace, so no flag of one call carries over into the next. ``region``
-reuses its grid the same way: the angles of the latest ``--samples`` and
-their texts are built once and kept read-only, so no call changes what the
-next one reads. Every report is written in pieces, as it is formed, to
-stdout or ``--out``.
+reuses its grid the same way: the angles of the latest ``--samples`` up to
+``CACHED_REGION_SAMPLES`` and their texts are built once and kept read-only,
+so no call changes what the next one reads. Every report is written in
+pieces, as it is formed, to stdout or ``--out``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +54,16 @@ from .synthesis import synthesize, verify_cot
 
 MODE_BY_FLAG = {"nonneg": SignClass.NONNEGATIVE, "positive": SignClass.POSITIVE}
 # 2**20 rows space the region grid 6e-6 rad apart, finer than any plot or
-# check needs, and already make a 31 MB CSV report from a 173 MB peak RSS
-# (about 1.0 s for a fresh process on a 2-core x86_64) and a 102 MB JSON one
-# from 228 MB (about 1.2 s). Every row costs memory, so a larger --samples
-# would only grow the run, up to a grid that cannot be built at all.
+# check needs, and already make a 31 MB CSV report from a 176 MB peak RSS
+# (1.0-1.8 s, median 1.5 s, for a fresh process on a shared 2-core x86_64)
+# and a 102 MB JSON one from 231 MB (1.1-2.1 s, median 1.5 s). Every row
+# costs memory, so a larger --samples would only grow the run, up to a grid
+# that cannot be built at all.
 MAX_REGION_SAMPLES = 2**20
+# The largest region grid whose texts stay cached for later calls in the
+# process (0.34 MB at 2**12, against 86 MB at 2**20). A larger grid is built
+# for its call alone and leaves the cached one in place.
+CACHED_REGION_SAMPLES = 2**12
 # pi - math.pi: theta - math.pi - PI_TAIL is |theta - pi| to an ulp, as the
 # argument of a unit lambda at theta reads it. theta - math.pi alone is off by
 # 1.2e-16, which flips the theta = math.pi row where pi/n is that close to
@@ -130,7 +136,10 @@ def _dumps(value, newline: str = "\n") -> str:
 
 
 def _emit(pieces, out_path: str | None) -> None:
-    """Write the report's text pieces, in order, to ``out_path`` or stdout."""
+    """Write the report's text pieces, in order, to ``out_path`` or stdout.
+    The pieces may be formed lazily, as they are written: ``out_path`` is
+    truncated before the first one, so a report that fails while it is formed
+    (a MemoryError near MAX_REGION_SAMPLES) leaves a partial file."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as f:
             f.writelines(pieces)
@@ -256,44 +265,56 @@ def _cmd_classify(args) -> int:
 @functools.lru_cache(maxsize=1)
 def _region_grid(samples: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """The grid theta = 2*pi*i/samples, i = 1..samples, and the text of each
-    theta in a report (read-only; shared by every call). Only the latest
-    samples stays cached: the texts are most of a default call's work and
-    depend on nothing else, and at 2**20 samples they hold about 80 MB."""
+    theta in a report (read-only; shared by every call). The texts are most
+    of a default call's work and depend on nothing else. Only the latest
+    grid of at most CACHED_REGION_SAMPLES stays cached: ``_cmd_region``
+    builds a larger one through ``__wrapped__``, for its call alone."""
     grid = 2.0 * math.pi * np.arange(1, samples + 1) / samples
     grid.setflags(write=False)
     return grid, tuple(map(float.__repr__, grid.tolist()))
 
 
-# Each region format's template: the text before the rows (str.format'ed
-# with n and mode), a row's text before its theta and after it (str.format'ed
-# with the admissible and boundary words), the text between two rows and the
-# text after the last one
+class _RegionFormat(NamedTuple):
+    """A region format's parts, in the order a report puts them. Only
+    ``head`` is a template (str.format'ed with n and mode); every other part
+    is literal text."""
+    head: str           # the text before the first row
+    before: str         # a row's text before its theta
+    admissible: str     # after its theta, before the admissible word
+    boundary: str       # after the admissible word, before the boundary word
+    after: str          # after the boundary word
+    between: str        # between two rows
+    tail: str           # after the last row
+
+
 _REGION_FORMATS = {
-    "csv": ("theta,admissible,boundary\n", "", ",{},{}", "\n", "\n"),
-    "json": ('{{\n  "n": {n},\n  "mode": "{mode}",\n  "rows": [\n',
-             '    {\n      "theta": ',
-             ',\n      "admissible": {},\n      "boundary": {}\n    }}',
-             ",\n", "\n  ]\n}\n"),
+    "csv": _RegionFormat(head="theta,admissible,boundary\n", before="", admissible=",",
+                         boundary=",", after="", between="\n", tail="\n"),
+    "json": _RegionFormat(head='{{\n  "n": {n},\n  "mode": "{mode}",\n  "rows": [\n',
+                          before='    {\n      "theta": ',
+                          admissible=',\n      "admissible": ',
+                          boundary=',\n      "boundary": ',
+                          after="\n    }", between=",\n", tail="\n  ]\n}\n"),
 }
 _WORDS = ("false", "true")
 
 
 def _region_pieces(fmt: str, n: int, mode: str, texts, admissible, boundary):
     """The pieces of a region report: each run of rows with equal verdicts is
-    one join of its theta texts, with the format's row template between."""
-    head, before, after, between, tail = _REGION_FORMATS[fmt]
+    one join of its theta texts, with the format's row parts between."""
+    form = _REGION_FORMATS[fmt]
     cuts = np.flatnonzero((admissible[1:] != admissible[:-1])
                           | (boundary[1:] != boundary[:-1])) + 1
     starts = [0, *cuts.tolist()]
-    lead = head.format(n=n, mode=mode) + before     # the text before a run's first theta
+    lead = form.head.format(n=n, mode=mode) + form.before   # the text before a run's first theta
     for i, j, a, b in zip(starts, [*starts[1:], len(texts)],
                           admissible[starts].tolist(), boundary[starts].tolist()):
-        row_end = after.format(_WORDS[a], _WORDS[b])
-        link = row_end + between + before           # from one theta to the next
+        row_end = form.admissible + _WORDS[a] + form.boundary + _WORDS[b] + form.after
+        link = row_end + form.between + form.before         # from one theta to the next
         yield lead
         yield link.join(texts[i:j])
         lead = link
-    yield row_end + tail
+    yield row_end + form.tail
 
 
 def _cmd_region(args) -> int:
@@ -309,7 +330,8 @@ def _cmd_region(args) -> int:
     n = args.n
     mode = MatrixClass.P if args.mode == "P" else MatrixClass.P0
     half = wedge_half_angle(n)
-    grid, grid_texts = _region_grid(args.samples)
+    build = _region_grid if args.samples <= CACHED_REGION_SAMPLES else _region_grid.__wrapped__
+    grid, grid_texts = build(args.samples)
     # both edges round to pi where pi/n is below half its ulp (n > 1.4e16)
     edges = sorted({t for t in (math.pi - half, math.pi + half) if t > 0.0})
     # an edge that is a grid angle adds no row; the others go in sorted order

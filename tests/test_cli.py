@@ -647,7 +647,7 @@ class TestRegionCommand:
         assert peak < 5 * len(text)
 
     def test_csv_report_memory(self, tmp_path):
-        # each run of rows with equal verdicts is one join of the cached theta
+        # each run of rows with equal verdicts is one join of the grid's theta
         # texts, streamed to the file; an f-string per row, joined into one
         # report, peaked at 6.5x the report
         import tracemalloc
@@ -935,6 +935,28 @@ class TestRegionGridReuse:
         info = cli._region_grid.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, len(calls) - 1, 1)
         self._sequence(capsys, calls)
+
+    def test_large_grid_is_not_kept(self, tmp_path):
+        # a grid over CACHED_REGION_SAMPLES serves its call alone: the default
+        # grid stays cached, and the large grid's texts go with the call
+        import tracemalloc
+
+        out = tmp_path / "wedge.csv"
+        small = ["region", "--n", "4", "--mode", "P", "--out", str(out)]
+        large = [*small, "--samples", str(16 * cli.CACHED_REGION_SAMPLES)]
+        assert main(small) == 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(large) == 0
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text(encoding="utf-8").splitlines()) > 16 * cli.CACHED_REGION_SAMPLES
+        assert main(small) == 0
+        info = cli._region_grid.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert held < 100_000       # kept, the texts alone would be about 5 MB
 
     def test_cached_grid_is_read_only(self):
         grid, texts = cli._region_grid(360)
