@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import SectorPolyError
 from .pmatrix import (
+    SIGN_TOL,
     MatrixClass,
     eigen_witness,
     eigenvalues,
@@ -22,13 +24,10 @@ from .pmatrix import (
     spectrum_aux_poly,
     wedge_admissible,
 )
-from .poly import SignClass, classify_signs, from_polar, principal_arg
+from .poly import SignClass, classify_signs, from_polar, is_conjugate_closed, principal_arg
 from .synthesis import sector_index, synthesize, verify_cot
 
-SUITE_NAMES = ("synth", "cot", "kellogg", "witness")
-
 RESIDUAL_BOUND = 1e-10
-WITNESS_DIST_BOUND = 1e-8
 
 
 @dataclass
@@ -135,41 +134,36 @@ def _check_synthesis(result, coeffs: list, n, mode) -> list[str]:
     return bad
 
 
-def run_synth_suite(cases: int, seed: int, mode: SignClass | None = None,
-                    verify_forward: bool = False) -> SuiteReport:
-    """Round-trip campaign: synthesize at random targets, check the result's
-    shape, sign class and residual; optionally close the loop through the
-    forward sector-bound checker."""
-    metrics = {"max_residual": 0.0, "min_coeff_margin": math.inf}
-    if verify_forward:
-        metrics["min_arg_defect"] = math.inf
-
-    def case(rng, i, detail, m):
-        case_mode = mode
-        if case_mode is None:
-            case_mode = SignClass.NONNEGATIVE if i % 2 == 0 else SignClass.POSITIVE
-        if case_mode is SignClass.POSITIVE:
-            mu, n = _sample_positive_target(rng)
-        else:
-            mu, n = _sample_nonneg_target(rng, i)
-        detail.update(mu={"re": mu.real, "im": mu.imag}, n=n, mode=case_mode.value)
-        result = synthesize(mu, n, case_mode)
-        coeffs = result.coeffs.tolist()
-        bad = _check_synthesis(result, coeffs, n, case_mode)
-        m["max_residual"] = max(m["max_residual"], result.residual)
-        m["min_coeff_margin"] = min(m["min_coeff_margin"], min(coeffs) / max(coeffs))
-        if verify_forward:
-            cot = verify_cot(result.coeffs)
-            m["min_arg_defect"] = min(m["min_arg_defect"], cot.min_defect)
-            if cot.status != "pass":
-                bad.append(f"verify_{cot.status}")
-        return bad
-
-    report = SuiteReport("cot" if verify_forward else "synth", cases, seed, metrics=metrics)
-    return _run_cases(report, case)
+def _synth_case(rng, i, detail, m, mode: SignClass | None = None,
+                forward: bool = False) -> list[str]:
+    """Round trip: synthesize at a random target (``mode``, or alternating
+    nonnegative and positive), check the result's shape, sign class and
+    residual; with ``forward``, close the loop through verify_cot."""
+    case_mode = mode
+    if case_mode is None:
+        case_mode = SignClass.NONNEGATIVE if i % 2 == 0 else SignClass.POSITIVE
+    if case_mode is SignClass.POSITIVE:
+        mu, n = _sample_positive_target(rng)
+    else:
+        mu, n = _sample_nonneg_target(rng, i)
+    detail.update(mu={"re": mu.real, "im": mu.imag}, n=n, mode=case_mode.value)
+    result = synthesize(mu, n, case_mode)
+    coeffs = result.coeffs.tolist()
+    bad = _check_synthesis(result, coeffs, n, case_mode)
+    m["max_residual"] = max(m["max_residual"], result.residual)
+    m["min_coeff_margin"] = min(m["min_coeff_margin"], min(coeffs) / max(coeffs))
+    if forward:
+        cot = verify_cot(result.coeffs)
+        m["min_arg_defect"] = min(m["min_arg_defect"], cot.min_defect)
+        if cot.status != "pass":
+            bad.append(f"verify_{cot.status}")
+    return bad
 
 
 def _kellogg_case(rng, i, detail, m) -> list[str]:
+    """Forward eigenvalue region of a generated P matrix: every eigenvalue
+    clears the strict wedge and the reflected characteristic polynomial has
+    strictly positive coefficients."""
     n = int(rng.integers(2, 9))
     mseed = int(rng.integers(0, 2**63))
     detail.update(n=n, matrix_seed=mseed)
@@ -193,14 +187,6 @@ def _kellogg_case(rng, i, detail, m) -> list[str]:
     return bad
 
 
-def run_kellogg_suite(cases: int, seed: int) -> SuiteReport:
-    """Forward eigenvalue-region campaign on generated P matrices: every
-    eigenvalue must clear the strict wedge and the reflected characteristic
-    polynomial must have strictly positive coefficients."""
-    metrics = {"min_eigen_defect": math.inf, "max_root_residual": 0.0}
-    return _run_cases(SuiteReport("kellogg", cases, seed, metrics=metrics), _kellogg_case)
-
-
 def _sample_admissible(rng: np.random.Generator, index: int):
     """(lambda, n, mode, boundary): admissible eigenvalue targets, alternating
     P and P0; every 5th P0 case sits exactly on the wedge boundary."""
@@ -220,6 +206,8 @@ def _sample_admissible(rng: np.random.Generator, index: int):
 
 
 def _witness_case(rng, i, detail, m) -> list[str]:
+    """Witness soundness: an admissible (lambda, n) extends to a spectrum of n
+    values, lambda among them, whose feasibility matches the mode."""
     lam, n, mode, boundary = _sample_admissible(rng, i)
     detail.update({"lambda": {"re": lam.real, "im": lam.imag}, "n": n, "mode": mode.value})
     bad = []
@@ -229,7 +217,7 @@ def _witness_case(rng, i, detail, m) -> list[str]:
         bad.append("size")
     dist = float(np.min(np.abs(values - lam))) / (1.0 + abs(lam))
     m["max_match_distance"] = max(m["max_match_distance"], dist)
-    if dist > WITNESS_DIST_BOUND:
+    if dist > 0.0:      # eigen_witness puts lambda itself first
         bad.append("contains_lambda")
     feasibility = spectrum.feasibility
     if mode is MatrixClass.P:
@@ -237,36 +225,45 @@ def _witness_case(rng, i, detail, m) -> list[str]:
             bad.append("feasibility")
     elif feasibility is MatrixClass.NEITHER:
         bad.append("feasibility")
-    if not spectrum.conjugate_closed:
+    if not is_conjugate_closed(values):
         bad.append("conjugate_closure")
     if boundary and not _is_binomial_spectrum(values):
         bad.append("boundary_binomial")
     return bad
 
 
-def run_witness_suite(cases: int, seed: int) -> SuiteReport:
-    """Witness soundness campaign: every admissible (lambda, n) must extend to
-    a full spectrum containing lambda whose feasibility matches the mode."""
-    report = SuiteReport("witness", cases, seed, metrics={"max_match_distance": 0.0})
-    return _run_cases(report, _witness_case)
-
-
 def _is_binomial_spectrum(values) -> bool:
-    """True if prod (t + v) is a binomial: every interior coefficient
-    vanishes relative to the same coefficient of prod (t + |v|), the bound
-    spectrum_feasible judges against."""
+    """True if prod (t + v) is a binomial: every interior coefficient lies
+    within SIGN_TOL times the same coefficient of prod (t + |v|), the band
+    in which spectrum_feasible reads a coefficient as zero."""
     q = spectrum_aux_poly(values)[1:-1]
     bound = spectrum_aux_poly(np.abs(values)).real[1:-1]
-    return bool(np.all(np.abs(q) <= 1e-8 * bound))
+    return bool(np.all(np.abs(q) <= SIGN_TOL * bound))
+
+
+# name -> (metrics at their start, copied for each run; case function)
+SUITES = {
+    "synth": ({"max_residual": 0.0, "min_coeff_margin": math.inf}, _synth_case),
+    "cot": ({"max_residual": 0.0, "min_coeff_margin": math.inf, "min_arg_defect": math.inf},
+            partial(_synth_case, forward=True)),
+    "kellogg": ({"min_eigen_defect": math.inf, "max_root_residual": 0.0}, _kellogg_case),
+    "witness": ({"max_match_distance": 0.0}, _witness_case),
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, cases: int, seed: int) -> SuiteReport:
-    if name == "synth":
-        return run_synth_suite(cases, seed)
-    if name == "cot":
-        return run_synth_suite(cases, seed, verify_forward=True)
-    if name == "kellogg":
-        return run_kellogg_suite(cases, seed)
-    if name == "witness":
-        return run_witness_suite(cases, seed)
-    raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    metrics, case = SUITES[name]
+    return _run_cases(SuiteReport(name, cases, seed, metrics=dict(metrics)), case)
+
+
+def run_synth_suite(cases: int, seed: int, mode: SignClass,
+                    verify_forward: bool = False) -> SuiteReport:
+    """The ``synth`` suite, or ``cot`` with ``verify_forward``, with every
+    case in ``mode``."""
+    name = "cot" if verify_forward else "synth"
+    metrics, case = SUITES[name]
+    return _run_cases(SuiteReport(name, cases, seed, metrics=dict(metrics)),
+                      partial(case, mode=mode))

@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .campaigns import RESIDUAL_BOUND, SUITE_NAMES, run_suite
 from .errors import DomainError, SectorPolyError
 from .pmatrix import (
@@ -139,10 +138,14 @@ def _emit(pieces, out_path: str | None) -> None:
     """Write the report's text pieces, in order, to ``out_path`` or stdout.
     The pieces may be formed lazily, as they are written: ``out_path`` is
     truncated before the first one, so a report that fails while it is formed
-    (a MemoryError near MAX_REGION_SAMPLES) leaves a partial file."""
+    (a MemoryError near MAX_REGION_SAMPLES) leaves a partial file. An
+    ``out_path`` that cannot be opened or written raises DomainError naming it."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as f:
-            f.writelines(pieces)
+        try:
+            with open(out_path, "w", encoding="utf-8") as f:
+                f.writelines(pieces)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out_path!r}: {exc.strerror}")
     else:
         sys.stdout.writelines(pieces)
 
@@ -349,7 +352,7 @@ def _cmd_region(args) -> int:
 
 def _cmd_oracle(args) -> int:
     report = run_suite(args.suite, args.cases, args.seed)
-    _emit_json({**report.to_dict(), "backend": kernels.backend_name()}, args.out)
+    _emit_json(report.to_dict(), args.out)
     return 0 if report.failures == 0 else 1
 
 

@@ -220,5 +220,5 @@ def minor_sums(a):
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation, reported by the CLI and benchmark."""
+    """Name of the kernel implementation, for the benchmark's environment record."""
     return "numpy"

@@ -43,13 +43,7 @@ from .errors import (
     PreconditionError,
     ZeroLambda,
 )
-from .poly import (
-    SignClass,
-    classify_signs,
-    is_conjugate_closed,
-    ldexp_complex,
-    principal_arg,
-)
+from .poly import SignClass, classify_signs, ldexp_complex, principal_arg
 from .roots import find_roots
 from .synthesis import ANGLE_TOL, synthesize
 
@@ -108,8 +102,9 @@ class MinorReport:
 
 @dataclass(frozen=True)
 class SpectrumMultiset:
+    """An n-point spectrum and its spectrum_feasible class, closure included."""
+
     values: np.ndarray
-    conjugate_closed: bool
     feasibility: MatrixClass     # spectrum_feasible(values)
 
 
@@ -311,10 +306,10 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     core, t + |lambda| for lambda on the positive real axis (within
     ANGLE_TOL of it), contributes lambda alone.
 
-    The result contains lambda itself, has exactly n values and is
-    conjugate-closed by construction. Its ``feasibility`` is
-    spectrum_feasible(values), computed once here: P in P mode, and P0 or P
-    in P0 mode (a P0 witness may classify as P when strictly positive).
+    The result contains lambda itself and has exactly n values, built in
+    conjugate pairs. Its ``feasibility`` is spectrum_feasible(values), the
+    one judgement of the spectrum, closure included: P in P mode, and P0 or
+    P in P0 mode (a P0 witness may classify as P when strictly positive).
 
     Raises NotAdmissible outside the region. In P mode raises
     FeasibleButUnwitnessed where the strict positive-coefficient
@@ -352,11 +347,7 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
             f"the witness for lambda={lam!r} reads {feasibility.value}, "
             "too close to the boundary to tell from P0"
         )
-    return SpectrumMultiset(
-        values=values,
-        conjugate_closed=is_conjugate_closed(values),
-        feasibility=feasibility,
-    )
+    return SpectrumMultiset(values=values, feasibility=feasibility)
 
 
 def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:

@@ -11,10 +11,11 @@ positive coefficients are achievable when n > 1 and pi/alpha is not an
 integer, via an average of the k-1 trinomials.
 
 Everything hinges on one decision: is alpha the boundary angle pi/k or not?
-``sector_index`` makes it, once: an alpha within ANGLE_TOL (absolute) of pi/m
-is pi/m, and any other alpha lies at least ANGLE_TOL inside its sector. The
-sign lemma, the builders, ``synthesize`` and the matrix witnesses all read
-its ``SectorIndex`` instead of judging the angle again.
+``sector_index`` alone makes it: an alpha within ANGLE_TOL (absolute) of pi/m
+is pi/m, and any other alpha lies at least ANGLE_TOL inside its sector.
+``synthesize`` and the matrix witnesses read its ``SectorIndex``; the public
+builders call it again on their own angle, ``build_qj`` through
+``sign_lemma_check`` and ``build_q_avg`` directly.
 """
 
 from __future__ import annotations

@@ -16,12 +16,7 @@ from sectorpoly import (
     principal_minors,
     synthesize,
 )
-from sectorpoly.campaigns import (
-    run_kellogg_suite,
-    run_suite,
-    run_synth_suite,
-    run_witness_suite,
-)
+from sectorpoly.campaigns import run_suite, run_synth_suite
 from sectorpoly.poly import relative_residual
 
 SEED = 20260811
@@ -125,7 +120,7 @@ def test_criterion_5_reflection_identity_on_random_matrices():
 
 
 def test_criterion_6_kellogg_forward_campaign():
-    report = run_kellogg_suite(1_000, SEED)
+    report = run_suite("kellogg", 1_000, SEED)
     ok = report.failures == 0
     _report(6, ok,
             f"1000 generated P matrices (n in [2,8]), {report.failures} failures, "
@@ -133,7 +128,7 @@ def test_criterion_6_kellogg_forward_campaign():
 
 
 def test_criterion_7_witness_soundness_campaign():
-    report = run_witness_suite(1_000, SEED)
+    report = run_suite("witness", 1_000, SEED)
     ok = (report.failures == 0
           and report.metrics["max_match_distance"] <= 1e-8)
     _report(7, ok,

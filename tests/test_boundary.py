@@ -31,7 +31,8 @@ from sectorpoly import (
     kellogg_admissible,
     synthesize,
 )
-from sectorpoly.campaigns import RESIDUAL_BOUND, WITNESS_DIST_BOUND
+from sectorpoly.campaigns import RESIDUAL_BOUND
+from sectorpoly.poly import is_conjugate_closed
 
 MODE_SIGNS = {MatrixClass.P: SignClass.POSITIVE, MatrixClass.P0: SignClass.NONNEGATIVE}
 
@@ -87,9 +88,9 @@ def check_target(lam: complex, n: int, mode: MatrixClass) -> list[str]:
     values = spectrum.values
     if len(values) != n:
         bad.append("witness_size")
-    if float(np.min(np.abs(values - lam))) > WITNESS_DIST_BOUND * (1.0 + abs(lam)):
+    if lam not in values:
         bad.append("witness_misses_lambda")
-    if not spectrum.conjugate_closed:
+    if not is_conjugate_closed(values):
         bad.append("witness_not_conjugate_closed")
     if spectrum.feasibility is MatrixClass.NEITHER or (
             mode is MatrixClass.P and spectrum.feasibility is not MatrixClass.P):

@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from sectorpoly import DomainError, campaigns, kernels
-from sectorpoly.campaigns import (
-    run_kellogg_suite,
-    run_suite,
-    run_synth_suite,
-    run_witness_suite,
-)
+from sectorpoly.campaigns import run_suite, run_synth_suite
 from sectorpoly.pmatrix import MatrixClass, MinorReport
 from sectorpoly.poly import SignClass
 
@@ -46,14 +41,14 @@ def test_reports_are_deterministic():
     a = run_suite("synth", 150, seed=9).to_dict()
     b = run_suite("synth", 150, seed=9).to_dict()
     assert a == b
-    c = run_witness_suite(50, 4).to_dict()
-    d = run_witness_suite(50, 4).to_dict()
+    c = run_suite("witness", 50, 4).to_dict()
+    d = run_suite("witness", 50, 4).to_dict()
     assert c == d
 
 
 def test_different_seeds_differ():
-    a = run_kellogg_suite(20, 1).to_dict()
-    b = run_kellogg_suite(20, 2).to_dict()
+    a = run_suite("kellogg", 20, 1).to_dict()
+    b = run_suite("kellogg", 20, 2).to_dict()
     assert a["metrics"] != b["metrics"]
 
 
@@ -68,7 +63,7 @@ def test_kellogg_enumerates_minors_once_per_matrix(monkeypatch):
         return minor_sums(a)
 
     monkeypatch.setattr(kernels, "minor_sums", counted)
-    report = run_kellogg_suite(12, 4)
+    report = run_suite("kellogg", 12, 4)
     assert report.failures == 0
     assert len(calls) == 12
 
@@ -191,7 +186,7 @@ class TestKelloggFailures:
     CASES, SEED = 4, 5
 
     def _first_failure(self):
-        report = run_kellogg_suite(self.CASES, self.SEED)
+        report = run_suite("kellogg", self.CASES, self.SEED)
         assert report.failures == self.CASES and report.passes == 0
         return report.failure
 
@@ -216,7 +211,7 @@ class TestKelloggFailures:
         # 0 is no eigenvalue of a P matrix, though |arg(-0)| reads pi
         _patch_result(monkeypatch, "eigenvalues",
                       lambda r: {"roots": np.append(extra, [1.0 + 1j, 1.0 - 1j])})
-        report = run_kellogg_suite(self.CASES, self.SEED)
+        report = run_suite("kellogg", self.CASES, self.SEED)
         assert report.failures == self.CASES
         assert report.failure == {**_kellogg_inputs(self.SEED, 0), "failed": ["admissible"]}
 
@@ -225,7 +220,7 @@ class TestKelloggFailures:
         # inadmissible at n <= 8, and -1 beyond it lies deeper in the wedge
         _patch_result(monkeypatch, "eigenvalues",
                       lambda r: {"roots": np.array([-1.0 + 0.2j, -1.0])})
-        report = run_kellogg_suite(1, self.SEED)
+        report = run_suite("kellogg", 1, self.SEED)
         n = _kellogg_inputs(self.SEED, 0)["n"]
         assert report.metrics["min_eigen_defect"] == 0.0 - math.pi / n
 
@@ -233,7 +228,7 @@ class TestKelloggFailures:
         monkeypatch.setattr(campaigns, "generate_p_matrix", _raise_domain_error)
         assert self._first_failure() == {**_kellogg_inputs(self.SEED, 0),
                                          "failed": ["error_DomainError"]}
-        assert run_kellogg_suite(self.CASES, self.SEED).metrics == {
+        assert run_suite("kellogg", self.CASES, self.SEED).metrics == {
             "min_eigen_defect": None, "max_root_residual": 0.0}
 
 
@@ -241,14 +236,15 @@ class TestWitnessFailures:
     SEED = 4
 
     def _report(self, cases):
-        return run_witness_suite(cases, self.SEED)
+        return run_suite("witness", cases, self.SEED)
 
     def _assert_first(self, report, i, check):
         assert report.failure == {**_witness_inputs(self.SEED, i), "failed": [check]}
 
     def test_size_fires(self, monkeypatch):
+        # one real value more, which keeps the spectrum conjugate-closed
         _patch_result(monkeypatch, "eigen_witness",
-                      lambda r: {"values": np.append(r.values[0], r.values)})
+                      lambda r: {"values": np.append(1.0, r.values)})
         report = self._report(4)
         assert report.failures == 4
         self._assert_first(report, 0, "size")
@@ -269,7 +265,7 @@ class TestWitnessFailures:
         self._assert_first(report, 0, "feasibility")
 
     def test_conjugate_closure_fires(self, monkeypatch):
-        _patch_result(monkeypatch, "eigen_witness", lambda r: {"conjugate_closed": False})
+        monkeypatch.setattr(campaigns, "is_conjugate_closed", lambda values: False)
         report = self._report(4)
         assert report.failures == 4
         self._assert_first(report, 0, "conjugate_closure")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -150,6 +151,13 @@ class TestSynthesizeCommand:
                          "--n", "3", "--mode", "nonneg")
         assert code == 2
         assert json.loads(out)["error"] == "AngleTooSmall"
+
+    @pytest.mark.parametrize("flag", ["--r", "--alpha"])
+    def test_polar_input_needs_both_parts(self, capsys, flag):
+        code, out = _run(capsys, "synthesize", flag, "2", "--n", "3", "--mode", "nonneg")
+        assert code == 2
+        assert json.loads(out) == {"error": "DomainError",
+                                   "message": "polar input needs both --r and --alpha"}
 
     def test_requires_exactly_one_input_form(self, capsys):
         code, out = _run(capsys, "synthesize", "--r", "1", "--alpha", "3",
@@ -755,6 +763,25 @@ class TestFlagValidation:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[0].startswith("usage: sectorpoly ")
         assert err[1] == f"sectorpoly: error: unrecognized arguments: {flag} {value}"
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "region", "oracle"])
+    @pytest.mark.parametrize("where", [
+        "missing_dir/report.json",
+        ".",
+        # an absolute path replaces tmp_path: a device that fails every write
+        pytest.param("/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, command, where):
+        # a missing directory, a directory itself, or a failed write: a named
+        # error, no traceback
+        out = tmp_path / where
+        code = main([*VALID_CALLS[command], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        error = json.loads(captured.out)
+        assert error["error"] == "DomainError" and repr(str(out)) in error["message"]
+        assert not (tmp_path / "missing_dir").exists()
 
     def test_each_subcommand_has_only_its_flags(self):
         sub = next(a for a in cli.build_parser()._actions

@@ -33,7 +33,7 @@ from sectorpoly import (
 )
 from sectorpoly import campaigns, find_roots, pmatrix, synthesize
 from sectorpoly.pmatrix import spectrum_aux_poly
-from sectorpoly.poly import relative_residual
+from sectorpoly.poly import is_conjugate_closed, relative_residual
 from sectorpoly.synthesis import ANGLE_TOL
 from test_boundary import TIER1_OFFSETS
 
@@ -353,6 +353,10 @@ class TestSpectrumFeasible:
     def test_mixed_reals(self):
         assert spectrum_feasible([1.0, -2.0]) is MatrixClass.NEITHER
 
+    def test_empty_spectrum_rejected(self):
+        with pytest.raises(PreconditionError, match="at least one value"):
+            spectrum_feasible([])
+
     @pytest.mark.parametrize("values", [[0.0, 1.0], [0.0, 0.0], [0.0, 1j, -1j]])
     def test_exactly_zero_coefficients_read_p0(self, values):
         assert spectrum_feasible(values) is MatrixClass.P0
@@ -531,7 +535,7 @@ class TestQuotientValues:
         for k in range(3, 8):
             gap = 0.5 * (math.pi / k + math.pi / (k - 1))
             spectrum = eigen_witness(from_polar(2.0, math.pi + gap), 9, mode)
-            assert spectrum.conjugate_closed
+            assert is_conjugate_closed(spectrum.values)
         assert degrees == [3, 4, 5]
 
 
@@ -585,7 +589,7 @@ class TestEigenWitness:
         spectrum = eigen_witness(lam, 2, MatrixClass.P)
         expected = np.sort_complex([from_polar(1.0, math.pi / 3), lam])
         np.testing.assert_allclose(np.sort_complex(spectrum.values), expected, atol=1e-9)
-        assert spectrum.conjugate_closed
+        assert is_conjugate_closed(spectrum.values)
         assert spectrum_feasible(spectrum.values) is MatrixClass.P
 
     def test_boundary_weak_witness(self):
@@ -622,7 +626,7 @@ class TestEigenWitness:
         values = spectrum.values
         assert len(values) == n
         assert np.count_nonzero(values == 1.0) == 2
-        assert spectrum.conjugate_closed
+        assert is_conjugate_closed(spectrum.values)
         assert spectrum_feasible(values) is not MatrixClass.NEITHER
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
@@ -654,7 +658,7 @@ class TestEigenWitness:
             spectrum = eigen_witness(lam, 12, MatrixClass.P0)
             assert len(spectrum.values) == 12
             assert lam in spectrum.values
-            assert spectrum.conjugate_closed
+            assert is_conjugate_closed(spectrum.values)
             assert spectrum.feasibility is not MatrixClass.NEITHER
 
     @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
@@ -665,7 +669,7 @@ class TestEigenWitness:
         for theta in (3e-9, -3e-9):
             lam = from_polar(r, theta)
             spectrum = eigen_witness(lam, 5, mode)
-            assert spectrum.conjugate_closed
+            assert is_conjugate_closed(spectrum.values)
             assert lam in spectrum.values and lam.conjugate() in spectrum.values
             assert spectrum_feasible(spectrum.values) is spectrum.feasibility
             assert spectrum.feasibility is not MatrixClass.NEITHER
@@ -692,7 +696,7 @@ class TestEigenWitness:
                     where = (r, gap, side)
                     assert len(values) == n, where
                     assert lam in values, where
-                    assert spectrum.conjugate_closed, where
+                    assert is_conjugate_closed(spectrum.values), where
                     feasibility = spectrum_feasible(values)
                     assert spectrum.feasibility is feasibility, where
                     if mode is MatrixClass.P:

@@ -152,6 +152,8 @@ class TestSignLemma:
         (0, 3, math.pi / 3),            # j must be >= 1
         (1, 3, 0.6 * math.pi),          # alpha above the sector
         (1, 3, 0.2 * math.pi),          # alpha below the sector
+        (1.5, 3, 1.0),                  # j and k must be integers
+        (1, 3.0, 1.0),
     ])
     def test_hypothesis_violations(self, j, k, alpha):
         with pytest.raises(PreconditionError):
@@ -239,6 +241,16 @@ class TestBuildQAvg:
     def test_boundary_rejected(self):
         with pytest.raises(PreconditionError):
             build_q_avg(3, 1.0, math.pi / 3)
+
+    @pytest.mark.parametrize("k, r, message", [
+        (1, 1.0, "need k >= 2"),
+        (0, 1.0, "need k >= 2"),
+        (3, 0.0, "modulus must be positive"),
+        (3, -1.0, "modulus must be positive"),
+    ])
+    def test_rejects_small_k_and_nonpositive_radius(self, k, r, message):
+        with pytest.raises(PreconditionError, match=message):
+            build_q_avg(k, r, 0.4 * math.pi)
 
     def test_strictly_positive_and_vanishing(self):
         rng = np.random.default_rng(9)
@@ -389,6 +401,15 @@ class TestSynthesize:
             lift(core, n, mode)
         with pytest.raises(type(lifted.value), match=re.escape(str(lifted.value))):
             synthesize(mu, n, mode)
+
+    def test_mixed_mode_rejected(self):
+        with pytest.raises(PreconditionError, match="mode must be nonnegative or positive"):
+            synthesize(1j, 2, SignClass.MIXED)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_degree_below_one_rejected(self, n):
+        with pytest.raises(PreconditionError, match="degree must be >= 1"):
+            synthesize(1j, n, SignClass.NONNEGATIVE)
 
     def test_zero_modulus(self):
         with pytest.raises(ZeroModulus):
@@ -589,6 +610,10 @@ class TestVerifyCot:
     def test_rejects_zero_constant(self):
         with pytest.raises(PreconditionError):
             verify_cot([0, 1, 1])
+
+    def test_rejects_a_constant(self):
+        with pytest.raises(PreconditionError, match="degree must be >= 1"):
+            verify_cot([5.0])
 
     @pytest.mark.parametrize("q", [[1, 2 + 3j, 1], np.array([1, 2 + 3j, 1])])
     def test_rejects_complex_coefficients(self, q):
