@@ -10,7 +10,6 @@ from .errors import (
     FeasibleButUnwitnessed,
     NotAdmissible,
     NotConjugateClosed,
-    PiOverAlphaInteger,
     PreconditionError,
     SectorPolyError,
     ZeroLambda,

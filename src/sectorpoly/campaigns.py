@@ -25,7 +25,7 @@ from .pmatrix import (
     wedge_admissible,
 )
 from .poly import SignClass, classify_signs, from_polar, is_conjugate_closed, principal_arg
-from .synthesis import sector_index, synthesize, verify_cot
+from .synthesis import synthesize, verify_cot
 
 RESIDUAL_BOUND = 1e-10
 
@@ -78,15 +78,6 @@ def _run_cases(report: SuiteReport, case) -> SuiteReport:
     return report
 
 
-def _off_boundary_angle(rng: np.random.Generator, n: int) -> float:
-    """|alpha| in (pi/n, pi), redrawn until it is off every boundary angle
-    pi/k."""
-    while True:
-        alpha = float(rng.uniform(math.pi / n, math.pi))
-        if not sector_index(alpha).boundary:
-            return alpha
-
-
 def _sample_nonneg_target(rng: np.random.Generator, index: int):
     """(mu, n): degree in [1, 12], modulus in [0.1, 10], |alpha| in [pi/n, pi].
 
@@ -107,11 +98,11 @@ def _sample_nonneg_target(rng: np.random.Generator, index: int):
 
 
 def _sample_positive_target(rng: np.random.Generator):
-    """(mu, n): degree in [2, 12], |alpha| in (pi/n, pi) off every boundary
-    angle pi/k."""
+    """(mu, n): degree in [2, 12], modulus in [0.1, 10], |alpha| in
+    [pi/n, pi)."""
     n = int(rng.integers(2, 13))
     r = float(rng.uniform(0.1, 10.0))
-    alpha = _off_boundary_angle(rng, n)
+    alpha = float(rng.uniform(math.pi / n, math.pi))
     if rng.integers(0, 2) == 1:
         alpha = -alpha
     return from_polar(r, alpha), n
@@ -194,9 +185,7 @@ def _sample_admissible(rng: np.random.Generator, index: int):
     n = int(rng.integers(2, 13))
     r = float(rng.uniform(0.1, 10.0))
     boundary = mode is MatrixClass.P0 and index % 10 == 1
-    if mode is MatrixClass.P:
-        gap = _off_boundary_angle(rng, n)
-    elif boundary:
+    if boundary:
         gap = math.pi / n
     else:
         gap = float(rng.uniform(math.pi / n, math.pi))

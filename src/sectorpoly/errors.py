@@ -36,12 +36,6 @@ class AngleTooSmall(SectorPolyError):
     name = "AngleTooSmall"
 
 
-class PiOverAlphaInteger(SectorPolyError):
-    """Positive-coefficient synthesis requires pi/alpha to be non-integer."""
-
-    name = "PiOverAlphaInteger"
-
-
 class ZeroModulus(SectorPolyError):
     """The prescribed zero has modulus zero."""
 
@@ -85,7 +79,7 @@ class NotAdmissible(SectorPolyError):
 
 
 class FeasibleButUnwitnessed(SectorPolyError):
-    """Admissible eigenvalue without a strict witness: out of the construction's
-    scope (integer pi/alpha), or its witness reads below P."""
+    """Admissible P eigenvalue whose witness reads below P: too close to a
+    boundary for spectrum_feasible to tell it from P0."""
 
     name = "FeasibleButUnwitnessed"

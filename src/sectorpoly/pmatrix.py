@@ -39,7 +39,6 @@ from .errors import (
     FeasibleButUnwitnessed,
     NotAdmissible,
     NotConjugateClosed,
-    PiOverAlphaInteger,
     PreconditionError,
     ZeroLambda,
 )
@@ -209,8 +208,10 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
 
     |theta - pi| is read as synthesize(-lambda) reads its angle, alpha =
     |arg(-lambda)|, and wedge_admissible(alpha, n, mode) decides. So a P0
-    lambda is admissible exactly when synthesize(-lambda, n) does not raise
-    AngleTooSmall.
+    lambda is admissible exactly when synthesize(-lambda, n, NONNEGATIVE)
+    does not raise AngleTooSmall, and a nonzero P lambda exactly when
+    synthesize(-lambda, n, POSITIVE) raises neither AngleTooSmall nor, at
+    n = 1, DegreeOne.
 
     P0 excludes lambda = 0 outright (ZeroLambda); for P the zero eigenvalue
     is simply inadmissible, since a P matrix has positive determinant.
@@ -297,13 +298,14 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), and the g lift roots,
     e^{i(2j+1)pi/g} for t^g + 1 and the nontrivial (g+1)-th roots of unity for
     1 + ... + t^g, built as exact conjugate pairs. On the boundary
-    |theta - pi| = pi/k (nonnegative mode) the core is the binomial t^k + c,
-    and the binomial rule of t^g + 1 (``_binomial_values``) at the modulus
-    |lambda| gives its other k - 2 roots with no solve. Off it, they are the
+    |theta - pi| = pi/k the nonnegative core is the binomial t^k + c, and the
+    binomial rule of t^g + 1 (``_binomial_values``) at the modulus |lambda|
+    gives its other k - 2 roots with no solve. For every other core, the
+    positive one of degree k + 1 on the boundary included, they are the
     roots of the quotient left by deflating that quadratic: in closed form
-    through k = 4 (one real root at k = 3, the stable quadratic formula at
-    k = 4, ``_quotient_values``), from the solver from k = 5 on. A k = 1
-    core, t + |lambda| for lambda on the positive real axis (within
+    for cores of degree 3 and 4 (one real root, or the stable quadratic
+    formula, ``_quotient_values``), from the solver from degree 5 on. A
+    linear core, t + |lambda| for lambda on the positive real axis (within
     ANGLE_TOL of it), contributes lambda alone.
 
     The result contains lambda itself and has exactly n values, built in
@@ -312,29 +314,18 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     P in P0 mode (a P0 witness may classify as P when strictly positive).
 
     Raises NotAdmissible outside the region. In P mode raises
-    FeasibleButUnwitnessed where the strict positive-coefficient
-    construction does not reach: at boundary angles, where pi/(theta - pi)
-    is an integer (synthesize raises PiOverAlphaInteger), and for a witness
-    whose feasibility reads below P.
+    FeasibleButUnwitnessed for a witness whose feasibility reads below P.
     """
     lam = complex(lam)
     if not kellogg_admissible(lam, n, mode):
         raise NotAdmissible(f"lambda={lam!r} is not admissible for {mode.value}, n={n}")
-    if mode is MatrixClass.P:
-        try:
-            result = synthesize(-lam, n, SignClass.POSITIVE)
-        except PiOverAlphaInteger:
-            raise FeasibleButUnwitnessed(
-                f"pi/(theta-pi) is an integer at lambda={lam!r}; no strict "
-                "positive-coefficient witness in scope"
-            )
-    else:
-        result = synthesize(-lam, n, SignClass.NONNEGATIVE)
+    sign = SignClass.POSITIVE if mode is MatrixClass.P else SignClass.NONNEGATIVE
+    result = synthesize(-lam, n, sign)
     core = result.core
     values = [lam]
     if core.size > 2:
         values.append(lam.conjugate())
-    if result.k_used.boundary:
+    if result.k_used.boundary and mode is MatrixClass.P0:
         # t^k + c: the j = 0 pair of its binomial rule is lambda and its conjugate
         values.extend(_binomial_values(core.size - 1, abs(lam))[2:])
     elif core.size > 3:
@@ -373,9 +364,9 @@ def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def _quotient_values(q: np.ndarray) -> list[complex]:
-    """The negated roots of the deflated quotient ``q`` of an off-boundary
-    core (a boundary core's come from ``_binomial_values``): in closed form
-    for degree 1 and 2 (cores of degree k = 3 and 4), else from
+    """The negated roots of the deflated quotient ``q`` of a core other than
+    the nonnegative boundary binomial (its roots come from ``_binomial_values``):
+    in closed form for degree 1 and 2 (cores of degree 3 and 4), else from
     ``find_roots``.
 
     Degree 1 gives q_0/q_1. Degree 2, c + b t + a t^2 with disc = b^2 - 4ac,

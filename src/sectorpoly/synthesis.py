@@ -6,9 +6,11 @@ The geometry: a zero at mu = r*e^{i*alpha} forces every nonnegative-
 coefficient polynomial of degree n with nonzero constant term to satisfy
 |alpha| > pi/n, binomials t^n + c attaining equality. Conversely, any mu
 with |alpha| >= pi/n admits such a degree-n polynomial, built here from a
-monic trinomial of degree k = ceil(pi/alpha) and lifted to degree n; strictly
-positive coefficients are achievable when n > 1 and pi/alpha is not an
-integer, via an average of the k-1 trinomials.
+monic trinomial of degree k = ceil(pi/alpha) and lifted to degree n; and any
+mu with |alpha| > pi/n and n > 1 admits one with strictly positive
+coefficients, from an average of trinomials: the k-1 of degree k inside the
+sector, and at the boundary angle pi/k the k-1 of degree k + 1 with the lift
+(1 + t)(t^k + r^k).
 
 Everything hinges on one decision: is alpha the boundary angle pi/k or not?
 ``sector_index`` alone makes it: an alpha within ANGLE_TOL (absolute) of pi/m
@@ -31,7 +33,6 @@ from .errors import (
     AngleTooSmall,
     DegreeOne,
     DomainError,
-    PiOverAlphaInteger,
     PreconditionError,
     ZeroModulus,
 )
@@ -62,7 +63,8 @@ class SectorIndex:
 @dataclass(frozen=True)
 class SynthesisResult:
     coeffs: np.ndarray          # monic, ascending, degree n
-    core: np.ndarray            # monic, degree k, vanishes at mu; coeffs = lift(core)
+    core: np.ndarray            # monic, vanishes at mu; coeffs = lift(core); degree k,
+                                # k + 1 for a positive core at a boundary angle
     mode: SignClass
     k_used: SectorIndex
     construction: str           # "linear" | "qj" | "q_avg"
@@ -156,28 +158,34 @@ def _trinomial(j: int, k: int, r: float, s_k: float, s_j: float, s_kj: float) ->
 
 
 def build_q_avg(k: int, r: float, alpha: float) -> np.ndarray:
-    """Average of the k-1 trinomials: monic degree k, all coefficients
-    positive, vanishing at r*e^{i*alpha}.
+    """Monic polynomial with all coefficients positive vanishing at
+    r*e^{i*alpha}, for alpha in the sector [pi/k, pi/(k-1)), k >= 2.
 
-    Requires alpha strictly inside (pi/k, pi/(k-1)); at the boundary
-    sin k*alpha = 0 kills interior coefficients, so boundary angles
-    (sector_index(alpha).boundary) are rejected.
+    Strictly inside the sector it is the average of the k-1 trinomials of
+    degree k. At the boundary alpha = pi/k their middle terms vanish (sin
+    k*alpha = 0), so there it has degree k + 1: the mean of the positive lift
+    (1 + t)(t^k + r^k), which covers the powers 0, 1, k and k + 1, and the
+    k-1 trinomials of degree k + 1 at alpha, j = 1..k-1, whose middle terms
+    cover the powers j, since sin (k+1)*alpha = -sin alpha < 0. The j = 1
+    trinomial's constant term is exactly 0.0, as sin k*alpha is.
     """
     if k < 2:
         raise PreconditionError(f"need k >= 2, got k={k}")
     if r <= 0.0:
         raise PreconditionError(f"modulus must be positive, got r={r!r}")
     si = sector_index(alpha)
-    if si.boundary or si.k != k:
-        raise PreconditionError(
-            f"alpha={alpha!r} not strictly inside (pi/{k}, pi/{k - 1})"
-        )
+    if si.k != k:
+        raise PreconditionError(f"alpha={alpha!r} outside [pi/{k}, pi/{k - 1})")
     # the sign lemma holds for every j once the sector is checked
-    s_k = math.sin(k * alpha)
-    acc = np.zeros(k + 1)
+    m = k + si.boundary
+    s_m = math.sin(m * alpha)
+    acc = np.zeros(m + 1)
+    if si.boundary:
+        acc[[0, 1, k, m]] = r**k, r**k, 1.0, 1.0
     for j in range(1, k):
-        acc += _trinomial(j, k, r, s_k, math.sin(j * alpha), math.sin((k - j) * alpha))
-    return acc / (k - 1)
+        s_mj = 0.0 if si.boundary and j == 1 else math.sin((m - j) * alpha)
+        acc += _trinomial(j, m, r, s_m, math.sin(j * alpha), s_mj)
+    return acc / (m - 1)
 
 
 def lift(p, n: int, mode: SignClass) -> np.ndarray:
@@ -232,13 +240,15 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     mu as a zero and positive constant term.
 
     Nonnegative mode needs |arg mu| >= pi/n (equality allowed); positive mode
-    needs n > 1, |arg mu| > pi/n and pi/arg(mu) non-integer. Negative
-    arguments reduce to the conjugate (real coefficients make mu a zero
-    either way); ``j`` selects which trinomial carries the nonnegative
-    construction.
+    needs n > 1 and |arg mu| > pi/n. One degree rule says which: the core has
+    degree k, or k + 1 for a positive core at a boundary angle pi/k, and a
+    core degree beyond n raises AngleTooSmall. Negative arguments reduce to
+    the conjugate (real coefficients make mu a zero either way); ``j``
+    selects which trinomial carries the nonnegative construction. At
+    alpha = pi (k = 1) both modes lift the linear core t + r.
 
-    Raises ZeroModulus, DegreeOne, AngleTooSmall or PiOverAlphaInteger when
-    the hypothesis fails, and DomainError for a non-finite mu, one whose
+    Raises ZeroModulus, DegreeOne or AngleTooSmall when the hypothesis
+    fails, and DomainError for a non-finite mu, one whose
     |mu|^n overflows or underflows to 0 in float64, or a degree whose n + 1
     float64 coefficients numpy cannot index in bytes. A core coefficient
     that overflows raises DomainError, and one that underflows to 0 where
@@ -266,22 +276,21 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     alpha_signed = principal_arg(mu)
     conjugated = alpha_signed < 0.0
     alpha = abs(alpha_signed)
-    if mode is SignClass.POSITIVE and n == 1:
+    positive = mode is SignClass.POSITIVE
+    if positive and n == 1:
         raise DegreeOne("positive-coefficient synthesis needs degree > 1")
     k_used = sector_index(alpha) if alpha > 0.0 else None   # None: mu > 0
-    if k_used is None or k_used.k > n:
-        strict = "<=" if mode is SignClass.POSITIVE else "<"
+    if k_used is None or k_used.k + (positive and k_used.boundary) > n:
+        strict = "<=" if positive else "<"
         raise AngleTooSmall(f"|alpha|={alpha!r} {strict} pi/{n}")
 
-    if mode is SignClass.POSITIVE:
-        if k_used.boundary:
-            raise PiOverAlphaInteger(f"pi/alpha is an integer at alpha={alpha!r}")
-        core = build_q_avg(k_used.k, r, alpha)
-        construction, j_used = "q_avg", None
-    elif k_used.k == 1:
+    if k_used.k == 1:
         # alpha = pi: mu sits on the negative real axis
         core = np.array([r, 1.0])
         construction, j_used = "linear", None
+    elif positive:
+        core = build_q_avg(k_used.k, r, alpha)
+        construction, j_used = "q_avg", None
     else:
         core = build_qj(j, k_used.k, r, alpha)
         construction, j_used = "qj", j

@@ -5,7 +5,8 @@
 it. The sweep below puts eigenvalue targets at relative offsets d from every
 boundary, |theta - pi| = (pi/k)(1 + d), on both sides of the real axis, and
 checks each admissible target end to end. Tier-1 runs a reduced grid; the
-full grid runs as a script:
+full grid runs as a script, which prints the failure and
+FeasibleButUnwitnessed counts and exits 1 on any failure:
 
     PYTHONPATH=src python tests/test_boundary.py
 """
@@ -13,6 +14,7 @@ full grid runs as a script:
 import collections
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from hypothesis import strategies as st
 
 from sectorpoly import (
     AngleTooSmall,
+    DegreeOne,
     FeasibleButUnwitnessed,
     MatrixClass,
-    PiOverAlphaInteger,
     SectorPolyError,
     SignClass,
     eigen_witness,
@@ -45,32 +47,35 @@ FULL_RADII = (1e-3, 1.0, 7.0)
 TIER1_OFFSETS = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)
 
 
-def check_target(lam: complex, n: int, mode: MatrixClass) -> list[str]:
+def check_target(lam: complex, n: int, mode: MatrixClass,
+                 tally: collections.Counter | None = None) -> list[str]:
     """The ways the rule fails at one eigenvalue target (empty when it holds).
 
-    P0: lambda is admissible exactly when synthesize(-lambda) does not raise
-    AngleTooSmall. An admissible target must synthesize with the right signs
-    and a small residual (or raise PiOverAlphaInteger in positive mode), and
-    its witness must hold n values, lambda among them, be conjugate-closed and
-    reach the mode's class; a P witness may raise FeasibleButUnwitnessed.
+    lambda is admissible exactly when synthesize(-lambda) in the mode's sign
+    class does not raise AngleTooSmall (nor, for P at n = 1, DegreeOne). An
+    admissible target must synthesize with the right signs and a small
+    residual, and its witness must hold n values, lambda among them, be
+    conjugate-closed and reach the mode's class; a P witness may raise
+    FeasibleButUnwitnessed. ``tally``, if given, counts the admissible
+    targets of each mode and the FeasibleButUnwitnessed ones.
     """
     sign = MODE_SIGNS[mode]
     if not kellogg_admissible(lam, n, mode):
-        if mode is MatrixClass.P:
-            return []
+        expected = (AngleTooSmall, DegreeOne) if mode is MatrixClass.P else AngleTooSmall
         try:
             synthesize(-lam, n, sign)
-        except AngleTooSmall:
+        except expected:
             return []
         except SectorPolyError as exc:
             return [f"inadmissible_{exc.name}"]
         return ["inadmissible_synthesized"]
+    if tally is not None:
+        tally[f"admissible {mode.value}"] += 1
     bad = []
     try:
         result = synthesize(-lam, n, sign)
     except SectorPolyError as exc:
-        if not (mode is MatrixClass.P and isinstance(exc, PiOverAlphaInteger)):
-            bad.append(f"synthesize_{exc.name}")
+        bad.append(f"synthesize_{exc.name}")
     else:
         low = float(np.min(result.coeffs))
         if low < 0.0 or (mode is MatrixClass.P and low == 0.0):
@@ -82,6 +87,8 @@ def check_target(lam: complex, n: int, mode: MatrixClass) -> list[str]:
     except FeasibleButUnwitnessed:
         if mode is MatrixClass.P0:
             bad.append("witness_FeasibleButUnwitnessed")
+        elif tally is not None:
+            tally["FeasibleButUnwitnessed"] += 1
         return bad
     except SectorPolyError as exc:
         return bad + [f"witness_{exc.name}"]
@@ -98,7 +105,7 @@ def check_target(lam: complex, n: int, mode: MatrixClass) -> list[str]:
     return bad
 
 
-def sweep(modes, ks, ns, offsets, radii):
+def sweep(modes, ks, ns, offsets, radii, tally=None):
     """(checks, failure counts) over every target |theta - pi| = (pi/k)(1+d)
     with |theta - pi| <= pi, on both sides of the real axis."""
     checks = 0
@@ -109,7 +116,8 @@ def sweep(modes, ks, ns, offsets, radii):
         if gap > math.pi:
             continue
         checks += 1
-        failures.update(check_target(from_polar(r, math.pi + side * gap), n, mode))
+        failures.update(check_target(from_polar(r, math.pi + side * gap), n, mode,
+                                     tally))
     return checks, failures
 
 
@@ -137,8 +145,12 @@ def test_rule_holds_at_random_offsets(mode, k, n, log_d, sign, side):
 
 
 if __name__ == "__main__":
+    tally = collections.Counter()
     checks, failures = sweep(tuple(MODE_SIGNS), range(1, 13), range(1, 13),
-                             FULL_OFFSETS, FULL_RADII)
+                             FULL_OFFSETS, FULL_RADII, tally)
     print(f"{checks} checks, {sum(failures.values())} failures")
     for name, count in sorted(failures.items()):
         print(f"  {name}: {count}")
+    print(f"FeasibleButUnwitnessed: {tally['FeasibleButUnwitnessed']} of "
+          f"{tally['admissible P']} admissible P targets")
+    sys.exit(1 if failures else 0)

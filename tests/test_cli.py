@@ -122,10 +122,20 @@ class TestSynthesizeCommand:
         assert json.loads(out)["error"] == "AngleTooSmall"
 
     def test_integer_ratio_exits_2(self, capsys):
+        # i sits on the boundary pi/2, whose positive core has degree 3
         code, out = _run(capsys, "synthesize", "--mu-re", "0", "--mu-im", "1",
                          "--n", "2", "--mode", "positive")
         assert code == 2
-        assert json.loads(out)["error"] == "PiOverAlphaInteger"
+        assert json.loads(out)["error"] == "AngleTooSmall"
+
+    def test_integer_ratio_above_its_degree_synthesizes(self, capsys):
+        code, out = _run(capsys, "synthesize", "--mu-re", "0", "--mu-im", "1",
+                         "--n", "3", "--mode", "positive")
+        assert code == 0
+        report = json.loads(out)
+        assert report["coeffs"] == [0.5, 1.0, 0.5, 1.0]
+        assert report["construction"] == "q_avg"
+        assert report["k"] == 2 and report["boundary"] is True
 
     def test_just_below_pi_over_3_builds_a_quartic_core(self, capsys):
         # 1.0471975511 is pi/3 less 9.7e-11: inside sector 4, not on pi/3

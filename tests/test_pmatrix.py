@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectorpoly import (
+    AngleTooSmall,
     ComplexCharPoly,
     DimensionCap,
     DomainError,
@@ -16,7 +17,6 @@ from sectorpoly import (
     MatrixClass,
     NotAdmissible,
     NotConjugateClosed,
-    PiOverAlphaInteger,
     PreconditionError,
     SectorPolyError,
     SignClass,
@@ -488,7 +488,8 @@ class TestSpectrumAuxPolyParity:
 
 class TestQuotientValues:
     """The closed-form roots of the degree-1 and degree-2 quotients (cores of
-    degree 3 and 4) against 40-digit roots of the same quotient."""
+    degree 3 and 4, off the boundary and the positive ones on it) against
+    40-digit roots of the same quotient."""
 
     @staticmethod
     def _alphas(k):
@@ -499,33 +500,49 @@ class TestQuotientValues:
     @pytest.mark.parametrize("k", [3, 4])
     @pytest.mark.parametrize("sign", [SignClass.POSITIVE, SignClass.NONNEGATIVE])
     def test_match_forty_digit_roots(self, k, sign):
-        eps = np.finfo(np.float64).eps
         checked = 0
         for alpha, r, side in itertools.product(
                 self._alphas(k), (1e-20, 1e-3, 1.0, 1e3, 1e20), (1.0, -1.0)):
             mu = from_polar(r, side * alpha)
-            # q_avg does not exist on the boundary; q_j does for every j < k
+            # the positive core on the boundary has degree k + 1 > n = k;
+            # q_j has degree k for every j < k
             js = [1] if sign is SignClass.POSITIVE else range(1, k)
             for j in js:
                 try:
                     core = synthesize(mu, k, sign, j).core
-                except PiOverAlphaInteger:
+                except AngleTooSmall:
                     continue
-                q = pmatrix._deflate(core, -mu)
-                assert q[0] > 0.0
-                values = pmatrix._quotient_values(q)
-                with mpmath.workdps(40):
-                    exact = [-complex(z) for z in mpmath.polyroots(
-                        [mpmath.mpf(c) for c in q.tolist()[::-1]], maxsteps=200, extraprec=200)]
-                assert len(values) == k - 2
-                for v in values:
-                    err = min(abs(v - z) / abs(z) for z in exact)
-                    assert err <= 4 * eps, (alpha, r, side, j, v)
-                if k == 4 and values[0].imag != 0.0:
-                    assert values[1] == values[0].conjugate()
+                self._assert_match(core, mu, (alpha, r, side, j))
                 checked += 1
         # every angle but the boundary one in positive mode
         assert checked == (50 if sign is SignClass.POSITIVE else 60 * (k - 1))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_positive_boundary_cores_match_forty_digit_roots(self, k):
+        # at pi/k the positive core has degree k + 1: 3 and 4
+        for r, side in itertools.product((1e-20, 1e-3, 1.0, 1e3, 1e20), (1.0, -1.0)):
+            mu = from_polar(r, side * math.pi / k)
+            core = synthesize(mu, k + 1, SignClass.POSITIVE).core
+            assert core.size == k + 2
+            self._assert_match(core, mu, (r, side))
+
+    @staticmethod
+    def _assert_match(core, mu, where):
+        """_quotient_values of the core deflated by mu and its conjugate
+        agree with 40-digit roots of the quotient to 4 eps, relatively."""
+        eps = np.finfo(np.float64).eps
+        q = pmatrix._deflate(core, -mu)
+        assert q[0] > 0.0
+        values = pmatrix._quotient_values(q)
+        with mpmath.workdps(40):
+            exact = [-complex(z) for z in mpmath.polyroots(
+                [mpmath.mpf(c) for c in q.tolist()[::-1]], maxsteps=200, extraprec=200)]
+        assert len(values) == core.size - 3
+        for v in values:
+            err = min(abs(v - z) / abs(z) for z in exact)
+            assert err <= 4 * eps, (*where, v)
+        if len(values) == 2 and values[0].imag != 0.0:
+            assert values[1] == values[0].conjugate()
 
     @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
     def test_solver_runs_from_k_5_on(self, monkeypatch, mode):
@@ -607,12 +624,19 @@ class TestEigenWitness:
         with pytest.raises(DomainError):
             eigen_witness(complex(math.nan, 1), 3, mode)
 
-    def test_feasible_but_unwitnessed_at_integer_ratio(self):
-        # theta - pi = -pi/2, so pi/(theta - pi) = -2: admissible for P at
-        # n = 3 but outside the strict construction's hypothesis
-        assert kellogg_admissible(1j, 3, MatrixClass.P)
-        with pytest.raises(FeasibleButUnwitnessed):
-            eigen_witness(1j, 3, MatrixClass.P)
+    @pytest.mark.parametrize("lam, expected", [
+        # theta - pi = -pi/2, so pi/(theta - pi) = -2: the core is the positive
+        # boundary core (1 + 2t + t^2 + 2t^3) / 2, whose third root is -1/2
+        (1j, [1j, -1j, 0.5]),
+        # 2 I is a P matrix; the core t + 2 lifts by 1 + t + t^2
+        (2.0, [2.0, complex(0.5, -math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2)]),
+    ], ids=["1j", "2.0"])
+    def test_p_witness_at_integer_ratio(self, lam, expected):
+        spectrum = eigen_witness(lam, 3, MatrixClass.P)
+        assert spectrum.values[0] == lam
+        np.testing.assert_allclose(spectrum.values, expected, atol=1e-15)
+        assert spectrum.feasibility is MatrixClass.P
+        assert spectrum_feasible(spectrum.values) is MatrixClass.P
 
     def test_weak_mode_covers_integer_ratio(self):
         spectrum = eigen_witness(1j, 3, MatrixClass.P0)

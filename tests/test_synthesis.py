@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import warnings
@@ -14,7 +15,6 @@ from sectorpoly import (
     AngleTooSmall,
     DegreeOne,
     DomainError,
-    PiOverAlphaInteger,
     PreconditionError,
     SectorIndex,
     SignClass,
@@ -238,9 +238,17 @@ class TestBuildQAvg:
         np.testing.assert_allclose(got, expected, atol=1e-14)
         np.testing.assert_allclose(got, [1.118034, 0.309017, 0.5, 1.0], atol=1e-6)
 
-    def test_boundary_rejected(self):
-        with pytest.raises(PreconditionError):
-            build_q_avg(3, 1.0, math.pi / 3)
+    def test_boundary_core_has_degree_k_plus_1(self):
+        # ((1 + t)(t^3 + 1) + (t^4 + t) + (t^4 + t^2 + 1)) / 3
+        got = build_q_avg(3, 1.0, math.pi / 3)
+        np.testing.assert_allclose(got, [2 / 3, 2 / 3, 1 / 3, 1 / 3, 1.0], atol=1e-15)
+        assert got[-1] == 1.0
+        # (1 + t)(t^2 + 1) and t^3 + t, where sin(2 pi/2) reads exactly 0.0
+        np.testing.assert_array_equal(build_q_avg(2, 1.0, math.pi / 2), [0.5, 1.0, 0.5, 1.0])
+
+    def test_rejects_an_angle_outside_the_sector(self):
+        with pytest.raises(PreconditionError, match="outside"):
+            build_q_avg(3, 1.0, math.pi / 4)
 
     @pytest.mark.parametrize("k, r, message", [
         (1, 1.0, "need k >= 2"),
@@ -326,7 +334,8 @@ class TestSynthesize:
         assert result.k_used.k == 2 and result.k_used.boundary
 
     def test_imaginary_unit_positive_rejected(self):
-        with pytest.raises(PiOverAlphaInteger):
+        # the positive core at the boundary pi/2 has degree 3
+        with pytest.raises(AngleTooSmall, match=re.escape("<= pi/2")):
             synthesize(1j, 2, SignClass.POSITIVE)
 
     def test_negative_real_degree_one(self):
@@ -425,9 +434,13 @@ class TestSynthesize:
         with pytest.raises(AngleTooSmall):
             synthesize(from_polar(1.0, math.pi / 3 - 0.2), 3, SignClass.POSITIVE)
 
-    def test_pi_rejected_in_positive_mode(self):
-        with pytest.raises(PiOverAlphaInteger):
-            synthesize(-2.0, 4, SignClass.POSITIVE)
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_pi_lifts_linear_factor_in_positive_mode(self, n):
+        result = _check_positive(-2.0, n)
+        # (t + 2)(1 + t + ... + t^(n-1))
+        np.testing.assert_array_equal(result.coeffs, [2.0] + [3.0] * (n - 1) + [1.0])
+        assert result.construction == "linear"
+        assert result.k_used == SectorIndex(1, True)
 
     def test_nonneg_at_pi_lifts_linear_factor(self):
         result = synthesize(-2.0, 4, SignClass.NONNEGATIVE)
@@ -791,3 +804,40 @@ class TestScaleInvariance:
                 assert verify_cot(result.coeffs).status == status, (i, e)
                 checked += 1
         assert checked == 25
+
+
+def _check_positive(mu, n):
+    """synthesize(mu, n, POSITIVE), checked: monic of degree n, strictly
+    positive, vanishing at mu, and certified by verify_cot."""
+    result = synthesize(mu, n, SignClass.POSITIVE)
+    c = result.coeffs
+    assert c.size == n + 1 and c[-1] == 1.0
+    assert float(np.min(c)) > 0.0
+    assert result.residual <= 1e-14
+    assert verify_cot(c).status == "pass"
+    return result
+
+
+class TestPositiveAtBoundaryAngles:
+    """Positive mode at |arg mu| = pi/k: a core of degree k + 1, lifted
+    (k = 1 lifts t + r, in TestSynthesize)."""
+
+    def test_imaginary_unit_at_degree_3(self):
+        result = _check_positive(1j, 3)
+        np.testing.assert_array_equal(result.coeffs, [0.5, 1.0, 0.5, 1.0])
+        assert result.k_used == SectorIndex(2, True) and result.lift_terms == 0
+
+    def test_pi_over_3_at_degree_4(self):
+        result = _check_positive(from_polar(1.0, math.pi / 3), 4)
+        np.testing.assert_allclose(result.coeffs, [2 / 3, 2 / 3, 1 / 3, 1 / 3, 1.0],
+                                   atol=1e-15)
+
+    def test_every_boundary_below_the_degree(self):
+        checked = 0
+        for k in range(1, 12):
+            for n in range(k + 1, 13):
+                for r, side in itertools.product((0.1, 1.0, 7.3, 10.0), (1.0, -1.0)):
+                    result = _check_positive(from_polar(r, side * math.pi / k), n)
+                    assert result.k_used == SectorIndex(k, True)
+                    checked += 1
+        assert checked == 528
