@@ -9,7 +9,12 @@ byte-identical JSON/CSV. Angles are radians only.
 ``main`` may be called any number of times in one process. It builds the
 parser from ``build_parser`` on its first call and reuses it afterwards:
 argparse reads a parser without changing it and gives every call a fresh
-namespace, so no flag of one call carries over into the next. ``region``
+namespace, so no flag of one call carries over into the next. An argv that
+starts with a command name is read once, by that command's parser, which is
+all the top-level parser would run on it; a string it leaves unread is the
+top-level parser's "unrecognized arguments" error, to the same bytes. Any
+other argv (none, ``-h``, an unknown command, a leading ``--``) goes through
+the top-level parser. ``region``
 reuses its grid the same way: the angles of the latest ``--samples`` up to
 ``CACHED_REGION_SAMPLES`` and their texts are built once and kept read-only,
 so no call changes what the next one reads. Every report is written in
@@ -164,6 +169,8 @@ def _cmd_synthesize(args) -> int:
     if polar:
         if args.r is None or args.alpha is None:
             raise DomainError("polar input needs both --r and --alpha")
+        if args.r < 0.0:        # from_polar would turn mu by pi, off --alpha
+            raise DomainError(f"--r is the modulus of mu and must be >= 0, got {args.r!r}")
         mu = from_polar(args.r, args.alpha)
     else:
         mu = complex(args.mu_re or 0.0, args.mu_im or 0.0)
@@ -340,12 +347,16 @@ def _cmd_region(args) -> int:
     # an edge that is a grid angle adds no row; the others go in sorted order
     added = [(i, t) for i, t in zip(np.searchsorted(grid, edges).tolist(), edges)
              if i == len(grid) or grid[i] != t]
-    thetas = np.insert(grid, [i for i, _ in added], [t for _, t in added])
-    texts = list(grid_texts)
-    for i, t in reversed(added):
-        texts.insert(i, float.__repr__(t))
+    thetas, texts = grid, grid_texts
+    if added:
+        thetas = np.insert(grid, [i for i, _ in added], [t for _, t in added])
+        texts = list(grid_texts)
+        for i, t in reversed(added):
+            texts.insert(i, float.__repr__(t))
     admissible = wedge_admissible(np.abs(thetas - math.pi - PI_TAIL), n, mode)
-    boundary = np.isin(thetas, edges)
+    boundary = thetas == edges[0]
+    if len(edges) == 2:
+        boundary |= thetas == edges[1]
     _emit(_region_pieces(args.format, n, args.mode, texts, admissible, boundary), args.out)
     return 0
 
@@ -407,14 +418,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: built once per process, on first use."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser ``main`` reuses, built once per process on first use, and
+    its subcommand parsers by name."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:         # no argv, -h, an unknown command, a leading --
+        args = parser.parse_args(argv)
+    else:
+        # all the top-level parser would do: hand the rest to the command's
+        # parser and report what that leaves unread
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
+        args.command = argv[0]
     for flag, least in (("n", 1), ("cap", 1), ("samples", 1), ("cases", 0), ("seed", 0)):
         if getattr(args, flag, least) < least:
             parser.error(f"--{flag} must be >= {least}")

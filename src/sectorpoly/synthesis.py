@@ -48,8 +48,12 @@ from .poly import (
 from .roots import find_roots, sector_defect
 
 ANGLE_TOL = 1e-13
-# numpy counts an array's bytes in intp; n + 1 float64 coefficients must fit
-MAX_DEGREE = np.iinfo(np.intp).max // 8 - 1
+# The largest degree synthesize builds. At 2**20 a positive-mode CLI report
+# is already 24 MB of JSON from a 330 MB peak RSS (3.1 s for a fresh process
+# on a shared 2-core x86_64), far beyond any degree verify_cot can solve
+# (roots.MAX_SOLVE_DEGREE). Memory grows with every coefficient, so a larger
+# degree would only grow the run, up to one whose arrays cannot be allocated.
+MAX_DEGREE = 2**20
 
 
 @dataclass(frozen=True)
@@ -248,19 +252,18 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     alpha = pi (k = 1) both modes lift the linear core t + r.
 
     Raises ZeroModulus, DegreeOne or AngleTooSmall when the hypothesis
-    fails, and DomainError for a non-finite mu, one whose
-    |mu|^n overflows or underflows to 0 in float64, or a degree whose n + 1
-    float64 coefficients numpy cannot index in bytes. A core coefficient
-    that overflows raises DomainError, and one that underflows to 0 where
-    the sign class needs it positive (the constant term; in positive mode
-    any) raises PreconditionError, as ``lift`` would.
+    fails, and DomainError for a non-finite mu, one whose |mu|^n overflows
+    or underflows to 0 in float64, or a degree above MAX_DEGREE. A core
+    coefficient that overflows raises DomainError, and one that underflows
+    to 0 where the sign class needs it positive (the constant term; in
+    positive mode any) raises PreconditionError, as ``lift`` would.
     """
     if mode not in (SignClass.NONNEGATIVE, SignClass.POSITIVE):
         raise PreconditionError(f"mode must be nonnegative or positive, not {mode}")
     if n < 1:
         raise PreconditionError(f"degree must be >= 1, got {n}")
     if n > MAX_DEGREE:
-        raise DomainError("degree is beyond the range numpy can index")
+        raise DomainError(f"degree is above MAX_DEGREE = {MAX_DEGREE}")
     mu = complex(mu)
     if not cmath.isfinite(mu):
         raise DomainError(f"mu={mu!r} is not finite")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sectorpoly import DomainError, campaigns, cli, kernels, roots
+from sectorpoly import DomainError, SectorPolyError, campaigns, cli, kernels, roots
 from sectorpoly.cli import main
 from sectorpoly.pmatrix import (
     DEFAULT_DIM_CAP,
@@ -180,6 +180,7 @@ class TestSynthesizeCommand:
         ("inf", "3", "nonneg"),
         ("1e30", "12", "positive"),     # r^n overflows
         ("1e-200", "12", "positive"),   # r^n underflows to 0
+        ("-1", "3", "nonneg"),          # from_polar would turn mu by pi, off --alpha
     ])
     def test_modulus_out_of_range_exits_2(self, capsys, r, n, mode):
         code, out = _run(capsys, "synthesize", "--r", r, "--alpha", "2",
@@ -208,13 +209,15 @@ class TestSynthesizeCommand:
         assert json.loads(out) == {"error": "PreconditionError",
                                    "message": "constant term must be positive"}
 
-    def test_degree_beyond_numpy_index_exits_2(self, capsys):
-        # numpy refuses 10**30 entries without allocating; a degree between
-        # 1e8 and 1e18 would allocate instead
+    @pytest.mark.parametrize("n", [10**13, 10**30])
+    def test_degree_above_the_cap_exits_2(self, capsys, n):
+        # beyond MAX_DEGREE = 2**20: numpy would refuse these allocations up
+        # front (72.8 TiB at 10**13); a degree between 1e8 and 1e9 would allocate
         code, out = _run(capsys, "synthesize", "--r", "1", "--alpha", "3",
-                         "--n", str(10**30), "--mode", "nonneg")
+                         "--n", str(n), "--mode", "nonneg")
         assert code == 2
-        assert json.loads(out)["error"] == "DomainError"
+        assert json.loads(out) == {"error": "DomainError",
+                                   "message": "degree is above MAX_DEGREE = 1048576"}
 
 
 class TestVerifyCommand:
@@ -928,6 +931,92 @@ class TestParserReuse:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True).stdout
         assert out.strip() == "0"
+
+
+def _reference_main(argv):
+    """main with the top-level parser of a fresh build_parser() reading every
+    argv, then args.func: the reference the direct dispatch must match."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    for flag, least in (("n", 1), ("cap", 1), ("samples", 1), ("cases", 0), ("seed", 0)):
+        if getattr(args, flag, least) < least:
+            parser.error(f"--{flag} must be >= {least}")
+    try:
+        return args.func(args)
+    except SectorPolyError as exc:
+        cli._emit_json({"error": exc.name, "message": str(exc)}, None)
+        return 2
+
+
+# argv that main hands to a subcommand's parser directly, and argv that go
+# through the top-level parser
+PARITY_CALLS = [
+    *VALID_CALLS.values(),
+    ["region", "--n=4", "--mode=P", "--samples=90", "--format=json"],
+    ["region", "--n", "4", "--mode", "P", "--sam", "90"],
+    ["synthesize", "--r", "-1", "--alpha", "2", "--n", "3", "--mode", "nonneg"],
+    ["verify", "--poly", "abc"],
+    ["verify", "--poly", "[1,2,1]", "--tol-angle", "1e-7"],
+    ["verify", "--poly", "[1,2,1]", "extra"],
+    ["region", "--n", "4", "--mode", "P", "--", "--samples", "90"],
+    ["synthesize", "--r", "2", "--alpha", "1.2", "--n", "5"],
+    ["verify"],
+    ["region", "--n", "4", "--mode", "Q"],
+    ["region", "--n", "four", "--mode", "P"],
+    ["oracle", "--suite", "synth", "--cases", "1", "--seed", "x"],
+    ["-h"],
+    ["--help"],
+    ["region", "-h"],
+    ["synthesize", "--help"],
+    ["oracle", "--he"],
+    [],
+    ["solve", "--n", "3"],
+    ["--n", "4"],
+    ["--", "region", "--n", "4", "--mode", "P"],
+    ["region", "--n", "0", "--mode", "P"],
+    ["classify", "--matrix", "matrix.json", "--cap", "0"],
+    ["oracle", "--suite", "synth", "--cases", "1", "--seed", "-1"],
+    ["oracle", "--suite", "synth", "--cases", "-1"],
+]
+
+
+class TestDirectDispatch:
+    """main hands an argv that starts with a command to that command's parser
+    and every other argv to the top-level parser: the exit code, stdout and
+    stderr of every call equal those of the top-level parser reading it all."""
+
+    @staticmethod
+    def _outcome(capsys, run, argv):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARITY_CALLS, ids=lambda argv: " ".join(argv) or "no-argv")
+    def test_matches_the_top_level_parser(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "matrix.json").write_text('{"n": 2, "rows": [[2, 1], [1, 2]]}')
+        direct = self._outcome(capsys, main, argv)
+        assert direct == self._outcome(capsys, _reference_main, argv)
+        assert direct[0] in (0, 1, 2)
+
+    def test_reads_sys_argv_without_argv(self, capsys, monkeypatch):
+        argv = ["region", "--n", "3", "--mode", "P0", "--samples", "12"]
+        expected = self._outcome(capsys, main, argv)
+        monkeypatch.setattr(sys, "argv", ["sectorpoly", *argv])
+        assert self._outcome(capsys, lambda _: main(), argv) == expected
+
+    def test_sets_the_command(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_verify", lambda args: seen.append(args.command) or 0)
+        cli._parser.cache_clear()
+        try:
+            assert main(["verify", "--poly", "[1,1]"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert seen == ["verify"]
 
 
 class TestRegionGridReuse:

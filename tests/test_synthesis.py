@@ -34,7 +34,7 @@ from sectorpoly import (
 )
 from sectorpoly.poly import relative_residual
 from sectorpoly.roots import sector_defect
-from sectorpoly.synthesis import ANGLE_TOL
+from sectorpoly.synthesis import ANGLE_TOL, MAX_DEGREE
 
 
 def _mp_qj(j, k, r, alpha):
@@ -322,11 +322,13 @@ class TestLift:
 
 class TestSynthesize:
     @pytest.mark.parametrize("mode", [SignClass.NONNEGATIVE, SignClass.POSITIVE])
-    def test_degree_beyond_numpy_index_raises(self, mode):
-        # |mu| = 1 keeps |mu|^n in range; only 10**30, which numpy rejects
-        # without allocating: a degree between 1e8 and 1e18 would allocate
-        with pytest.raises(DomainError):
-            synthesize(from_polar(1.0, 3.0), 10**30, mode)
+    @pytest.mark.parametrize("n", [MAX_DEGREE + 1, 10**13, 10**30])
+    def test_degree_above_the_cap_raises(self, mode, n):
+        # |mu| = 1 keeps |mu|^n in range. Without the cap, 10**13 and 10**30
+        # fail in numpy's allocation (72.8 TiB at 10**13) and MAX_DEGREE + 1
+        # would build; add no degree between 1e8 and 1e9, which would allocate
+        with pytest.raises(DomainError, match="degree is above MAX_DEGREE"):
+            synthesize(from_polar(1.0, 3.0), n, mode)
 
     def test_imaginary_unit_nonneg(self):
         result = synthesize(1j, 2, SignClass.NONNEGATIVE)
