@@ -14,11 +14,11 @@ starts with a command name is read once, by that command's parser, which is
 all the top-level parser would run on it; a string it leaves unread is the
 top-level parser's "unrecognized arguments" error, to the same bytes. Any
 other argv (none, ``-h``, an unknown command, a leading ``--``) goes through
-the top-level parser. ``region``
-reuses its grid the same way: the angles of the latest ``--samples`` up to
-``CACHED_REGION_SAMPLES`` and their texts are built once and kept read-only,
-so no call changes what the next one reads. Every report is written in
-pieces, as it is formed, to stdout or ``--out``.
+the top-level parser. ``region`` reuses its grid the same way: the angles of
+the latest ``--samples`` up to ``CACHED_REGION_SAMPLES`` and their texts are
+built once and kept read-only, so no call changes what the next one reads.
+Every report is written in pieces, as it is formed, to stdout or ``--out``;
+a reader that closes stdout early (``| head``) ends the call with status 1.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -386,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--j", type=int, default=1,
                        help="trinomial index for nonneg mode")
     p_syn.set_defaults(func=_cmd_synthesize)
+    # a negative number in any float form is a value (argparse's pattern misses -1e-05)
+    p_syn._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     p_ver = sub.add_parser("verify", help="certify the sector bound on all roots")
     p_ver.add_argument("--poly", required=True,
@@ -443,10 +447,19 @@ def main(argv=None) -> int:
         if getattr(args, flag, least) < least:
             parser.error(f"--{flag} must be >= {least}")
     try:
-        return args.func(args)
-    except SectorPolyError as exc:
-        _emit_json({"error": exc.name, "message": str(exc)}, None)
-        return 2
+        try:
+            status = args.func(args)
+        except SectorPolyError as exc:
+            _emit_json({"error": exc.name, "message": str(exc)}, None)
+            status = 2
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (``| head``): the rest, flushed at exit too, goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -295,12 +295,10 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     Synthesizes the degree-n polynomial q = core * lift of the matching sign
     class vanishing at -lambda; the spectrum is its roots, negated. Most of
     them are known in closed form: lambda and its conjugate (the core's
-    quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), and the g lift roots,
-    e^{i(2j+1)pi/g} for t^g + 1 and the nontrivial (g+1)-th roots of unity for
-    1 + ... + t^g, built as exact conjugate pairs. On the boundary
-    |theta - pi| = pi/k the nonnegative core is the binomial t^k + c, and the
-    binomial rule of t^g + 1 (``_binomial_values``) at the modulus |lambda|
-    gives its other k - 2 roots with no solve. For every other core, the
+    quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), the g lift roots on
+    the unit circle and, on the boundary |theta - pi| = pi/k, the other k - 2
+    roots of the nonnegative core t^k + c on the circle |t| = |lambda|, which
+    ``_circle_values`` gives with no solve. For every other core, the
     positive one of degree k + 1 on the boundary included, they are the
     roots of the quotient left by deflating that quadratic: in closed form
     for cores of degree 3 and 4 (one real root, or the stable quadratic
@@ -326,11 +324,13 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     if core.size > 2:
         values.append(lam.conjugate())
     if result.k_used.boundary and mode is MatrixClass.P0:
-        # t^k + c: the j = 0 pair of its binomial rule is lambda and its conjugate
-        values.extend(_binomial_values(core.size - 1, abs(lam))[2:])
+        # t^k + c: its i = 1 pair is lambda and its conjugate
+        values.extend(_circle_values(core.size - 1, abs(lam), 3))
     elif core.size > 3:
         values.extend(_quotient_values(_deflate(core, lam)))
-    values.extend(_lift_values(result.lift_terms, result.mode))
+    g = result.lift_terms       # the lift 1 + t + ... + t^g in positive mode, else t^g + 1
+    values.extend(_circle_values(g + 1, 1.0, 2) if result.mode is SignClass.POSITIVE
+                  else _circle_values(g, 1.0, 1))
     values = np.array(values, dtype=np.complex128)
     feasibility = spectrum_feasible(values)
     if mode is MatrixClass.P and feasibility is not MatrixClass.P:
@@ -365,7 +365,7 @@ def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
 
 def _quotient_values(q: np.ndarray) -> list[complex]:
     """The negated roots of the deflated quotient ``q`` of a core other than
-    the nonnegative boundary binomial (its roots come from ``_binomial_values``):
+    the nonnegative boundary binomial (its roots come from ``_circle_values``):
     in closed form for degree 1 and 2 (cores of degree 3 and 4), else from
     ``find_roots``.
 
@@ -391,34 +391,18 @@ def _quotient_values(q: np.ndarray) -> list[complex]:
     return list(-find_roots(q).roots)
 
 
-def _lift_values(g: int, mode: SignClass) -> list[complex]:
-    """The negated roots of the lift factor, in conjugate pairs:
-    ``_binomial_values(g, 1.0)`` for t^g + 1 in nonnegative mode, and the
-    nontrivial (g+1)-th roots of unity for 1 + t + ... + t^g in positive
-    mode, where for odd g the real root -1 gives exactly 1."""
-    if mode is not SignClass.POSITIVE:
-        return _binomial_values(g, 1.0)
+def _circle_values(m: int, rho: float, first: int) -> list[complex]:
+    """-rho e^{+-i i pi/m} for i = first, first + 2, ... below m, as exact
+    conjugate pairs, then rho where i reaches m: negated roots on |t| = rho.
+    (k, |lambda|, 3) gives those of the boundary core t^k + |lambda|^k but
+    lambda and its conjugate, (g, 1.0, 1) those of the lift t^g + 1, and
+    (g + 1, 1.0, 2) those of the lift 1 + t + ... + t^g."""
     values = []
-    for j in range(1, g // 2 + 1):
-        a = 2.0 * math.pi * j / (g + 1)
-        v = complex(-math.cos(a), -math.sin(a))
-        values += [v, v.conjugate()]
-    if g % 2 == 1:
-        values.append(1.0 + 0.0j)
-    return values
-
-
-def _binomial_values(g: int, rho: float) -> list[complex]:
-    """The negated roots of t^g + rho^g, -rho e^{+-i(2j+1)pi/g} for j = 0 ..
-    floor(g/2) - 1 as exact conjugate pairs, then the real root -rho as rho
-    for odd g. At rho = 1.0 the products are exact: the roots of the lift
-    factor t^g + 1."""
-    values = []
-    for j in range(g // 2):
-        a = (2 * j + 1) * math.pi / g
+    for i in range(first, m, 2):
+        a = i * math.pi / m
         v = complex(-rho * math.cos(a), -rho * math.sin(a))
         values += [v, v.conjugate()]
-    if g % 2 == 1:
+    if first <= m and (m - first) % 2 == 0:
         values.append(complex(rho))
     return values
 

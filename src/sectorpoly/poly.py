@@ -91,11 +91,11 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     log2|a_n|) / (n - i) and lo = min_{i>k} (log2|a_k| - log2|a_i|) / (i - k)
     put every nonzero root's modulus within 2^(lo-1) .. 2^(hi+1) (Fujiwara);
     with exactly two nonzero a_i, hi = lo and every nonzero root has the
-    modulus 2^hi.
-    While n (max(hi, -lo) + 1) <= WINDOW and every |log2|a_i|| <= WINDOW, the
-    answer is (p, 0), so every such input keeps its bytes. A spread
-    max|a_i| / min|a_i| within 2^(WINDOW/n - 2) implies that; it is tested
-    first, in Python scalars, at less cost than the logarithms.
+    modulus 2^hi. While n (max(hi, -lo) + 1) <= WINDOW and every |log2|a_i||
+    <= WINDOW, the answer is (p, 0), so every such input keeps its bytes. A
+    spread max|a_i| / min|a_i| within 2^(WINDOW/n - 2) implies that; it is
+    tested first, in Python scalars, at less cost than the logarithms, for
+    the n <= WINDOW/2 at which it can pass. The rest is O(n) array work.
 
     Otherwise e = round((hi + lo) / 2) centres the root moduli on 1 (e = 0
     where |hi + lo| <= 2 already), and f puts the largest |w_i| in [1/2, 1).
@@ -111,32 +111,34 @@ def working_form(p: np.ndarray) -> tuple[np.ndarray, int]:
     of them leaves float64. e can reach 1024, where 2.0 ** e overflows:
     ``ldexp_complex`` scales by 2^e.
     """
-    a = p.tolist()
-    mags = sorted(map(abs, a))
-    smallest = mags[mags.count(0.0)] if mags[-1] else 1.0     # 1.0 keeps the zero polynomial
-    in_window = 2.0 ** -WINDOW <= smallest and mags[-1] <= 2.0 ** WINDOW    # |log2|a_i|| <= WINDOW
-    if in_window and mags[-1] <= smallest * 2.0 ** (WINDOW / max(len(a) - 1, 1) - 2):
+    n = len(p) - 1
+    if n <= WINDOW // 2:    # above, 2^(WINDOW/n - 2) < 1 and no spread passes
+        mags = sorted(map(abs, p.tolist()))
+        smallest = mags[mags.count(0.0)] if mags[-1] else 1.0     # 1.0 keeps the zero polynomial
+        if (2.0 ** -WINDOW <= smallest and mags[-1] <= 2.0 ** WINDOW
+                and mags[-1] <= smallest * 2.0 ** (WINDOW / max(n, 1) - 2)):
+            return p, 0
+    nonzero = p.nonzero()[0]
+    if not nonzero.size:
         return p, 0
-    nonzero = [i for i, c in enumerate(a) if c]
-    # log2|a_i| as x + log2|m| for a_i = m 2^x, 1/2 <= |m| < 1: w shares
-    # every m, so its bounds repeat these less e
-    mants, exps = zip(*(math.frexp(a[i]) for i in nonzero))
-    logm = [math.log2(abs(m)) for m in mants]
-
-    def slope(j, l):        # (log2|a_i| - log2|a_h|) / (h - i) for i, h = nonzero[j], nonzero[l]
-        return (exps[j] - exps[l] + (logm[j] - logm[l])) / (nonzero[l] - nonzero[j])
-
-    hi = max((slope(j, -1) for j in range(len(nonzero) - 1)), default=0.0)
-    lo = min((slope(0, j) for j in range(1, len(nonzero))), default=0.0)
-    if in_window and nonzero[-1] * (max(hi, -lo) + 1) <= WINDOW:
+    moduli = np.abs(p[nonzero])
+    # log2|a_i| as x + log2|m| for a_i = m 2^x, 1/2 <= |m| < 1: w shares every m,
+    # so its bounds repeat these less e. np.log2 may differ from math.log2 by CPU
+    mants, exps = np.frexp(moduli)
+    logm = np.array(list(map(math.log2, mants.tolist())))
+    up = (exps[:-1] - exps[-1] + (logm[:-1] - logm[-1])) / (nonzero[-1] - nonzero[:-1])
+    down = (exps[0] - exps[1:] + (logm[0] - logm[1:])) / (nonzero[1:] - nonzero[0])
+    hi, lo = (float(up.max()), float(down.min())) if up.size else (0.0, 0.0)
+    if (2.0 ** -WINDOW <= moduli.min() and moduli.max() <= 2.0 ** WINDOW
+            and int(nonzero[-1]) * (max(hi, -lo) + 1) <= WINDOW):
         return p, 0
     if hi >= 1024 or lo < -1074:
         raise DomainError("a root modulus lies beyond the float64 range")
     e = round((hi + lo) / 2) if abs(hi + lo) > 2 else 0
-    exps = [x + i * e for i, x in zip(nonzero, exps)]
-    if min(exps) - max(exps) < -1021:   # 2^-1022 = (1/2) 2^-1021 is the least normal
+    exps = exps + nonzero * e
+    if exps.min() - exps.max() < -1021:   # 2^-1022 = (1/2) 2^-1021 is the least normal
         raise DomainError("the coefficients span more than float64 holds")
-    return np.ldexp(p, np.arange(len(a)) * e - max(exps)), e
+    return np.ldexp(p, np.arange(n + 1) * e - exps.max()), e
 
 
 def ldexp_complex(z, e: int) -> np.ndarray:

@@ -848,6 +848,58 @@ class TestFlagValidation:
         assert f"(hard limit {HARD_DIM_CAP})" in " ".join(capsys.readouterr().out.split())
 
 
+class TestNegativeExponentForms:
+    """synthesize reads a negative number in exponent form as a value, on
+    both of main's paths, as it reads the --flag=value spelling."""
+
+    CALLS = {
+        "--mu-re": ["--mu-re", "-1e-3", "--mu-im", "0.5"],
+        "--mu-im": ["--mu-re", "0.5", "--mu-im", "-2.5E+0"],
+        "--r": ["--r", "-1e-05", "--alpha", "2"],       # a DomainError, not a usage error
+        "--alpha": ["--r", "2", "--alpha", "-2.5e0"],
+    }
+
+    @pytest.mark.parametrize("flag", CALLS)
+    def test_reads_as_its_equals_spelling(self, capsys, flag):
+        argv = ["synthesize", *self.CALLS[flag], "--n", "3", "--mode", "nonneg"]
+        at = argv.index(flag)
+        value = argv[at + 1]
+        spelled = argv[:at] + [f"{flag}={value}"] + argv[at + 2:]
+        assert getattr(cli.build_parser().parse_args(argv), flag[2:].replace("-", "_")) \
+            == float(value)
+        expected = _run(capsys, *spelled)
+        assert expected[0] == (2 if flag == "--r" else 0)
+        assert _run(capsys, *argv) == expected
+        assert capsys.readouterr().err == ""
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run with exit 1 and nothing
+    on stderr: no BrokenPipeError traceback, now or at the interpreter's exit."""
+
+    def test_a_process_whose_reader_leaves_exits_1_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sectorpoly.cli", "region", "--n", "4", "--mode", "P",
+             "--samples", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"theta,admissible,boundary\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    @pytest.mark.parametrize("argv", [
+        ["region", "--n", "4", "--mode", "P", "--samples", "100000"],
+        ["verify", "--poly", "[1,2,1]"],        # held in the buffer until main flushes it
+    ])
+    def test_main_returns_1(self, monkeypatch, argv):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stream:
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(argv) == 1
+
+
 class TestParserReuse:
     """main builds its parser once per process, and no call leaves state that
     a later call sees: each output equals the same call on a fresh parser."""
@@ -955,6 +1007,7 @@ PARITY_CALLS = [
     ["region", "--n=4", "--mode=P", "--samples=90", "--format=json"],
     ["region", "--n", "4", "--mode", "P", "--sam", "90"],
     ["synthesize", "--r", "-1", "--alpha", "2", "--n", "3", "--mode", "nonneg"],
+    ["synthesize", "--mu-re", "-1e-3", "--mu-im", "0.5", "--n", "3", "--mode", "nonneg"],
     ["verify", "--poly", "abc"],
     ["verify", "--poly", "[1,2,1]", "--tol-angle", "1e-7"],
     ["verify", "--poly", "[1,2,1]", "extra"],

@@ -557,7 +557,7 @@ class TestQuotientValues:
 
 
 class TestBoundaryValues:
-    """A boundary core t^k + c takes its values from the binomial rule, in
+    """A boundary core t^k + c takes its values from the circle rule, in
     closed form, against 40-digit roots of the synthesized core (closed form
     too: mpmath.polyroots does not converge on these binomials)."""
 
@@ -583,6 +583,53 @@ class TestBoundaryValues:
             if k % 2 == 1:
                 assert values[-1].imag == 0.0
             assert spectrum.feasibility is MatrixClass.P0
+
+
+def _circle_forms():
+    """(m, rho, first) for each form eigen_witness calls _circle_values in,
+    m up to 13, with the negated roots it stands for, formed at the working
+    precision of the call."""
+    forms = []
+    for g in range(0, 14):
+        # the lift factor t^g + 1: -e^{i(2j+1)pi/g}
+        forms.append(((g, 1.0, 1), lambda g=g: [
+            -mpmath.expjpi(mpmath.mpf(2 * j + 1) / g) for j in range(g)]))
+    for g in range(0, 13):
+        # the lift factor 1 + t + ... + t^g: the nontrivial (g+1)-th roots of unity
+        forms.append(((g + 1, 1.0, 2), lambda g=g: [
+            -mpmath.expjpi(mpmath.mpf(2 * j) / (g + 1)) for j in range(1, g + 1)]))
+    for k, rho in itertools.product(range(1, 14), (1e-20, 1e-3, 1.0, 7.0, 1e3, 1e20)):
+        # the boundary core t^k + rho^k less the pair -rho e^{+-i pi/k}
+        forms.append(((k, rho, 3), lambda k=k, rho=rho: [
+            -mpmath.mpf(rho) * mpmath.expjpi(mpmath.mpf(2 * j + 1) / k)
+            for j in range(1, k - 1)]))
+    return [pytest.param(form, exact, id="m={},rho={!r},first={}".format(*form))
+            for form, exact in forms]
+
+
+class TestCircleValues:
+    """_circle_values against the 40-digit roots of the polynomial each of its
+    forms stands for: every root once, within 8 eps of the modulus, in exact
+    conjugate pairs and with the real root exactly real."""
+
+    @pytest.mark.parametrize("form, exact", _circle_forms())
+    def test_match_forty_digit_roots(self, form, exact):
+        m, rho, first = form
+        eps = np.finfo(np.float64).eps
+        values = pmatrix._circle_values(m, rho, first)
+        with mpmath.workdps(40):
+            left = exact()
+            assert len(values) == len(left)
+            for v in values:
+                errs = [abs(mpmath.mpc(v) - z) / rho for z in left]
+                i = min(range(len(left)), key=errs.__getitem__)
+                assert errs[i] <= 8 * eps, (form, v)
+                del left[i]
+        pairs, real = divmod(len(values), 2)
+        for v, w in zip(values[0:2 * pairs:2], values[1:2 * pairs:2]):
+            assert v.imag != 0.0 and w == v.conjugate()
+        if real:
+            assert values[-1] == complex(rho) and values[-1].imag == 0.0
 
 
 class TestEigenWitness:

@@ -215,6 +215,80 @@ class TestWorkingForm:
         assert relative_residual([1e-200, 1.0, 1e200], z) <= 4 * np.finfo(np.float64).eps
 
 
+def _sorting_working_form(p):
+    """working_form as it was before its array form: a sort of every |a_i|,
+    and math.frexp, math.log2 and the slopes one coefficient at a time. The
+    reference the array form must match bit for bit."""
+    a = p.tolist()
+    mags = sorted(map(abs, a))
+    smallest = mags[mags.count(0.0)] if mags[-1] else 1.0
+    in_window = 2.0 ** -WINDOW <= smallest and mags[-1] <= 2.0 ** WINDOW
+    if in_window and mags[-1] <= smallest * 2.0 ** (WINDOW / max(len(a) - 1, 1) - 2):
+        return p, 0
+    nonzero = [i for i, c in enumerate(a) if c]
+    mants, exps = zip(*(math.frexp(a[i]) for i in nonzero))
+    logm = [math.log2(abs(m)) for m in mants]
+
+    def slope(j, l):
+        return (exps[j] - exps[l] + (logm[j] - logm[l])) / (nonzero[l] - nonzero[j])
+
+    hi = max((slope(j, -1) for j in range(len(nonzero) - 1)), default=0.0)
+    lo = min((slope(0, j) for j in range(1, len(nonzero))), default=0.0)
+    if in_window and nonzero[-1] * (max(hi, -lo) + 1) <= WINDOW:
+        return p, 0
+    if hi >= 1024 or lo < -1074:
+        raise DomainError("a root modulus lies beyond the float64 range")
+    e = round((hi + lo) / 2) if abs(hi + lo) > 2 else 0
+    exps = [x + i * e for i, x in zip(nonzero, exps)]
+    if min(exps) - max(exps) < -1021:
+        raise DomainError("the coefficients span more than float64 holds")
+    return np.ldexp(p, np.arange(len(a)) * e - max(exps)), e
+
+
+@st.composite
+def _coefficient_vectors(draw):
+    """Finite float64 vectors of degree 0..16, or past the WINDOW/2 at which
+    the spread pre-test stops: any floats, subnormal and huge among them, or
+    a_i = m_i 2^(s i + c) with |m_i| in [1/2, 2) and some a_i zero, graded
+    well out of the window or all of one modulus."""
+    n = draw(st.one_of(st.integers(0, 16), st.integers(WINDOW // 2 - 2, WINDOW + 100)))
+    if n <= 16 and draw(st.booleans()):
+        return np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      min_size=n + 1, max_size=n + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    slope = draw(st.sampled_from([0, 0, 1, -1, 7, -7, 80, -80]))
+    shift = np.clip(slope * np.arange(n + 1) + draw(st.integers(-1100, 1023)), -1074, 1023)
+    mant = rng.uniform(0.5, 2.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+    if draw(st.booleans()):
+        mant = np.ones(n + 1)
+    mant[rng.random(n + 1) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))] = 0.0
+    with np.errstate(over="ignore"):
+        a = np.ldexp(mant, shift)
+    return np.where(np.isfinite(a), a, 1.0)
+
+
+def _working_form_outcome(rule, p):
+    try:
+        w, e = rule(p)
+    except DomainError as exc:
+        return str(exc)
+    return w is p, w.tobytes(), e
+
+
+class TestWorkingFormReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_coefficient_vectors())
+    def test_matches_the_sorting_form_bit_for_bit(self, p):
+        assert _working_form_outcome(working_form, p) == _working_form_outcome(
+            _sorting_working_form, p)
+
+    def test_matches_the_sorting_form_on_the_extreme_cases(self):
+        for p in EXTREME + [[0.0] * 300, [0.0] * 299 + [1e-300], [2.0 ** 520] * 260]:
+            p = np.asarray(p, dtype=np.float64)
+            assert _working_form_outcome(working_form, p) == _working_form_outcome(
+                _sorting_working_form, p)
+
+
 class TestScaleRoots:
     def test_exact_while_normal(self):
         u = np.array([0.75 + 0.5j, -1.0, 0j, 1.0 + 1e-300j])
