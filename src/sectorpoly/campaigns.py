@@ -78,32 +78,32 @@ def _run_cases(report: SuiteReport, case) -> SuiteReport:
     return report
 
 
-def _sample_nonneg_target(rng: np.random.Generator, index: int):
-    """(mu, n): degree in [1, 12], modulus in [0.1, 10], |alpha| in [pi/n, pi].
+# the endpoint pins of _sample_target, as values of (index // 2) % 8
+BOUNDARY_PIN, LINEAR_PIN = 1, 5
 
-    Every 8th case pins |alpha| to a sector endpoint so the binomial and
-    linear boundary branches stay exercised.
+
+def _sample_target(rng: np.random.Generator, index: int, positive: bool):
+    """(mu, n): a synthesis target of nonnegative or ``positive`` mode, with
+    degree in [1 + positive, 12], modulus in [0.1, 10] and |alpha| in
+    [pi/n, pi].
+
+    The suites alternate their two modes by case parity, so the pins read
+    index // 2 and a quarter of each mode's cases sit at a sector endpoint:
+    half at the widest admissible angle pi/(n - positive), where nonnegative
+    mode builds a binomial and positive mode its boundary core, and half at
+    pi, the linear core. Every draw is made in every case, bar alpha's when
+    pinned.
     """
-    n = int(rng.integers(1, 13))
+    n = int(rng.integers(1 + positive, 13))
     r = float(rng.uniform(0.1, 10.0))
-    if index % 8 == 3:
-        alpha = math.pi / n
-    elif index % 8 == 7:
+    pin = (index // 2) % 8
+    if pin == BOUNDARY_PIN:
+        alpha = math.pi / (n - positive)
+    elif pin == LINEAR_PIN:
         alpha = math.pi
     else:
         alpha = float(rng.uniform(math.pi / n, math.pi))
     if rng.integers(0, 2) == 1 and alpha < math.pi:
-        alpha = -alpha
-    return from_polar(r, alpha), n
-
-
-def _sample_positive_target(rng: np.random.Generator):
-    """(mu, n): degree in [2, 12], modulus in [0.1, 10], |alpha| in
-    [pi/n, pi)."""
-    n = int(rng.integers(2, 13))
-    r = float(rng.uniform(0.1, 10.0))
-    alpha = float(rng.uniform(math.pi / n, math.pi))
-    if rng.integers(0, 2) == 1:
         alpha = -alpha
     return from_polar(r, alpha), n
 
@@ -133,10 +133,7 @@ def _synth_case(rng, i, detail, m, mode: SignClass | None = None,
     case_mode = mode
     if case_mode is None:
         case_mode = SignClass.NONNEGATIVE if i % 2 == 0 else SignClass.POSITIVE
-    if case_mode is SignClass.POSITIVE:
-        mu, n = _sample_positive_target(rng)
-    else:
-        mu, n = _sample_nonneg_target(rng, i)
+    mu, n = _sample_target(rng, i, case_mode is SignClass.POSITIVE)
     detail.update(mu={"re": mu.real, "im": mu.imag}, n=n, mode=case_mode.value)
     result = synthesize(mu, n, case_mode)
     coeffs = result.coeffs.tolist()
@@ -178,26 +175,14 @@ def _kellogg_case(rng, i, detail, m) -> list[str]:
     return bad
 
 
-def _sample_admissible(rng: np.random.Generator, index: int):
-    """(lambda, n, mode, boundary): admissible eigenvalue targets, alternating
-    P and P0; every 5th P0 case sits exactly on the wedge boundary."""
-    mode = MatrixClass.P if index % 2 == 0 else MatrixClass.P0
-    n = int(rng.integers(2, 13))
-    r = float(rng.uniform(0.1, 10.0))
-    boundary = mode is MatrixClass.P0 and index % 10 == 1
-    if boundary:
-        gap = math.pi / n
-    else:
-        gap = float(rng.uniform(math.pi / n, math.pi))
-    side = 1.0 if rng.integers(0, 2) == 1 else -1.0
-    theta = math.pi + side * gap
-    return from_polar(r, theta), n, mode, boundary
-
-
 def _witness_case(rng, i, detail, m) -> list[str]:
     """Witness soundness: an admissible (lambda, n) extends to a spectrum of n
-    values, lambda among them, whose feasibility matches the mode."""
-    lam, n, mode, boundary = _sample_admissible(rng, i)
+    values, lambda among them, whose feasibility matches the mode. Its
+    targets alternate P and P0 and negate those of synthesis, positive and
+    nonnegative; a P0 boundary pin has a binomial spectrum."""
+    mode = MatrixClass.P if i % 2 == 0 else MatrixClass.P0
+    mu, n = _sample_target(rng, i, mode is MatrixClass.P)
+    lam = -mu
     detail.update({"lambda": {"re": lam.real, "im": lam.imag}, "n": n, "mode": mode.value})
     bad = []
     spectrum = eigen_witness(lam, n, mode)
@@ -216,7 +201,8 @@ def _witness_case(rng, i, detail, m) -> list[str]:
         bad.append("feasibility")
     if not is_conjugate_closed(values):
         bad.append("conjugate_closure")
-    if boundary and not _is_binomial_spectrum(values):
+    if (mode is MatrixClass.P0 and (i // 2) % 8 == BOUNDARY_PIN
+            and not _is_binomial_spectrum(values)):
         bad.append("boundary_binomial")
     return bad
 

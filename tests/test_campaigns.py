@@ -7,7 +7,8 @@ import pytest
 from sectorpoly import DomainError, campaigns, kernels
 from sectorpoly.campaigns import run_suite, run_synth_suite
 from sectorpoly.pmatrix import MatrixClass, MinorReport
-from sectorpoly.poly import SignClass
+from sectorpoly.poly import SignClass, principal_arg
+from sectorpoly.synthesis import sector_index
 
 
 @pytest.mark.parametrize("suite", ["synth", "cot", "kellogg", "witness"])
@@ -68,6 +69,34 @@ def test_kellogg_enumerates_minors_once_per_matrix(monkeypatch):
     assert len(calls) == 12
 
 
+@pytest.mark.parametrize("seed", [5, 9])
+@pytest.mark.parametrize("suite, target", [
+    ("synth", "synthesize"), ("cot", "synthesize"), ("witness", "eigen_witness")])
+def test_every_mode_reaches_both_sector_endpoints(monkeypatch, suite, target, seed):
+    # among the first 32 targets of each mode: the widest admissible angle
+    # pi/(n - positive) below pi, where synthesis builds a binomial or a
+    # positive boundary core, and pi at n >= 2, the linear core lifted.
+    # Witness targets are synthesis targets negated
+    endpoints = {}
+    real = getattr(campaigns, target)
+
+    def recorded(z, n, mode):
+        mu = z if target == "synthesize" else -z
+        positive = mode is SignClass.POSITIVE or mode is MatrixClass.P
+        si = sector_index(abs(principal_arg(mu)))
+        reached = endpoints.setdefault(mode, set())
+        if si.boundary and si.k == n - positive >= 2:
+            reached.add("widest")
+        if si.boundary and si.k == 1 and n >= 2:
+            reached.add("pi")
+        return real(z, n, mode)
+
+    monkeypatch.setattr(campaigns, target, recorded)
+    assert run_suite(suite, 32, seed).failures == 0
+    assert len(endpoints) == 2
+    assert all(reached == {"widest", "pi"} for reached in endpoints.values()), endpoints
+
+
 def test_zero_cases_vacuous_pass():
     report = run_suite("cot", 0, seed=1)
     assert report.passes == 0 and report.failures == 0
@@ -84,10 +113,7 @@ def test_unknown_suite_rejected():
 
 def _synth_inputs(seed, i, mode):
     rng = campaigns._case_rng(seed, i)
-    if mode is SignClass.POSITIVE:
-        mu, n = campaigns._sample_positive_target(rng)
-    else:
-        mu, n = campaigns._sample_nonneg_target(rng, i)
+    mu, n = campaigns._sample_target(rng, i, mode is SignClass.POSITIVE)
     return {"case": i, "mu": {"re": mu.real, "im": mu.imag}, "n": n, "mode": mode.value}
 
 
@@ -97,8 +123,16 @@ def _kellogg_inputs(seed, i):
     return {"case": i, "n": n, "matrix_seed": int(rng.integers(0, 2**63))}
 
 
+def _witness_target(seed, i):
+    """(lambda, n, mode) of case i of a witness campaign at ``seed``: the
+    negated synthesis target of the matching mode."""
+    mode = MatrixClass.P if i % 2 == 0 else MatrixClass.P0
+    mu, n = campaigns._sample_target(campaigns._case_rng(seed, i), i, mode is MatrixClass.P)
+    return -mu, n, mode
+
+
 def _witness_inputs(seed, i):
-    lam, n, mode, _ = campaigns._sample_admissible(campaigns._case_rng(seed, i), i)
+    lam, n, mode = _witness_target(seed, i)
     return {"case": i, "lambda": {"re": lam.real, "im": lam.imag}, "n": n,
             "mode": mode.value}
 
@@ -271,11 +305,12 @@ class TestWitnessFailures:
         self._assert_first(report, 0, "conjugate_closure")
 
     def test_boundary_binomial_fires(self, monkeypatch):
-        # only every 5th P0 case (index 1, 11, ...) sits on the boundary
+        # only the P0 boundary pins (index 3, 19, ...) are checked for a
+        # binomial; the P pins at index 2, 18, ... have positive cores
         monkeypatch.setattr(campaigns, "_is_binomial_spectrum", lambda values: False)
-        report = self._report(12)
-        assert (report.passes, report.failures) == (10, 2)
-        self._assert_first(report, 1, "boundary_binomial")
+        report = self._report(20)
+        assert (report.passes, report.failures) == (18, 2)
+        self._assert_first(report, 3, "boundary_binomial")
 
     def test_raising_case_is_a_failed_case_with_its_inputs(self, monkeypatch):
         monkeypatch.setattr(campaigns, "eigen_witness", _raise_domain_error)

@@ -180,6 +180,8 @@ class TestSynthesizeCommand:
         ("inf", "3", "nonneg"),
         ("1e30", "12", "positive"),     # r^n overflows
         ("1e-200", "12", "positive"),   # r^n underflows to 0
+        ("1e-160", "2", "positive"),    # r^n = 1e-320, and so is the core's a_0
+        ("1e-160", "2", "nonneg"),
         ("-1", "3", "nonneg"),          # from_polar would turn mu by pi, off --alpha
     ])
     def test_modulus_out_of_range_exits_2(self, capsys, r, n, mode):

@@ -31,11 +31,12 @@ from sectorpoly import (
     spectrum_feasible,
     wedge_admissible,
 )
-from sectorpoly import campaigns, find_roots, pmatrix, synthesize
+from sectorpoly import find_roots, pmatrix, synthesize
 from sectorpoly.pmatrix import spectrum_aux_poly
 from sectorpoly.poly import is_conjugate_closed, relative_residual
 from sectorpoly.synthesis import ANGLE_TOL
 from test_boundary import TIER1_OFFSETS
+from test_campaigns import _witness_target
 
 ROTATION = [[0.0, -1.0], [1.0, 0.0]]
 
@@ -441,10 +442,7 @@ class TestSpectrumAuxPolyParity:
         return verdicts
 
     def test_campaign_spectra(self, monkeypatch):
-        targets = []
-        for i in range(10_000):
-            lam, n, mode, _ = campaigns._sample_admissible(campaigns._case_rng(11, i), i)
-            targets.append((lam, n, mode))
+        targets = [_witness_target(11, i) for i in range(10_000)]
         spectra = _witness_spectra(targets)
         assert len(spectra) == 10_000
         # every tenth also negated (mostly Neither), with one value
@@ -640,7 +638,7 @@ class TestEigenWitness:
         # campaign's match distance reads lambda itself
         worst = 0.0
         for i in range(2000):
-            lam, n, mode, _ = campaigns._sample_admissible(campaigns._case_rng(5, i), i)
+            lam, n, mode = _witness_target(5, i)
             values = eigen_witness(lam, n, mode).values
             sign = SignClass.POSITIVE if mode is MatrixClass.P else SignClass.NONNEGATIVE
             q = synthesize(-lam, n, sign).coeffs

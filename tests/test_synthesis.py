@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -413,6 +414,21 @@ class TestSynthesize:
         with pytest.raises(type(lifted.value), match=re.escape(str(lifted.value))):
             synthesize(mu, n, mode)
 
+    @pytest.mark.parametrize("mode", [SignClass.NONNEGATIVE, SignClass.POSITIVE])
+    @pytest.mark.parametrize("r", [1e-160, 3e-162])
+    def test_subnormal_core_constant_raises(self, r, mode):
+        # |mu|^2 is in range and every core coefficient is nonzero, but the
+        # constant term is subnormal: the result's residual read 3.9e-6 at
+        # 1e-160 and 0.033 at 3e-162
+        with pytest.raises(DomainError, match="subnormal"):
+            synthesize(from_polar(r, 2.0), 2, mode)
+
+    def test_subnormal_modulus_power_with_a_normal_core_is_built(self):
+        # |mu|^n = 5e-324, yet the degree-2 core's constant term is normal
+        result = synthesize(from_polar(0.5, 2.0), 1074, SignClass.NONNEGATIVE)
+        assert result.core[0] >= sys.float_info.min
+        assert result.residual <= 1e-16
+
     def test_mixed_mode_rejected(self):
         with pytest.raises(PreconditionError, match="mode must be nonnegative or positive"):
             synthesize(1j, 2, SignClass.MIXED)
@@ -780,23 +796,26 @@ class TestScaleInvariance:
 
     def test_seeded_cot_targets_keep_their_verdicts_at_every_scale(self):
         # the first 40 targets of a seed-5 cot campaign, times 2^e wherever
-        # |mu|^n stays in float64, as synthesize requires: the residual stays
-        # within the campaign's bound, and verify_cot keeps its status. The
-        # coefficients as given read n = 2 at |mu| = 1.5e-156 inconclusive
+        # synthesize accepts them: |mu|^n stays in float64, and the core's
+        # constant term, which 2^e scales by 2^(e k) at core degree k, stays
+        # normal. The residual stays within the campaign's bound, and
+        # verify_cot keeps its status. The coefficients as given read n = 2
+        # at |mu| = 1.5e-156 inconclusive
         from sectorpoly import campaigns
 
         checked = 0
         for i in range(40):
-            rng = campaigns._case_rng(5, i)
-            if i % 2:
-                mode, (mu, n) = SignClass.POSITIVE, campaigns._sample_positive_target(rng)
-            else:
-                mode, (mu, n) = SignClass.NONNEGATIVE, campaigns._sample_nonneg_target(rng, i)
-            status = verify_cot(synthesize(mu, n, mode).coeffs).status
+            positive = i % 2 == 1
+            mode = SignClass.POSITIVE if positive else SignClass.NONNEGATIVE
+            mu, n = campaigns._sample_target(campaigns._case_rng(5, i), i, positive)
+            base = synthesize(mu, n, mode)
+            status = verify_cot(base.coeffs).status
+            a0, k = float(base.core[0]), base.core.size - 1
             for e in self.SCALES:
                 scaled = mu * 2.0 ** e
                 try:
-                    in_range = 0.0 < abs(scaled) ** n < math.inf
+                    in_range = (0.0 < abs(scaled) ** n < math.inf
+                                and math.ldexp(a0, e * k) >= sys.float_info.min)
                 except OverflowError:
                     in_range = False
                 if not in_range:
@@ -805,7 +824,7 @@ class TestScaleInvariance:
                 assert result.residual <= campaigns.RESIDUAL_BOUND, (i, e)
                 assert verify_cot(result.coeffs).status == status, (i, e)
                 checked += 1
-        assert checked == 25
+        assert checked == 23
 
 
 def _check_positive(mu, n):
