@@ -105,7 +105,9 @@ def _sample_target(rng: np.random.Generator, index: int, positive: bool):
         alpha = float(rng.uniform(math.pi / n, math.pi))
     if rng.integers(0, 2) == 1 and alpha < math.pi:
         alpha = -alpha
-    return from_polar(r, alpha), n
+    # alpha = pi is the negative real axis, exactly: from_polar(r, math.pi)
+    # keeps r * sin(math.pi) = r * 1.2e-16 as its imaginary part
+    return (complex(-r, 0.0) if alpha == math.pi else from_polar(r, alpha)), n
 
 
 def _check_synthesis(result, coeffs: list, n, mode) -> list[str]:

@@ -32,7 +32,6 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -286,47 +285,48 @@ def _region_grid(samples: int) -> tuple[np.ndarray, tuple[str, ...]]:
     return grid, tuple(map(float.__repr__, grid.tolist()))
 
 
-class _RegionFormat(NamedTuple):
-    """A region format's parts, in the order a report puts them. Only
-    ``head`` is a template (str.format'ed with n and mode); every other part
-    is literal text."""
-    head: str           # the text before the first row
-    before: str         # a row's text before its theta
-    admissible: str     # after its theta, before the admissible word
-    boundary: str       # after the admissible word, before the boundary word
-    after: str          # after the boundary word
-    between: str        # between two rows
-    tail: str           # after the last row
-
-
+# each region format as (head, row, between, tail): the head is formatted
+# with n and mode, every row with a theta text and its two verdict words
 _REGION_FORMATS = {
-    "csv": _RegionFormat(head="theta,admissible,boundary\n", before="", admissible=",",
-                         boundary=",", after="", between="\n", tail="\n"),
-    "json": _RegionFormat(head='{{\n  "n": {n},\n  "mode": "{mode}",\n  "rows": [\n',
-                          before='    {\n      "theta": ',
-                          admissible=',\n      "admissible": ',
-                          boundary=',\n      "boundary": ',
-                          after="\n    }", between=",\n", tail="\n  ]\n}\n"),
+    "csv": ("theta,admissible,boundary\n", "{theta},{admissible},{boundary}", "\n", "\n"),
+    "json": ('{{\n  "n": {n},\n  "mode": "{mode}",\n  "rows": [\n',
+             '    {{\n      "theta": {theta},\n      "admissible": {admissible},\n'
+             '      "boundary": {boundary}\n    }}',
+             ",\n", "\n  ]\n}\n"),
 }
 _WORDS = ("false", "true")
 
 
+def _cut_row(row: str) -> tuple[str, dict[tuple[bool, bool], str]]:
+    """A row template cut at its theta: the text before a theta, and the
+    text after it for each pair of (admissible, boundary) verdicts."""
+    before, _, after = row.partition("{theta}")
+    ends = {(a, b): after.format(admissible=_WORDS[a], boundary=_WORDS[b])
+            for a in (False, True) for b in (False, True)}
+    return before.format(), ends
+
+
+# cut once, at import: a call looks up the row end of each run's verdicts
+_REGION_ROWS = {fmt: _cut_row(row) for fmt, (_, row, _, _) in _REGION_FORMATS.items()}
+
+
 def _region_pieces(fmt: str, n: int, mode: str, texts, admissible, boundary):
     """The pieces of a region report: each run of rows with equal verdicts is
-    one join of its theta texts, with the format's row parts between."""
-    form = _REGION_FORMATS[fmt]
+    one join of its theta texts, with the row text around each theta
+    between them."""
+    head, _, between, tail = _REGION_FORMATS[fmt]
+    before, ends = _REGION_ROWS[fmt]
     cuts = np.flatnonzero((admissible[1:] != admissible[:-1])
                           | (boundary[1:] != boundary[:-1])) + 1
     starts = [0, *cuts.tolist()]
-    lead = form.head.format(n=n, mode=mode) + form.before   # the text before a run's first theta
+    lead = head.format(n=n, mode=mode) + before     # the text before a run's first theta
     for i, j, a, b in zip(starts, [*starts[1:], len(texts)],
                           admissible[starts].tolist(), boundary[starts].tolist()):
-        row_end = form.admissible + _WORDS[a] + form.boundary + _WORDS[b] + form.after
-        link = row_end + form.between + form.before         # from one theta to the next
+        link = ends[a, b] + between + before            # from one theta to the next
         yield lead
         yield link.join(texts[i:j])
         lead = link
-    yield row_end + form.tail
+    yield ends[a, b] + tail
 
 
 def _cmd_region(args) -> int:
@@ -340,7 +340,7 @@ def _cmd_region(args) -> int:
     if args.samples > MAX_REGION_SAMPLES:
         raise DomainError(f"--samples must be <= {MAX_REGION_SAMPLES}")
     n = args.n
-    mode = MatrixClass.P if args.mode == "P" else MatrixClass.P0
+    mode = MatrixClass(args.mode)
     half = wedge_half_angle(n)
     build = _region_grid if args.samples <= CACHED_REGION_SAMPLES else _region_grid.__wrapped__
     grid, grid_texts = build(args.samples)
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--n", type=int, required=True)
     p_reg.add_argument("--mode", choices=("P", "P0"), required=True)
     p_reg.add_argument("--samples", type=int, default=360)
-    p_reg.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_reg.add_argument("--format", choices=tuple(_REGION_FORMATS), default="csv")
     p_reg.set_defaults(func=_cmd_region)
 
     p_orc = sub.add_parser("oracle", help="run a randomized invariant campaign")

@@ -1,8 +1,11 @@
 """Exception hierarchy with stable machine-readable names.
 
-The CLI serializes errors as ``{"error": <name>, "message": ...}`` and the
-``name`` attribute is part of that contract, so it must stay stable even if
-class names are refactored.
+The CLI serializes errors as ``{"error": <name>, ...}`` and the oracle
+campaigns record them as ``error_<name>``, so ``name`` is wire text. Every
+class takes its own class name as ``name`` unless its body sets one, so a
+new subclass never reports its parent's name.
+``tests/test_cli.py::TestErrorWireNames`` pins the names of the classes
+below: renaming one is a change of the wire text, and fails that test.
 """
 
 
@@ -11,75 +14,56 @@ class SectorPolyError(Exception):
 
     name = "SectorPolyError"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "name" not in cls.__dict__:
+            cls.name = cls.__name__
+
 
 class DomainError(SectorPolyError):
     """Input outside the mathematical domain of an operation."""
-
-    name = "DomainError"
 
 
 class PreconditionError(SectorPolyError):
     """A documented precondition of an operation was violated."""
 
-    name = "PreconditionError"
-
 
 class DegenerateInput(SectorPolyError):
     """Degree-0 polynomial passed to the root solver."""
-
-    name = "DegenerateInput"
 
 
 class AngleTooSmall(SectorPolyError):
     """The target argument is below the admissible sector for the degree."""
 
-    name = "AngleTooSmall"
-
 
 class ZeroModulus(SectorPolyError):
     """The prescribed zero has modulus zero."""
-
-    name = "ZeroModulus"
 
 
 class DegreeOne(SectorPolyError):
     """Positive-coefficient synthesis is undefined at degree 1."""
 
-    name = "DegreeOne"
-
 
 class DimensionCap(SectorPolyError):
     """Matrix dimension exceeds the minor-enumeration cap."""
-
-    name = "DimensionCap"
 
 
 class ComplexCharPoly(SectorPolyError):
     """Principal-minor sums are not real: no real characteristic polynomial."""
 
-    name = "ComplexCharPoly"
-
 
 class NotConjugateClosed(SectorPolyError):
     """A spectrum multiset is not closed under conjugation."""
-
-    name = "NotConjugateClosed"
 
 
 class ZeroLambda(SectorPolyError):
     """lambda = 0 is excluded from the weak-class eigenvalue region."""
 
-    name = "ZeroLambda"
-
 
 class NotAdmissible(SectorPolyError):
     """The requested eigenvalue lies outside the admissible region."""
-
-    name = "NotAdmissible"
 
 
 class FeasibleButUnwitnessed(SectorPolyError):
     """Admissible P eigenvalue whose witness reads below P: too close to a
     boundary for spectrum_feasible to tell it from P0."""
-
-    name = "FeasibleButUnwitnessed"

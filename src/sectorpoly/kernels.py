@@ -24,11 +24,11 @@ import numpy as np
 # LAPACK's with no polish sweep and 4.4e-5 * rho with one.
 POLISH_SWEEPS = 1
 
-# A principal-minor pivot at or below this multiple of the max row norm gets
-# a pseudo-pivot. Dividing by a pivot p amplifies rounding by about norm/|p|.
-# On 6x6 matrices with one pivot set to 10^-j * norm (j = 0..16) or 0, a floor
-# of 1e-8 left minors up to 1.8e-12 * norm^k from 50-digit values; 1e-3 kept
-# them within 2e-16 * norm^k.
+# A principal-minor pivot at or below this multiple of its scale (see
+# _minors_by_mask) gets a pseudo-pivot. Dividing by a pivot p amplifies
+# rounding by about norm/|p|. On 6x6 matrices with one pivot set to
+# 10^-j * norm (j = 0..16) or 0, a floor of 1e-8 left minors up to
+# 1.8e-12 * norm^k from 50-digit values; 1e-3 kept them within 2e-16 * norm^k.
 _PIVOT_FLOOR = 1e-3
 
 
@@ -162,26 +162,29 @@ def _minors_by_mask(a: np.ndarray) -> np.ndarray:
     trailing block, the child that takes it in is the trailing block minus
     the pivot row and column's outer product over the pivot.
 
-    A pivot at or below _PIVOT_FLOOR times the max row norm is raised by a
-    shift s (the norm) before it is used, as the paper's pseudo-pivot: the
-    subtree that takes l in then holds the minors of A with a_ll + s. A minor
-    is affine in a_ll, so each of them is corrected, deepest level first, by
-    subtracting s times the minor without l, which sits in the other subtree
-    at the same position.
+    Pivot l is judged in its own scale s = min(|A[l, :]|_1, |A[:, l]|_1), or
+    1 for a zero row or column, not in the largest row norm of A: a row or
+    column scaled far above the others would make every other pivot read as
+    small. A pivot at or below _PIVOT_FLOOR * s is raised by s before it is
+    used, as the paper's pseudo-pivot: the subtree that takes l in then holds
+    the minors of A with a_ll + s. A minor is affine in a_ll, so each of them
+    is corrected, deepest level first, by subtracting s times the minor
+    without l, which sits in the other subtree at the same position.
     """
     n = a.shape[0]
-    rho = float(np.max(np.sum(np.abs(a), axis=1)))
-    shift = rho if rho > 0 else 1.0        # a zero matrix: every pivot is 0
+    mags = np.abs(a)
+    scales = np.minimum(mags.sum(axis=1), mags.sum(axis=0)).tolist()
     minors = np.empty(1 << n, dtype=np.complex128)
     minors[0] = 1.0
     stack = a[:, :, None]
     shifts = []
-    for l in range(n):
+    for l, scale in enumerate(scales):
+        scale = scale or 1.0                # a zero row or column: every pivot is 0
         half = 1 << l
         piv = stack[0, 0]
-        small = np.abs(piv) <= _PIVOT_FLOOR * rho
+        small = np.abs(piv) <= _PIVOT_FLOOR * scale
         if small.any():
-            s = np.where(small, shift, 0.0)
+            s = np.where(small, scale, 0.0)
             piv = piv + s
             shifts.append((l, s))
         np.multiply(minors[:half], piv, out=minors[half : 2 * half])

@@ -97,6 +97,26 @@ def test_every_mode_reaches_both_sector_endpoints(monkeypatch, suite, target, se
     assert all(reached == {"widest", "pi"} for reached in endpoints.values()), endpoints
 
 
+
+@pytest.mark.parametrize("seed", [5, 9])
+def test_linear_targets_lie_on_the_real_axis(seed):
+    # alpha = pi: the linear pins of both modes, and every nonnegative n = 1
+    # draw. A 1x1 real matrix has a real eigenvalue, so the n = 1 P0 witness
+    # spectrum is [lambda] with an imaginary part of exactly 0
+    linear = n_one = 0
+    for i in range(64):
+        for positive in (False, True):
+            mu, n = campaigns._sample_target(campaigns._case_rng(seed, i), i, positive)
+            if (i // 2) % 8 == campaigns.LINEAR_PIN or n == 1:
+                assert mu.imag == 0.0 and mu.real < 0.0, (i, positive, mu)
+                linear += 1
+        lam, n, mode = _witness_target(seed, i)
+        if n == 1 and mode is MatrixClass.P0:
+            values = campaigns.eigen_witness(lam, n, mode).values
+            assert values.tolist() == [lam] and values.imag.tolist() == [0.0]
+            n_one += 1
+    assert linear >= 16 and n_one >= 1, (linear, n_one)
+
 def test_zero_cases_vacuous_pass():
     report = run_suite("cot", 0, seed=1)
     assert report.passes == 0 and report.failures == 0

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sectorpoly import DomainError, SectorPolyError, campaigns, cli, kernels, roots
+from sectorpoly import DomainError, SectorPolyError, campaigns, cli, errors, kernels, roots
 from sectorpoly.cli import main
 from sectorpoly.pmatrix import (
     DEFAULT_DIM_CAP,
@@ -760,6 +760,52 @@ class TestOracleCommand:
         assert report["failure"] == {"case": 2, "n": n, "matrix_seed": mseed,
                                      "failed": ["error_DomainError"]}
 
+
+
+# the wire name of every package error, in the order errors.py defines them:
+# the "error" of the CLI's exit-2 payload and the oracle's error_<name>
+WIRE_NAMES = ("SectorPolyError", "DomainError", "PreconditionError", "DegenerateInput",
+              "AngleTooSmall", "ZeroModulus", "DegreeOne", "DimensionCap",
+              "ComplexCharPoly", "NotConjugateClosed", "ZeroLambda", "NotAdmissible",
+              "FeasibleButUnwitnessed")
+
+
+class TestErrorWireNames:
+    def test_package_errors_are_the_pinned_ones(self):
+        classes = [v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, SectorPolyError)]
+        assert [(cls.__name__, cls.name) for cls in classes] == [(w, w) for w in WIRE_NAMES]
+
+    @pytest.mark.parametrize("name", WIRE_NAMES)
+    def test_payload_and_campaign_failure_carry_the_name(self, capsys, monkeypatch, name):
+        def fail(*args):
+            raise getattr(errors, name)("injected")
+
+        monkeypatch.setattr(cli, "verify_cot", fail)
+        code, out = _run(capsys, "verify", "--poly", "[1,2,1]")
+        assert code == 2
+        assert out == '{\n  "error": "%s",\n  "message": "injected"\n}\n' % name
+        monkeypatch.setattr(campaigns, "synthesize", fail)
+        report = campaigns.run_suite("synth", 1, 0)
+        assert report.failure["failed"] == [f"error_{name}"]
+
+    def test_a_new_subclass_reports_its_own_name(self, capsys, monkeypatch):
+        class UnnamedDomainError(DomainError):
+            pass
+
+        class NamedDomainError(DomainError):
+            name = "OwnWireName"
+
+        for cls, wire in ((UnnamedDomainError, "UnnamedDomainError"),
+                          (NamedDomainError, "OwnWireName")):
+            def fail(coeffs, cls=cls):
+                raise cls("new")
+
+            monkeypatch.setattr(cli, "verify_cot", fail)
+            code, out = _run(capsys, "verify", "--poly", "[1,2,1]")
+            assert code == 2
+            assert json.loads(out) == {"error": wire, "message": "new"}
+        assert DomainError.name == "DomainError"
 
 class TestFlagValidation:
     def test_csv_rejected_outside_region(self, capsys):
