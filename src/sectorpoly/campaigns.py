@@ -164,7 +164,7 @@ def _kellogg_case(rng, i, detail, m) -> list[str]:
     if minors.aux_sign_class() is not SignClass.POSITIVE:
         bad.append("aux_signs")
     rs = eigenvalues(minors)
-    m["max_root_residual"] = max(m["max_root_residual"], float(np.max(rs.residuals)))
+    m["max_root_residual"] = max(m["max_root_residual"], max(rs.residuals.tolist()))
     if not rs.converged:
         bad.append("eigen_convergence")
     lams = rs.roots.tolist()

@@ -388,8 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--j", type=int, default=1,
                        help="trinomial index for nonneg mode")
     p_syn.set_defaults(func=_cmd_synthesize)
-    # a negative number in any float form is a value (argparse's pattern misses -1e-05)
-    p_syn._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    # a negative number in any float form is a value (argparse's pattern
+    # misses -1e-05 and -inf), to be judged by the command, not by argparse
+    p_syn._negative_number_matcher = re.compile(
+        r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
     p_ver = sub.add_parser("verify", help="certify the sector bound on all roots")
     p_ver.add_argument("--poly", required=True,

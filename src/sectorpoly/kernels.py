@@ -8,7 +8,10 @@ overhead, so the common sweep runs without zero guards; a sweep whose new
 residuals read NaN or inf (a zero the guards would catch, or an overflow) is
 done again by the guarded sweep, with bit-identical results. The minors come
 from recursive Schur complements (MAT2PM), O(2^n) operations for all
-2^n - 1 of them, with a pseudo-pivot in place of any pivot near zero.
+2^n - 1 of them, with a pseudo-pivot in place of any pivot near zero. A
+level tests all its pivots for a small one with one reduction, builds the
+mask of small pivots only when one is, and joins the trailing block and its
+Schur update into the next level's stack with one concatenate.
 """
 
 from __future__ import annotations
@@ -160,16 +163,20 @@ def _minors_by_mask(a: np.ndarray) -> np.ndarray:
     axis at position mask(T). Its [0, 0] entry is the pivot: the minor of
     T + {l} is the minor of T times it. The child that leaves l out is the
     trailing block, the child that takes it in is the trailing block minus
-    the pivot row and column's outer product over the pivot.
+    the pivot row and column's outer product over the pivot; one
+    concatenate joins the two, with no separate copy of the trailing block.
 
     Pivot l is judged in its own scale s = min(|A[l, :]|_1, |A[:, l]|_1), or
     1 for a zero row or column, not in the largest row norm of A: a row or
     column scaled far above the others would make every other pivot read as
-    small. A pivot at or below _PIVOT_FLOOR * s is raised by s before it is
-    used, as the paper's pseudo-pivot: the subtree that takes l in then holds
-    the minors of A with a_ll + s. A minor is affine in a_ll, so each of them
-    is corrected, deepest level first, by subtracting s times the minor
-    without l, which sits in the other subtree at the same position.
+    small. The level first compares its smallest pivot magnitude with
+    _PIVOT_FLOOR * s, by an fmin reduction that skips NaN, and builds the
+    mask of small pivots only when that test holds. A pivot at or below the
+    floor is raised by s before it is used, as the paper's pseudo-pivot: the
+    subtree that takes l in then holds the minors of A with a_ll + s. A minor
+    is affine in a_ll, so each of them is corrected, deepest level first, by
+    subtracting s times the minor without l, which sits in the other subtree
+    at the same position.
     """
     n = a.shape[0]
     mags = np.abs(a)
@@ -182,19 +189,17 @@ def _minors_by_mask(a: np.ndarray) -> np.ndarray:
         scale = scale or 1.0                # a zero row or column: every pivot is 0
         half = 1 << l
         piv = stack[0, 0]
-        small = np.abs(piv) <= _PIVOT_FLOOR * scale
-        if small.any():
-            s = np.where(small, scale, 0.0)
+        piv_abs, floor = np.abs(piv), _PIVOT_FLOOR * scale
+        # fmin skips NaN, so a NaN pivot cannot hide a small one
+        if np.fmin.reduce(piv_abs) <= floor:
+            s = np.where(piv_abs <= floor, scale, 0.0)
             piv = piv + s
             shifts.append((l, s))
         np.multiply(minors[:half], piv, out=minors[half : 2 * half])
         if l < n - 1:
-            nxt = np.empty((n - l - 1, n - l - 1, 2 * half), dtype=np.complex128)
-            exc, inc = nxt[:, :, :half], nxt[:, :, half:]
-            exc[...] = stack[1:, 1:]
-            np.multiply(stack[1:, :1], stack[:1, 1:] / piv, out=inc)
-            np.subtract(exc, inc, out=inc)
-            stack = nxt
+            trail = stack[1:, 1:]
+            stack = np.concatenate((trail, trail - stack[1:, :1] * (stack[:1, 1:] / piv)),
+                                   axis=2)
     for l, s in reversed(shifts):
         cols = np.flatnonzero(s)
         # mask = (high << (l + 1)) | (bit l << l) | low, low = the node's T

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,29 +76,33 @@ class MinorReport:
     matrix_class: MatrixClass
     tolerances: np.ndarray      # size-k tolerance MINOR_TOL * (max row norm)^k
 
+    @functools.cached_property
+    def _aux(self) -> list[float]:
+        """aux_poly's coefficients as Python floats, read once. Raises
+        ComplexCharPoly, on every read, when an E_k has an imaginary part
+        beyond its tolerance (a complex matrix without a real char. poly)."""
+        e_sums = self.e_sums.tolist()
+        imag = [abs(e.imag) for e in e_sums]
+        if any(map(operator.gt, imag, self.tolerances.tolist())):
+            raise ComplexCharPoly(f"minor sums are not real (max |imag| = {max(imag)!r})")
+        return [e.real for e in reversed(e_sums)] + [1.0]
+
     def aux_poly(self) -> np.ndarray:
         """prod (t + lambda_k) = (-1)^n p(-t): coefficient of t^k is E_(n-k).
-
-        Raises ComplexCharPoly when an E_k has an imaginary part beyond its
-        tolerance (a complex matrix without a real characteristic polynomial).
-        """
-        imag = np.abs(self.e_sums.imag)
-        if np.any(imag > self.tolerances):
-            raise ComplexCharPoly(
-                f"minor sums are not real (max |imag| = {float(np.max(imag))!r})"
-            )
-        return np.append(self.e_sums.real[::-1], 1.0)
+        Raises ComplexCharPoly as described at ``_aux``."""
+        return np.array(self._aux)
 
     def aux_sign_class(self) -> SignClass:
         """Sign class of aux_poly(): E_k against the size-k tolerance, which
         class P clears at every scale, and the monic 1 exactly."""
-        return classify_signs(self.aux_poly(), np.append(self.tolerances[::-1], 0.0))
+        return classify_signs(self._aux, self.tolerances.tolist()[::-1] + [0.0])
 
     def char_poly(self) -> np.ndarray:
         """Monic det(tI - A), ascending: coefficient of t^k is (-1)^(n-k) E_(n-k)."""
-        q = self.aux_poly()
-        # + 0.0 turns the -0.0 of a zero E_k into 0.0
-        return q * (-1.0) ** np.arange(q.size - 1, -1, -1) + 0.0
+        q = self._aux
+        n = len(q) - 1
+        # negation is exact; + 0.0 turns the -0.0 of a zero E_k into 0.0
+        return np.array([(-c if (n - k) % 2 else c) + 0.0 for k, c in enumerate(q)])
 
 
 @dataclass(frozen=True)
@@ -137,21 +143,24 @@ def principal_minors(a, cap: int = DEFAULT_DIM_CAP) -> MinorReport:
         raise DimensionCap(f"n={n} exceeds minor-enumeration cap {min(cap, HARD_DIM_CAP)}")
     with np.errstate(over="ignore", invalid="ignore"):   # checked just below
         e_sums, min_re, max_im = kernels.minor_sums(a)
-        row_norm = float(np.max(np.sum(np.abs(a), axis=1)))
+        row_norm = max(np.abs(a).sum(axis=1).tolist())
         bounds = row_norm ** np.arange(1, n + 1)    # |size-k minor| <= row_norm^k
     # a finite E_k means every size-k minor is finite
-    if row_norm > 0 and not (np.all(np.isfinite(e_sums))
-                             and 0 < bounds.min() and bounds.max() < math.inf):
+    b = bounds.tolist()
+    if row_norm > 0 and not (all(map(cmath.isfinite, e_sums.tolist()))
+                             and 0 < min(b) and max(b) < math.inf):
         raise DomainError("principal minors overflow or underflow float64")
     tols = MINOR_TOL * bounds
-    if np.all(max_im <= tols):
+    max_im = max_im.tolist()
+    if all(map(operator.le, max_im, tols.tolist())):
         cls = CLASS_BY_SIGNS[classify_signs(min_re, tols)]
     else:
         cls = MatrixClass.NEITHER
     return MinorReport(
-        e_sums=np.asarray(e_sums),
-        min_real_minor=float(np.min(min_re)),
-        max_abs_imag_minor=float(np.max(max_im)),
+        e_sums=e_sums,
+        # numpy's: at n >= 9 it keeps another of 0.0 and -0.0 than Python's
+        min_real_minor=float(min_re.min()),
+        max_abs_imag_minor=max(max_im),
         matrix_class=cls,
         tolerances=tols,
     )
@@ -422,7 +431,7 @@ def generate_p_matrix(n: int, seed: int) -> np.ndarray:
         raise PreconditionError(f"n must be in [1, {DEFAULT_DIM_CAP}], got {n}")
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (n, n))
-    np.fill_diagonal(a, 0.0)
-    dom = np.sum(np.abs(a), axis=1) + rng.uniform(0.1, 1.0, n)
-    np.fill_diagonal(a, dom)
+    diagonal = a.reshape(-1)[:: n + 1]      # a view: writes land in a
+    diagonal[:] = 0.0
+    diagonal[:] = np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, n)
     return a

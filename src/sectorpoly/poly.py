@@ -227,6 +227,10 @@ def principal_arg(z: complex) -> float:
 
 
 def from_polar(r: float, alpha: float) -> complex:
+    """r e^{i alpha}. Raises DomainError for a NaN or infinite ``alpha``,
+    which has no direction (math.cos(inf) raises ValueError)."""
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha={alpha!r} is not finite")
     return complex(r * math.cos(alpha), r * math.sin(alpha))
 
 

@@ -190,6 +190,16 @@ class TestSynthesizeCommand:
         assert code == 2
         assert json.loads(out)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("alpha", ["inf", "-inf", "nan"])
+    def test_non_finite_angle_exits_2(self, capsys, alpha):
+        # math.cos(inf) raised ValueError: a traceback with exit 1
+        code, out = _run(capsys, "synthesize", "--r", "2", "--alpha", alpha,
+                         "--n", "3", "--mode", "nonneg")
+        assert code == 2
+        assert json.loads(out) == {"error": "DomainError",
+                                   "message": f"alpha={float(alpha)!r} is not finite"}
+        assert capsys.readouterr().err == ""
+
     def test_residual_at_an_extreme_modulus_is_ok(self, capsys):
         # |mu|^12 = 9e305 fits, but sum|a_i| |mu|^i of the coefficients as
         # given overflowed; that of the working form at mu / 2^e does not
@@ -502,7 +512,8 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("entry", [
         True, "1.5", 10**400, {"re": "x", "im": 1}, {"re": 1.0, "im": False},
         {"re": 1.0}, {"r": True, "alpha": 0}, {"r": 1.0, "alpha": 10**400},
-        {"r": 1, "alpha": 0, "re": 1},
+        {"r": 1, "alpha": 0, "re": 1}, {"r": 1, "alpha": math.inf},
+        {"r": 1, "alpha": -math.inf}, {"r": 1, "alpha": math.nan},
     ])
     def test_malformed_entry_reports_parse_complex_error(self, capsys, tmp_path, entry):
         # the error payload is the one parse_complex raises for the entry
@@ -918,6 +929,22 @@ class TestNegativeExponentForms:
         expected = _run(capsys, *spelled)
         assert expected[0] == (2 if flag == "--r" else 0)
         assert _run(capsys, *argv) == expected
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "-inf"), ("--alpha", "-Infinity"), ("--alpha", "-NAN"),
+        ("--mu-re", "-inf"), ("--mu-re", "-INFINITY"), ("--mu-im", "-nan"),
+    ])
+    def test_non_finite_values_are_domain_errors(self, capsys, flag, value):
+        # argparse took these for flags: "expected one argument"
+        other = {"--alpha": ["--r", "2"], "--mu-re": ["--mu-im", "1"],
+                 "--mu-im": ["--mu-re", "1"]}[flag]
+        argv = ["synthesize", *other, flag, value, "--n", "3", "--mode", "nonneg"]
+        got = getattr(cli.build_parser().parse_args(argv), flag[2:].replace("-", "_"))
+        assert repr(got) == repr(float(value))
+        code, out = _run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "DomainError"
         assert capsys.readouterr().err == ""
 
 

@@ -299,6 +299,69 @@ class TestPivotEdges:
 
 
 
+def _minors_reference(a):
+    """Reference: MAT2PM as _minors_by_mask ran before each level joined its
+    trailing block and Schur update with one concatenate. The child stack was
+    an np.empty filled through two views, and every level built the mask of
+    small pivots."""
+    n = a.shape[0]
+    mags = np.abs(a)
+    scales = np.minimum(mags.sum(axis=1), mags.sum(axis=0)).tolist()
+    minors = np.empty(1 << n, dtype=np.complex128)
+    minors[0] = 1.0
+    stack = a[:, :, None]
+    shifts = []
+    for l, scale in enumerate(scales):
+        scale = scale or 1.0
+        half = 1 << l
+        piv = stack[0, 0]
+        small = np.abs(piv) <= kernels._PIVOT_FLOOR * scale
+        if small.any():
+            s = np.where(small, scale, 0.0)
+            piv = piv + s
+            shifts.append((l, s))
+        np.multiply(minors[:half], piv, out=minors[half : 2 * half])
+        if l < n - 1:
+            nxt = np.empty((n - l - 1, n - l - 1, 2 * half), dtype=np.complex128)
+            exc, inc = nxt[:, :, :half], nxt[:, :, half:]
+            exc[...] = stack[1:, 1:]
+            np.multiply(stack[1:, :1], stack[:1, 1:] / piv, out=inc)
+            np.subtract(exc, inc, out=inc)
+            stack = nxt
+    for l, s in reversed(shifts):
+        cols = np.flatnonzero(s)
+        split = minors.reshape(-1, 2, 1 << l)
+        split[:, 1, cols] -= s[cols] * split[:, 0, cols]
+    return minors
+
+
+class TestMinorsMatchReference:
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["real", "complex", "zero_row", "zero_pivots",
+                                 "rank_one", "scaled_row"]))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_for_bit(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, n)).astype(np.complex128)
+        i = int(rng.integers(0, n))
+        if kind == "complex":
+            a += 1j * rng.normal(size=(n, n))
+        elif kind == "zero_row":
+            a[i] = 0.0
+        elif kind == "zero_pivots":     # a zero diagonal and a singular leading block
+            np.fill_diagonal(a, 0.0)
+            if n >= 2:
+                a[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+        elif kind == "rank_one":
+            a = np.outer(rng.normal(size=n), rng.normal(size=n)).astype(np.complex128)
+        elif kind == "scaled_row":
+            a[i] *= 10.0 ** (200 * int(rng.choice([-1, 1])))
+        got = kernels._minors_by_mask(a)
+        want = _minors_reference(a)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()      # the signs of zeros too
+
+
 def _e_sums_by_mask(minors, n):
     """E_k, the sum of the size-k entries of a bitmask-indexed minor array."""
     sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])

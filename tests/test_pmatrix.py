@@ -32,7 +32,7 @@ from sectorpoly import (
     wedge_admissible,
 )
 from sectorpoly import find_roots, pmatrix, synthesize
-from sectorpoly.pmatrix import spectrum_aux_poly
+from sectorpoly.pmatrix import MINOR_TOL, spectrum_aux_poly
 from sectorpoly.poly import is_conjugate_closed, relative_residual
 from sectorpoly.synthesis import ANGLE_TOL
 from test_boundary import TIER1_OFFSETS
@@ -241,6 +241,69 @@ class TestCharAndAuxPoly:
             principal_minors([[1j]]).char_poly()
         with pytest.raises(ComplexCharPoly):
             principal_minors([[1j, 0], [0, 1.0]]).aux_poly()
+
+
+def _aux_poly_reference(rep):
+    """Reference: aux_poly as the report computed it in numpy on every call."""
+    imag = np.abs(rep.e_sums.imag)
+    if np.any(imag > rep.tolerances):
+        raise ComplexCharPoly(f"minor sums are not real (max |imag| = {float(np.max(imag))!r})")
+    return np.append(rep.e_sums.real[::-1], 1.0)
+
+
+def _char_poly_reference(rep):
+    q = _aux_poly_reference(rep)
+    return q * (-1.0) ** np.arange(q.size - 1, -1, -1) + 0.0
+
+
+def _aux_sign_class_reference(rep):
+    return classify_signs(_aux_poly_reference(rep), np.append(rep.tolerances[::-1], 0.0))
+
+
+class TestMinorReportSinglePass:
+    """aux_poly, char_poly and aux_sign_class read one list of coefficients,
+    made once per report, and give the numpy forms' results bit for bit."""
+
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["P", "random", "zero_trace", "singular", "hermitian"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_numpy_forms(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "P":
+            a = generate_p_matrix(n, seed)
+        else:
+            a = rng.uniform(-1.0, 1.0, (n, n))
+            if kind == "zero_trace":        # E_1 = 0, exactly at the last entry
+                a[-1, -1] = -float(np.sum(np.diag(a)[:-1]))
+            elif kind == "singular":
+                a[-1] = 0.0
+            elif kind == "hermitian":       # complex minors, real E_k
+                b = a + 1j * rng.uniform(-1.0, 1.0, (n, n))
+                a = b + b.conj().T
+        rep = principal_minors(a)
+        for _ in range(2):      # the second read comes from the cache
+            assert rep.aux_poly().tobytes() == _aux_poly_reference(rep).tobytes()
+            assert rep.char_poly().tobytes() == _char_poly_reference(rep).tobytes()
+            assert rep.aux_sign_class() is _aux_sign_class_reference(rep)
+
+    @pytest.mark.parametrize("e_sums", [[0.0, -0.0, 2.0], [-0.0, 0.0, -0.0], [1.0, -0.0, 0.0]])
+    def test_a_zero_e_k_gives_positive_zero(self, e_sums):
+        rep = pmatrix.MinorReport(
+            e_sums=np.array(e_sums, dtype=np.complex128), min_real_minor=0.0,
+            max_abs_imag_minor=0.0, matrix_class=MatrixClass.P0,
+            tolerances=np.full(3, MINOR_TOL))
+        p = rep.char_poly()
+        assert p.tobytes() == _char_poly_reference(rep).tobytes()
+        zeros = p == 0.0
+        assert zeros.any() and not np.signbit(p[zeros]).any()
+
+    def test_complex_matrix_raises_on_every_call(self):
+        rep = principal_minors([[1j, 0], [0, 1.0]])
+        for _ in range(3):
+            for read in (rep.aux_poly, rep.char_poly, rep.aux_sign_class):
+                with pytest.raises(ComplexCharPoly, match="minor sums are not real"):
+                    read()
+        assert "_aux" not in vars(rep)      # the raise left nothing cached
 
 
 class TestKelloggAdmissible:
