@@ -15,21 +15,25 @@ from functools import partial
 
 import numpy as np
 
-from .errors import SectorPolyError
+from .errors import DomainError, SectorPolyError
 from .pmatrix import (
     SIGN_TOL,
     MatrixClass,
+    aux_coefficients,
     eigen_witness,
     eigenvalues,
     generate_p_matrix,
     principal_minors,
-    spectrum_aux_poly,
     wedge_admissible,
 )
 from .poly import SignClass, classify_signs, from_polar, is_conjugate_closed, principal_arg
 from .synthesis import synthesize, verify_cot
 
 RESIDUAL_BOUND = 1e-10
+# The most cases one run takes: 10**7 kellogg cases, the slowest suite at
+# about 1,800 cases/s on a 2-core x86_64 host (BENCH_31.json), take an hour
+# and a half. A larger count, 10**40 say, would only run until it is killed.
+MAX_CASES = 10**7
 
 
 @dataclass
@@ -63,7 +67,10 @@ def _run_cases(report: SuiteReport, case) -> SuiteReport:
     of its failed checks. A case that raises a SectorPolyError fails as
     ``error_<Name>``. The first failure is kept as ``detail`` plus
     ``"failed"``. A minimum still at its start, math.inf, reads None.
+    Raises DomainError for a case count outside [0, MAX_CASES].
     """
+    if not 0 <= report.cases <= MAX_CASES:
+        raise DomainError(f"the number of cases must be in [0, {MAX_CASES}]")
     for i in range(report.cases):
         detail = {"case": i}
         try:
@@ -190,10 +197,10 @@ def _witness_case(rng, i, detail, m) -> list[str]:
     detail.update({"lambda": {"re": lam.real, "im": lam.imag}, "n": n, "mode": mode.value})
     bad = []
     spectrum = eigen_witness(lam, n, mode)
-    values = spectrum.values
+    values = spectrum.values.tolist()
     if len(values) != n:
         bad.append("size")
-    dist = float(np.min(np.abs(values - lam))) / (1.0 + abs(lam))
+    dist = min(abs(v - lam) for v in values) / (1.0 + abs(lam))
     m["max_match_distance"] = max(m["max_match_distance"], dist)
     if dist > 0.0:      # eigen_witness puts lambda itself first
         bad.append("contains_lambda")
@@ -211,13 +218,14 @@ def _witness_case(rng, i, detail, m) -> list[str]:
     return bad
 
 
-def _is_binomial_spectrum(values) -> bool:
-    """True if prod (t + v) is a binomial: every interior coefficient lies
-    within SIGN_TOL times the same coefficient of prod (t + |v|), the band
-    in which spectrum_feasible reads a coefficient as zero."""
-    q = spectrum_aux_poly(values)[1:-1]
-    bound = spectrum_aux_poly(np.abs(values)).real[1:-1]
-    return bool(np.all(np.abs(q) <= SIGN_TOL * bound))
+def _is_binomial_spectrum(values: list) -> bool:
+    """True if prod (t + v) over the Python numbers ``values`` is a binomial:
+    every interior coefficient lies within SIGN_TOL times the same
+    coefficient of prod (t + |v|), the band in which spectrum_feasible reads
+    a coefficient as zero (with its moduli, numpy's)."""
+    q = aux_coefficients(values)[1:-1]
+    bound = aux_coefficients(np.abs(values).tolist())[1:-1]
+    return all(abs(c) <= SIGN_TOL * b for c, b in zip(q, bound))
 
 
 # name -> (metrics at their start, copied for each run; case function)

@@ -12,7 +12,11 @@ which the synthesis module answers constructively.
 Spectra have a dozen values or fewer, so their per-value algebra (the
 products prod (t + v), the witness quotients of degree 1 and 2, the roots
 of binomials) runs in Python scalars and closed forms: a numpy call on
-arrays this small costs more than its arithmetic.
+arrays this small costs more than its arithmetic. So does the whole
+judgement of a spectrum, ``spectrum_feasible``, but for its moduli: they are
+numpy's complex abs, which on SIMD hosts rounds some values in another last
+bit than Python's abs, and the bounds built on them keep every verdict as it
+was.
 
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
@@ -44,7 +48,7 @@ from .errors import (
     PreconditionError,
     ZeroLambda,
 )
-from .poly import SignClass, classify_signs, ldexp_complex, principal_arg
+from .poly import SignClass, classify_signs, principal_arg, sign_rule
 from .roots import find_roots
 from .synthesis import ANGLE_TOL, synthesize
 
@@ -240,22 +244,32 @@ def kellogg_admissible(lam: complex, n: int, mode: MatrixClass) -> bool:
     return wedge_admissible(abs(principal_arg(-lam)), n, mode)
 
 
-def spectrum_aux_poly(values) -> np.ndarray:
-    """prod (t + v) over the multiset, ascending complex coefficients: the
-    aux_poly of any matrix with that spectrum.
+def aux_coefficients(values: list) -> list:
+    """prod (t + v) over a list of Python numbers, as the list of its
+    ascending coefficients: the one expansion of spectrum_aux_poly and
+    spectrum_feasible.
 
-    Expanded one value at a time in place, q_j <- q_j v + q_(j-1), in Python
-    scalars: O(n^2) multiply-adds and no numpy call per value. Real values
-    stay Python floats, so a bound prod (t + |v|) costs float arithmetic
-    only. An overflow reads inf or nan, as in numpy, without a warning.
+    Expanded one value at a time in place, q_j <- q_j v + q_(j-1): O(n^2)
+    multiply-adds and no numpy call. Real values give Python floats, so a
+    bound prod (t + |v|) costs float arithmetic only. An overflow reads inf
+    or nan, as in numpy, without a warning.
     """
     q = [1.0]
-    for v in np.asarray(values).tolist():
+    for v in values:
         q.append(q[-1])
         for j in range(len(q) - 2, 0, -1):
             q[j] = q[j] * v + q[j - 1]
         q[0] *= v
-    return np.array(q, dtype=np.complex128)
+    return q
+
+
+def spectrum_aux_poly(values) -> np.ndarray:
+    """prod (t + v) over the multiset, ascending complex coefficients: the
+    aux_poly of any matrix with that spectrum (``aux_coefficients``)."""
+    return np.array(aux_coefficients(np.asarray(values).tolist()), dtype=np.complex128)
+
+
+_OUT_OF_RANGE = "spectrum values must be finite, with products in the float64 range"
 
 
 def spectrum_feasible(values) -> MatrixClass:
@@ -266,35 +280,49 @@ def spectrum_feasible(values) -> MatrixClass:
     it does, so the verdict does not depend on the moduli (where the bound
     leaves float64, both are expanded from the values over a power of two
     above max |lambda_k|, exactly). Imaginary parts beyond SPECTRUM_IMAG_TOL
-    times the bound raise NotConjugateClosed; else classify_signs of the real
-    parts with slack SIGN_TOL times the bound decides: positive is P,
-    nonnegative is P0, mixed is Neither. A bound of 0 is an exact zero: P0.
-    Raises DomainError for a non-finite value and for a bound coefficient
-    that still overflows, or is 0 with as many nonzero values as its degree.
+    times the bound raise NotConjugateClosed; else classify_signs' rule on
+    the real parts with slack SIGN_TOL times the bound decides: positive is
+    P, nonnegative is P0, mixed is Neither. A bound of 0 is an exact zero:
+    P0. Raises DomainError for a non-finite value and for a bound or product
+    coefficient that still overflows, or a bound coefficient that is 0 with
+    as many nonzero values as its degree.
+
+    The whole judgement runs in Python scalars (``aux_coefficients``,
+    math.frexp, math.ldexp, the sign rule) except the moduli, which are
+    numpy's complex abs: on SIMD hosts it rounds about a third of values in
+    another last bit than Python's abs, and numpy's keeps every bound, so
+    every verdict, bit for bit.
     """
     vals = np.ascontiguousarray(values, dtype=np.complex128)
     if vals.size < 1:
         raise PreconditionError("spectrum must contain at least one value")
-    moduli = np.abs(vals)
-    for exponent in (0, math.frexp(moduli.max())[1]):
+    scaled = items = vals.tolist()
+    moduli = np.abs(vals).tolist()
+    # bound coefficient k sums products of n - k moduli: where at least
+    # n - k values are nonzero, a 0 there is an underflow, not an exact zero
+    zeros = items.count(0)
+    # a non-finite modulus has no scale to try
+    exponents = (0, math.frexp(max(moduli))[1]) if all(map(math.isfinite, moduli)) else ()
+    for exponent in exponents:
         if exponent:
-            scaled = ldexp_complex(vals, -exponent)
-            moduli = np.abs(scaled)
-        else:
-            scaled = vals
-        bound = spectrum_aux_poly(moduli).real
-        lost = (bound == 0) & (np.count_nonzero(vals) >= np.arange(vals.size, -1, -1))
-        if np.isfinite(bound).all() and not lost.any():
+            scaled = [complex(math.ldexp(v.real, -exponent), math.ldexp(v.imag, -exponent))
+                      for v in items]
+            moduli = np.abs(scaled).tolist()
+        bound = aux_coefficients(moduli)
+        if all(map(math.isfinite, bound)) and 0.0 not in bound[zeros:]:
             break
     else:
-        raise DomainError("spectrum values must be finite, with products in the float64 range")
-    q = spectrum_aux_poly(scaled)
-    if np.any(np.abs(q.imag) > SPECTRUM_IMAG_TOL * bound):
+        raise DomainError(_OUT_OF_RANGE)
+    q = aux_coefficients(scaled)
+    if any(abs(c.imag) > SPECTRUM_IMAG_TOL * b for c, b in zip(q, bound)):
         raise NotConjugateClosed(
             "product polynomial has complex coefficients; "
             "the multiset is not closed under conjugation"
         )
-    return CLASS_BY_SIGNS[classify_signs(q.real, SIGN_TOL * bound)]
+    real = [c.real for c in q]
+    if not all(map(math.isfinite, real)):     # |q_k| <= bound_k up to rounding
+        raise DomainError(_OUT_OF_RANGE)
+    return CLASS_BY_SIGNS[sign_rule(real, [SIGN_TOL * b for b in bound])]
 
 
 def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:

@@ -211,9 +211,15 @@ def classify_signs(values, slack=0.0) -> SignClass:
     elif slack.shape != arr.shape:
         shape = np.greater(arr, slack).shape    # or numpy's broadcast error
         a, s = (np.broadcast_to(x, shape).ravel().tolist() for x in (arr, slack))
-    if all(map(operator.gt, a, s)):
+    return sign_rule(a, s)
+
+
+def sign_rule(values: list[float], slack: list[float]) -> SignClass:
+    """classify_signs' rule on finite Python floats, one slack per value, for
+    a caller that holds them as such already."""
+    if all(map(operator.gt, values, slack)):
         return SignClass.POSITIVE
-    if all(map(operator.ge, a, map(operator.neg, s))):
+    if all(map(operator.ge, values, map(operator.neg, slack))):
         return SignClass.NONNEGATIVE
     return SignClass.MIXED
 

@@ -6,7 +6,8 @@ it. The sweep below puts eigenvalue targets at relative offsets d from every
 boundary, |theta - pi| = (pi/k)(1 + d), on both sides of the real axis, and
 checks each admissible target end to end. Tier-1 runs a reduced grid; the
 full grid runs as a script, which prints the failure and
-FeasibleButUnwitnessed counts and exits 1 on any failure:
+FeasibleButUnwitnessed counts and exits 1 on any failure, or on more
+FeasibleButUnwitnessed P targets than UNWITNESSED_CEILING:
 
     PYTHONPATH=src python tests/test_boundary.py
 """
@@ -45,6 +46,11 @@ FULL_OFFSETS = (
 )
 FULL_RADII = (1e-3, 1.0, 7.0)
 TIER1_OFFSETS = (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)
+# The full grid's P targets whose witness reads P0 (FeasibleButUnwitnessed):
+# 852 of 8,922, all within 3e-9 (relative) of a boundary pi/k. A count above
+# it means some band verdict moved; one below it is progress, to be pinned
+# here. The aim is 0 (ROADMAP item 9).
+UNWITNESSED_CEILING = 852
 
 
 def check_target(lam: complex, n: int, mode: MatrixClass,
@@ -151,6 +157,7 @@ if __name__ == "__main__":
     print(f"{checks} checks, {sum(failures.values())} failures")
     for name, count in sorted(failures.items()):
         print(f"  {name}: {count}")
-    print(f"FeasibleButUnwitnessed: {tally['FeasibleButUnwitnessed']} of "
-          f"{tally['admissible P']} admissible P targets")
-    sys.exit(1 if failures else 0)
+    unwitnessed = tally["FeasibleButUnwitnessed"]
+    print(f"FeasibleButUnwitnessed: {unwitnessed} of {tally['admissible P']} "
+          f"admissible P targets (ceiling {UNWITNESSED_CEILING})")
+    sys.exit(1 if failures or unwitnessed > UNWITNESSED_CEILING else 0)

@@ -157,6 +157,16 @@ def test_unknown_suite_rejected():
         run_suite("bogus", 10, seed=0)
 
 
+@pytest.mark.parametrize("cases", [-1, campaigns.MAX_CASES + 1, 10**40])
+def test_case_counts_outside_the_range_raise(monkeypatch, cases):
+    # refused before any case runs
+    monkeypatch.setattr(campaigns, "_case_rng", None)
+    with pytest.raises(DomainError, match="number of cases"):
+        run_suite("witness", cases, seed=357)
+    with pytest.raises(DomainError, match="number of cases"):
+        run_synth_suite(cases, 357, SignClass.POSITIVE, verify_forward=True)
+
+
 # Failure paths: each test patches one dependency of a suite so that exactly
 # one check fires, then reads the failure count and the first failure's detail,
 # which carries the case's identifying inputs.

@@ -889,6 +889,17 @@ class TestFlagValidation:
             main(["oracle", "--suite", "synth", "--cases", "-5"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("cases", [campaigns.MAX_CASES + 1, 10**40, 10**400])
+    def test_cases_above_the_cap_exit_2(self, capsys, cases):
+        # refused before the first case: 10**40 cases would run until killed
+        code = main(["oracle", "--suite", "witness", "--cases", str(cases), "--seed", "357"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "error": "DomainError",
+            "message": f"the number of cases must be in [0, {campaigns.MAX_CASES}]"}
+
     def test_negative_seed_is_a_usage_error(self, capsys):
         # numpy's SeedSequence rejects a negative seed with ValueError
         with pytest.raises(SystemExit) as exc:
@@ -1294,7 +1305,9 @@ _ARGVS = st.one_of(
                                   _JUNK_TEXTS)),
           ("--format", st.sampled_from(["csv", "json", "xml"]))),
     _argv("oracle", ("--suite", st.sampled_from([*campaigns.SUITE_NAMES, "bogus"])),
-          ("--cases", st.one_of(st.integers(-1, 4).map(str), _JUNK_TEXTS)),
+          ("--cases", st.one_of(st.integers(-1, 4).map(str),
+                                st.integers(campaigns.MAX_CASES + 1, 10**400).map(str),
+                                _JUNK_TEXTS)),
           ("--seed", st.one_of(st.integers(-1, 2**70).map(str), _HUGE_TEXTS, _JUNK_TEXTS))),
 )
 

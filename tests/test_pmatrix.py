@@ -33,7 +33,7 @@ from sectorpoly import (
 )
 from sectorpoly import find_roots, pmatrix, synthesize
 from sectorpoly.pmatrix import MINOR_TOL, spectrum_aux_poly
-from sectorpoly.poly import is_conjugate_closed, relative_residual
+from sectorpoly.poly import is_conjugate_closed, ldexp_complex, relative_residual
 from sectorpoly.synthesis import ANGLE_TOL
 from test_boundary import TIER1_OFFSETS
 from test_campaigns import _witness_target
@@ -489,21 +489,47 @@ class TestSpectrumFeasible:
             spectrum_feasible(values)
 
 
-def _convolved_aux_poly(values):
-    """Reference: prod (t + v) by one np.convolve per value, as
-    spectrum_aux_poly expanded it before it ran in Python scalars."""
-    q = np.array([1.0 + 0.0j])
+def _convolved_coefficients(values):
+    """Reference: prod (t + v) by one np.convolve per value, as the product
+    polynomials were expanded before they ran in Python scalars. Real values
+    give floats, as aux_coefficients' do."""
+    q = np.array([1.0])
     for v in values:
-        q = np.convolve(q, np.array([v, 1.0 + 0.0j]))
-    return q
+        q = np.convolve(q, np.array([v, 1.0]))
+    return q.tolist()
 
 
-def _verdicts(spectra):
-    """spectrum_feasible of each spectrum, or the class of the error it raises."""
+def _spectrum_feasible_reference(values):
+    """Reference: spectrum_feasible as it ran on numpy arrays, with a
+    numpy call for each step, before the judgement moved to Python scalars."""
+    vals = np.ascontiguousarray(values, dtype=np.complex128)
+    if vals.size < 1:
+        raise PreconditionError("spectrum must contain at least one value")
+    moduli = np.abs(vals)
+    for exponent in (0, math.frexp(moduli.max())[1]):
+        if exponent:
+            scaled = ldexp_complex(vals, -exponent)
+            moduli = np.abs(scaled)
+        else:
+            scaled = vals
+        bound = spectrum_aux_poly(moduli).real
+        lost = (bound == 0) & (np.count_nonzero(vals) >= np.arange(vals.size, -1, -1))
+        if np.isfinite(bound).all() and not lost.any():
+            break
+    else:
+        raise DomainError("spectrum values must be finite, with products in the float64 range")
+    q = spectrum_aux_poly(scaled)
+    if np.any(np.abs(q.imag) > pmatrix.SPECTRUM_IMAG_TOL * bound):
+        raise NotConjugateClosed("not closed under conjugation")
+    return pmatrix.CLASS_BY_SIGNS[classify_signs(q.real, pmatrix.SIGN_TOL * bound)]
+
+
+def _verdicts(spectra, judge=spectrum_feasible):
+    """``judge`` of each spectrum, or the class of the error it raises."""
     out = []
     for values in spectra:
         try:
-            out.append(spectrum_feasible(values))
+            out.append(judge(values))
         except SectorPolyError as exc:
             out.append(type(exc))
     return out
@@ -526,9 +552,21 @@ class TestSpectrumAuxPolyParity:
 
     def _assert_same_verdicts(self, monkeypatch, spectra):
         verdicts = _verdicts(spectra)
-        monkeypatch.setattr(pmatrix, "spectrum_aux_poly", _convolved_aux_poly)
+        # the one expansion both products of spectrum_feasible come from
+        monkeypatch.setattr(pmatrix, "aux_coefficients", _convolved_coefficients)
         assert verdicts == _verdicts(spectra)
         return verdicts
+
+    def test_the_reference_expansion_is_the_one_patched(self, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(len(values))
+            return _convolved_coefficients(values)
+
+        monkeypatch.setattr(pmatrix, "aux_coefficients", counted)
+        spectrum_feasible([1.0, 2j, -2j])
+        assert calls == [3, 3]          # the bound and the product
 
     def test_campaign_spectra(self, monkeypatch):
         targets = [_witness_target(11, i) for i in range(10_000)]
@@ -571,6 +609,76 @@ class TestSpectrumAuxPolyParity:
         )]
         spectra += [[scale, 1.0], [scale, scale, 1.0 / scale], [scale] * 3 + [1.0]]
         self._assert_same_verdicts(monkeypatch, spectra)
+
+
+_PART = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _multisets(draw):
+    """Up to 13 values: conjugate pairs, reals and exact zeros, each at 10^k
+    about a common 10^base (k up to 40 off it, base up to +-300, where the
+    products leave float64 and take the rescale path), shuffled; sometimes
+    with one flaw: a lone complex value, a partner off its conjugate by
+    10^-j relative, or a part that is NaN or infinite."""
+    base = draw(st.integers(-300, 300))
+    values = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["pair", "real", "zero"]))
+        scale = 10.0 ** max(-320, min(300, base + draw(st.integers(-40, 40))))
+        if kind == "pair":
+            z = scale * complex(draw(_PART), draw(_PART))
+            values += [z, z.conjugate()]
+        else:
+            values.append(0.0 if kind == "zero" else scale * draw(_PART))
+    flaw = draw(st.sampled_from([None, None, "lone", "off_conjugate", "non_finite"]))
+    if flaw == "lone":
+        values.append(10.0 ** base * complex(draw(_PART), draw(st.floats(0.5, 10.0))))
+    elif flaw == "off_conjugate" and values:
+        values[-1] *= 1.0 + 10.0 ** -draw(st.integers(3, 14))
+    elif flaw == "non_finite" and values:
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        values[-1] = complex(bad, values[-1].imag) if draw(st.booleans()) else complex(
+            values[-1].real, bad)
+    return draw(st.permutations(values))
+
+
+class TestSpectrumFeasibleReference:
+    """spectrum_feasible in Python scalars against its numpy form
+    (``_spectrum_feasible_reference``): the same class, or the same error
+    class, on every multiset."""
+
+    @given(values=_multisets())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_numpy_form(self, values):
+        assert _verdicts([values]) == _verdicts([values], _spectrum_feasible_reference)
+
+    # one multiset of each kind, which together reach every verdict
+    KINDS = [
+        [],
+        [2.0, from_polar(3.0, 2.5), from_polar(3.0, -2.5), 0.5],
+        [1.0, from_polar(1.0, 1.5), from_polar(1.0, -1.5)],
+        [2j, -2j, 1j, -1j, 0.0],
+        [0.0, 0.0, 0.0],
+        [1.0, 1j],
+        [1.0, from_polar(1.0, 2.0), from_polar(1.0 + 1e-6, -2.0)],
+        [1e300] * 4 + [1e-300j, -1e-300j],
+        [1e200, 1e200, 1e200j, -1e200j],
+        [1e-300] * 12,
+        [1e-200, 1e-200, 1e-200, 1e200],
+        [1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j],
+        [complex(math.nan, 1.0), complex(math.nan, -1.0), 1e-300],
+        [1e-300, math.inf, 2.0],
+    ]
+
+    @pytest.mark.parametrize("values", KINDS)
+    def test_each_kind_of_multiset(self, values):
+        assert _verdicts([values]) == _verdicts([values], _spectrum_feasible_reference)
+
+    def test_the_kinds_reach_every_verdict(self):
+        assert set(_verdicts(self.KINDS)) == {
+            MatrixClass.P, MatrixClass.P0, MatrixClass.NEITHER, NotConjugateClosed,
+            DomainError, PreconditionError}
 
 
 class TestQuotientValues:
