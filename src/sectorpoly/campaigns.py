@@ -26,7 +26,7 @@ from .pmatrix import (
     principal_minors,
     wedge_admissible,
 )
-from .poly import SignClass, classify_signs, from_polar, is_conjugate_closed, principal_arg
+from .poly import SignClass, from_polar, is_conjugate_closed, principal_arg, sign_rule
 from .synthesis import synthesize, verify_cot
 
 RESIDUAL_BOUND = 1e-10
@@ -122,7 +122,7 @@ def _sample_target(rng: np.random.Generator, index: int, positive: bool):
 
 def _check_synthesis(result, coeffs: list, n, mode) -> list[str]:
     """The failed checks of ``result``, whose coefficients ``coeffs`` are
-    read as Python floats."""
+    read as Python floats; a non-finite one raises DomainError."""
     bad = []
     if len(coeffs) != n + 1:
         bad.append("degree")
@@ -130,7 +130,9 @@ def _check_synthesis(result, coeffs: list, n, mode) -> list[str]:
         bad.append("monic")
     if coeffs[0] <= 0.0:
         bad.append("constant_term")
-    if not classify_signs(result.coeffs).satisfies(mode):
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError("coefficients must be finite")
+    if not sign_rule(coeffs, [0.0] * len(coeffs)).satisfies(mode):
         bad.append("positivity" if mode is SignClass.POSITIVE else "nonnegativity")
     if result.residual > RESIDUAL_BOUND:
         bad.append("residual")

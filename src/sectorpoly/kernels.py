@@ -3,8 +3,10 @@
 Two inner loops dominate the randomized campaigns: the simultaneous
 (Aberth-Ehrlich) root iteration and the 2^n principal-minor enumeration.
 Both are numpy code, one implementation each; ``roots`` chooses the
-iteration's starts. On arrays this small a sweep costs mostly numpy call
-overhead, so the common sweep runs without zero guards; a sweep whose new
+iteration's starts. On arrays this small numpy's call overhead dominates: on
+the cot suite (2-core x86_64) a sweep costs 13 us at degree 6 and 15 us at 12,
+and a call's set-up with its evaluation at z0 14 and 15 us (``roots`` has the
+whole solve). So the common sweep runs without zero guards; a sweep whose new
 residuals read NaN or inf (a zero the guards would catch, or an overflow) is
 done again by the guarded sweep, with bit-identical results. The minors come
 from recursive Schur complements (MAT2PM), O(2^n) operations for all
@@ -48,92 +50,90 @@ def aberth_iterate(coeffs, z0, max_iters, tol):
     polish cannot undo convergence. ``iterations`` counts the sweeps before
     the polish.
 
-    Each sweep and the evaluation after it first run unguarded, as a few
-    ufunc calls on buffers allocated once per call. Every zero that the
-    guarded sweep catches (coincident iterates, p' = 0 and 1 - w*s = 0)
-    leaves a NaN or inf among the new residuals, as does an overflow. Only
-    then is the sweep done again, from the same (z, p, p'), guarded. Where no
-    guard fires, both do the same arithmetic in the same order, so the
-    results are bit for bit those of the guarded sweep alone. A redone step
-    counts as one sweep.
+    One loop evaluates p, p' and the residuals, at z0 and after each sweep,
+    on buffers allocated once per call and never zero-filled. A sweep first
+    runs unguarded, as a few ufunc calls. Every zero that ``_guarded_sweep``
+    catches (coincident iterates, p' = 0 and 1 - w*s = 0) leaves a NaN or inf
+    among the new residuals, as does an overflow. Only then is the sweep done
+    again, from the same (z, p, p'), guarded. Where no guard fires, both do
+    the same arithmetic in the same order, so the results are bit for bit
+    those of the guarded sweep alone. A redone step counts as one sweep.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     deg = coeffs.size - 1
-    # column 0 evaluates p, column 1 (set below) p', from one powers matrix
-    pair = np.zeros((deg + 1, 2), dtype=np.complex128)
-    pair[:, 0] = coeffs
+    # column 0 evaluates p, column 1 p', from one powers matrix with column 0 = 1
+    pair = np.empty((deg + 1, 2), dtype=np.complex128)
+    pair[:, 0], pair[-1, 1] = coeffs, 0.0
     abs_coeffs = np.abs(coeffs)
-    powers = np.ones((deg, deg + 1), dtype=np.complex128)
+    powers = np.empty((deg, deg + 1), dtype=np.complex128)
+    powers[:, 0] = 1.0
     abs_powers = np.empty((deg, deg + 1))
     diff = np.empty((deg, deg), dtype=np.complex128)
     diagonal = diff.reshape(-1)[:: deg + 1]      # a view: writes land in diff
-    z = np.array(z0, dtype=np.complex128)
-
-    def _eval(zz):
-        powers[:, 1:] = zz[:, None]
-        np.multiply.accumulate(powers, axis=1, out=powers)
-        values = powers.dot(pair)
-        p, dp = values[:, 0], values[:, 1]     # unpacking values.T iterates: slower
-        return p, dp, np.abs(p) / np.abs(powers, out=abs_powers).dot(abs_coeffs)
-
-    def _sweep(zz, p, dp):
-        np.subtract(zz[:, None], zz, out=diff)
-        diagonal.fill(np.inf)
-        s = np.add.reduce(np.divide(1.0, diff, out=diff), axis=1)
-        w = p / dp
-        return zz - w / (1.0 - w * s)
-
-    def _guarded_sweep(zz, p, dp):
-        diff = zz[:, None] - zz
-        diff[diff == 0] = np.inf      # the diagonal and coincident iterates
-        s = (1.0 / diff).sum(1)
-        # the guards build new arrays only when a zero actually occurs
-        safe_dp = dp if dp.all() else np.where(dp == 0, 1.0, dp)
-        w = p / safe_dp
-        den = 1.0 - w * s
-        if not den.all():
-            den = np.where(den == 0, 1.0, den)
-        znew = zz - w / den
-        if safe_dp is dp:
-            return znew
-        # p' vanished: an exact root (p = 0) stays, any other iterate is
-        # nudged deterministically
-        return np.where((dp == 0) & (p != 0), zz * (1.0 + 1e-8) + 1e-8, znew)
-
-    def _step(zz, p, dp):
-        znew = _sweep(zz, p, dp)
-        p_new, dp_new, resid = _eval(znew)
-        r = resid.tolist()
-        if math.isfinite(sum(r)):       # else NaN or inf: a guard case or overflow
-            return znew, p_new, dp_new, resid, max(r)
-        znew = _guarded_sweep(zz, p, dp)
-        p_new, dp_new, resid = _eval(znew)
-        return znew, p_new, dp_new, resid, np.maximum.reduce(resid)
+    z = zn = np.array(z0, dtype=np.complex128)
+    # pass 0 takes z0 as a sweep's result, from iters = -1; NaN fails any tol
+    iters, polished, worst, guarded = -1, 0, math.nan, True
 
     # iterates whose powers overflow leave non-finite residuals, which the
     # caller turns into DomainError; numpy need not warn on the way there,
     # nor on the unguarded divisions by zero that send a step to the redo
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         pair[:-1, 1] = coeffs[1:] * np.arange(1, deg + 1)
-        p, dp, resid = _eval(z)
-        worst = np.maximum.reduce(resid)
-        iters = 0
-        while iters < max_iters and worst > tol:
-            z, p, dp, resid, worst = _step(z, p, dp)
-            iters += 1
-        if worst <= tol:
-            for sweep in range(1, POLISH_SWEEPS + 1):
-                zn, pn, dpn, rn, _ = _step(z, p, dp)
+        while True:
+            powers[:, 1:] = zn[:, None]
+            np.multiply.accumulate(powers, axis=1, out=powers)
+            values = powers.dot(pair)
+            pn, dpn = values[:, 0], values[:, 1]     # unpacking values.T iterates: slower
+            rn = np.abs(pn) / np.abs(powers, out=abs_powers).dot(abs_coeffs)
+            r = rn.tolist()
+            finite = math.isfinite(sum(r))      # else NaN or inf: a guard case or overflow
+            if not (finite or guarded):
+                zn, guarded = _guarded_sweep(z, p, dp), True
+                continue
+            if worst <= tol:
+                polished += 1
                 # a root keeps its polished iterate only where the residual
                 # did not grow: the sweep can scatter a tight cluster
                 keep = rn <= resid
                 if keep.all():
                     z, p, dp, resid = zn, pn, dpn, rn
-                    continue
-                z, resid = np.where(keep, zn, z), np.where(keep, rn, resid)
-                if sweep < POLISH_SWEEPS:       # only a next sweep reads p and p'
-                    p, dp = np.where(keep, pn, p), np.where(keep, dpn, dp)
+                else:
+                    z, resid = np.where(keep, zn, z), np.where(keep, rn, resid)
+                    if polished < POLISH_SWEEPS:    # only a next sweep reads p and p'
+                        p, dp = np.where(keep, pn, p), np.where(keep, dpn, dp)
+            else:
+                z, p, dp, resid = zn, pn, dpn, rn
+                worst = max(r) if finite else np.maximum.reduce(rn)
+                iters += 1
+            # sweep on while unconverged with sweeps left, or converged (worst
+            # then stays as it is) with polish left; a NaN worst stops
+            if not (worst > tol and iters < max_iters or worst <= tol and polished < POLISH_SWEEPS):
+                break
+            np.subtract(z[:, None], z, out=diff)
+            diagonal.fill(np.inf)
+            s = np.add.reduce(np.divide(1.0, diff, out=diff), axis=1)
+            w = p / dp
+            zn, guarded = z - w / (1.0 - w * s), False
     return z, resid, iters
+
+
+def _guarded_sweep(z, p, dp):
+    """aberth_iterate's sweep from (z, p, p'), guarded against each zero."""
+    diff = z[:, None] - z
+    diff[diff == 0] = np.inf      # the diagonal and coincident iterates
+    s = (1.0 / diff).sum(1)
+    # the guards build new arrays only when a zero actually occurs
+    safe_dp = dp if dp.all() else np.where(dp == 0, 1.0, dp)
+    w = p / safe_dp
+    den = 1.0 - w * s
+    if not den.all():
+        den = np.where(den == 0, 1.0, den)
+    znew = z - w / den
+    if safe_dp is dp:
+        return znew
+    # p' vanished: an exact root (p = 0) stays, any other iterate is nudged
+    # deterministically
+    return np.where((dp == 0) & (p != 0), z * (1.0 + 1e-8) + 1e-8, znew)
 
 
 @functools.lru_cache(maxsize=16)

@@ -53,12 +53,14 @@ def canonical(coeffs) -> np.ndarray:
         arr = np.asarray(coeffs, dtype=np.float64).ravel()
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"coefficients must be real numbers: {exc}")
-    if not np.isfinite(arr).all():
+    c = arr.tolist()        # Python floats: half the cost of isfinite and nonzero
+    if not all(map(math.isfinite, c)):
         raise DomainError("coefficients must be finite")
-    nonzero = arr.nonzero()[0]
-    if nonzero.size == 0:
+    while c and not c[-1]:      # -0.0 is a zero too
+        c.pop()
+    if not c:
         raise DomainError("the zero polynomial has no canonical form")
-    return arr[: nonzero[-1] + 1].copy()
+    return arr[: len(c)].copy()
 
 
 def degree(coeffs) -> int:

@@ -30,23 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AngleTooSmall,
-    DegreeOne,
-    DomainError,
-    PreconditionError,
-    ZeroModulus,
-)
-from .poly import (
-    SignClass,
-    _modulus,
-    canonical,
-    degree,
-    principal_arg,
-    relative_residual,
-    scale_roots,
-    working_form,
-)
+from .errors import AngleTooSmall, DegreeOne, DomainError, PreconditionError, ZeroModulus
+from .poly import (SignClass, _modulus, canonical, degree, principal_arg, relative_residual,
+                   scale_roots, working_form)
 from .roots import find_roots, sector_defect
 
 ANGLE_TOL = 1e-13
@@ -152,15 +138,15 @@ def build_qj(j: int, k: int, r: float, alpha: float) -> np.ndarray:
     """
     if r <= 0.0:
         raise PreconditionError(f"modulus must be positive, got r={r!r}")
-    return _trinomial(j, k, r, *sign_lemma_check(j, k, alpha))
-
-
-def _trinomial(j: int, k: int, r: float, s_k: float, s_j: float, s_kj: float) -> np.ndarray:
+    middle, constant = _trinomial(j, k, r, *sign_lemma_check(j, k, alpha))
     coeffs = np.zeros(k + 1)
-    coeffs[k] = 1.0
-    coeffs[j] -= (s_k / s_j) * r ** (k - j)     # 0.0 - 0.0 keeps a +0.0
-    coeffs[0] = (s_kj / s_j) * r**k
+    coeffs[0], coeffs[j], coeffs[k] = constant, middle, 1.0
     return coeffs
+
+
+def _trinomial(j: int, k: int, r: float, s_k: float, s_j: float, s_kj: float):
+    """The coefficients of t^j and 1 in ``build_qj``'s trinomial."""
+    return 0.0 - (s_k / s_j) * r ** (k - j), (s_kj / s_j) * r**k     # 0.0 - 0.0 keeps a +0.0
 
 
 def build_q_avg(k: int, r: float, alpha: float) -> np.ndarray:
@@ -185,13 +171,16 @@ def build_q_avg(k: int, r: float, alpha: float) -> np.ndarray:
     # the sign lemma holds for every j once the sector is checked
     m = k + si.boundary
     s_m = math.sin(m * alpha)
-    acc = np.zeros(m + 1)
+    acc = [0.0] * (m + 1)
     if si.boundary:
-        acc[[0, 1, k, m]] = r**k, r**k, 1.0, 1.0
+        acc[0], acc[1], acc[k], acc[m] = r**k, r**k, 1.0, 1.0
+    # the trinomials' sum, term by term in order of j: no sum is -0.0, so
+    # their zero terms would add nothing
     for j in range(1, k):
         s_mj = 0.0 if si.boundary and j == 1 else math.sin((m - j) * alpha)
-        acc += _trinomial(j, m, r, s_m, math.sin(j * alpha), s_mj)
-    return acc / (m - 1)
+        middle, constant = _trinomial(j, m, r, s_m, math.sin(j * alpha), s_mj)
+        acc[0], acc[j], acc[m] = acc[0] + constant, acc[j] + middle, acc[m] + 1.0
+    return np.array([a / (m - 1) for a in acc])
 
 
 def lift(p, n: int, mode: SignClass) -> np.ndarray:
@@ -383,8 +372,9 @@ def _disks_avoid_sector(q: np.ndarray, z: np.ndarray, args: list) -> bool:
     from a_n on, in float64 at every scale. Overflow or coincident iterates fail.
     """
     n = z.size
-    eps = float(np.finfo(np.float64).eps)
-    gaps = np.abs(z[:, None] - z) + np.eye(n)      # 1 on the diagonal
+    eps = sys.float_info.epsilon
+    gaps = np.abs(z[:, None] - z)
+    gaps.flat[:: n + 1] = 1.0       # 1 on the diagonal: the product is over j != i
     top_down = q[::-1].tolist()
     try:
         for zi, arg, row in zip(z.tolist(), args, gaps.tolist()):

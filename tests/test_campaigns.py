@@ -241,9 +241,19 @@ class TestSynthFailures:
     @pytest.mark.parametrize("mode, check", [(SignClass.NONNEGATIVE, "nonnegativity"),
                                              (SignClass.POSITIVE, "positivity")])
     def test_sign_check_fires(self, monkeypatch, mode, check):
-        monkeypatch.setattr(campaigns, "classify_signs", lambda values: SignClass.MIXED)
+        monkeypatch.setattr(campaigns, "sign_rule", lambda values, slack: SignClass.MIXED)
         assert self._first_failure(mode) == {**_synth_inputs(self.SEED, 0, mode),
                                              "failed": [check]}
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_coefficient_fails_as_domain_error(self, monkeypatch, bad):
+        # the sign check reads the coefficients as Python floats, and refuses
+        # a non-finite one as classify_signs does
+        _patch_result(monkeypatch, "synthesize",
+                      lambda r: {"coeffs": np.append(r.coeffs[:-2], [bad, 1.0])})
+        mode = SignClass.POSITIVE
+        assert self._first_failure(mode) == {**_synth_inputs(self.SEED, 0, mode),
+                                             "failed": ["error_DomainError"]}
 
     def test_inconclusive_verdict_fires(self, monkeypatch):
         _patch_result(monkeypatch, "verify_cot", lambda r: {"status": "inconclusive"})

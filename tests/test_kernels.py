@@ -143,6 +143,16 @@ class TestAberthMatchesGuardedReference:
         iters, _ = _assert_same_bits(c, np.asarray(z0, dtype=np.complex128), 500, _tol(2))
         assert (iters == 500) is stalls
 
+    @pytest.mark.parametrize("max_iters", [0, 3, 500])
+    @pytest.mark.parametrize("tol", [0.0, 1e-3, np.inf, np.nan])
+    def test_extreme_tolerances_and_sweep_limits(self, max_iters, tol):
+        # tol = inf converges at z0 and goes straight to the polish; a NaN
+        # tol stops at z0 unconverged
+        c = np.array([1.0, 2.0, 0.5, 3.0, 1.0], dtype=np.complex128)
+        iters, _ = _assert_same_bits(c, roots.initial_guesses(c), max_iters, tol)
+        if not tol < np.inf:
+            assert iters == 0
+
     def test_overflow_keeps_iterations(self):
         # 1e-300 + 1e20 t^19 + t^20: the powers of the start near 1e20
         # overflow, so the residuals stay non-finite after the redo

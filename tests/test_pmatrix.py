@@ -31,7 +31,7 @@ from sectorpoly import (
     spectrum_feasible,
     wedge_admissible,
 )
-from sectorpoly import find_roots, pmatrix, synthesize
+from sectorpoly import campaigns, find_roots, pmatrix, synthesize
 from sectorpoly.pmatrix import MINOR_TOL, spectrum_aux_poly
 from sectorpoly.poly import is_conjugate_closed, ldexp_complex, relative_residual
 from sectorpoly.synthesis import ANGLE_TOL
@@ -134,6 +134,21 @@ class TestPrincipalMinors:
                 is principal_minors(a).matrix_class)
         assert (principal_minors(c * a).aux_sign_class()
                 is principal_minors(a).aux_sign_class())
+
+    def test_power_of_two_scaling_of_campaign_matrices(self):
+        # ROADMAP item 4, the minors' half: 2^e A keeps the class of A, and
+        # each E_k of 2^e A is E_k(A) 2^(e k) exactly, on the matrices of 300
+        # seed-5 kellogg cases, each drawn as _kellogg_case draws it
+        for i in range(300):
+            rng = campaigns._case_rng(5, i)
+            n = int(rng.integers(2, 9))
+            a = generate_p_matrix(n, rng)
+            base = principal_minors(a)
+            for e in (1, -1, 40, -40, 100, -100):
+                scaled = principal_minors(np.ldexp(a, e))
+                assert scaled.matrix_class is base.matrix_class, (i, e)
+                expected = np.ldexp(base.e_sums.real, e * np.arange(1, n + 1))
+                assert scaled.e_sums.real.tolist() == expected.tolist(), (i, e)
 
     def test_zero_matrix_is_weakly_positive(self):
         assert principal_minors(np.zeros((3, 3))).matrix_class is MatrixClass.P0

@@ -315,6 +315,9 @@ class TestScaleRoots:
 class TestCanonical:
     def test_trims_trailing_zeros(self):
         np.testing.assert_array_equal(canonical([1, 2, 0, 0]), [1, 2])
+        # a negative zero is a zero: it is trimmed too
+        assert canonical([1, 2, -0.0]).tolist() == [1.0, 2.0]
+        assert canonical([-0.0, 3.0, -0.0, 0.0]).tolist() == [-0.0, 3.0]
 
     def test_zero_poly_rejected(self):
         with pytest.raises(DomainError):
@@ -327,6 +330,7 @@ class TestCanonical:
 
     @pytest.mark.parametrize("coeffs", [
         [1, 2, 3], (0, 0, 1.5), np.array([2.0, -1.0, 0.0]), np.arange(4, dtype=np.int32),
+        np.array([1.0, 2.0, -0.0]),
         np.array([1.0, 0.0, 2.0, 0.0])[::2], np.float32([0.5, 0.25]), [True, False, True],
     ])
     def test_fresh_float64_copy(self, coeffs):
@@ -345,6 +349,9 @@ class TestCanonical:
     @pytest.mark.parametrize("coeffs, message", [
         ([0.0, 0.0], "zero polynomial"), ([], "zero polynomial"),
         ([1.0, np.nan], "finite"), ([np.inf, 1.0], "finite"),
+        # trailing zeros do not hide a non-finite coefficient, nor do leading ones
+        ([1.0, np.nan, 0.0], "finite"), ([np.inf, 0.0], "finite"), ([0.0, -np.inf], "finite"),
+        ([np.nan, 0.0, 0.0], "finite"),
         ([1 + 2j], "real numbers"), (5j, "real numbers"), ("abc", "real numbers"),
         (np.array([1, 1 + 1j, 1]), "real numbers"), (np.complex64(2), "real numbers"),
         (["1", "x"], "real numbers"), ([1, 10**400], "real numbers"),
@@ -361,6 +368,40 @@ class TestCanonical:
             find_roots(np.array([1, 1 + 1j, 1]))
         with pytest.raises(DomainError, match="real numbers"):
             verify_cot(np.array([1, 2 + 3j, 1]))
+
+
+def _round_trip_inputs():
+    """EXTREME and 300 random polynomials of degree 1..12 whose coefficients
+    are scaled by 2^(s i + c), far outside the working window for many."""
+    rng = np.random.default_rng(34)
+    cases = [np.asarray(p, dtype=np.float64) for p in EXTREME]
+    while len(cases) < len(EXTREME) + 300:
+        n = int(rng.integers(1, 13))
+        a = rng.uniform(0.5, 2.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+        a[1:-1][rng.random(n - 1) < 0.2] = 0.0
+        shift = rng.integers(-80, 81) * np.arange(n + 1) + rng.integers(-600, 601)
+        if np.abs(shift).max() <= 1000:     # every a_i a normal float
+            cases.append(np.ldexp(a, shift))
+    return cases
+
+
+class TestCanonicalInFindRoots:
+    def test_find_roots_of_a_working_form_gives_the_roots_bit_for_bit(self):
+        # verify_cot solves w of working_form(q) = (w, e) and reports 2^e times
+        # its roots: find_roots' own canonical and working_form must leave w
+        # as it is, so that these are find_roots(q)'s roots, byte for byte
+        solved = 0
+        for q in _round_trip_inputs():
+            if not q[0]:        # find_roots takes the zero roots off first
+                continue
+            try:
+                expected = find_roots(q).roots
+            except DomainError:
+                continue
+            w, e = working_form(canonical(q))
+            assert scale_roots(find_roots(w).roots, e).tobytes() == expected.tobytes(), q
+            solved += 1
+        assert solved >= 300
 
 
 class TestClassifySigns:

@@ -332,6 +332,51 @@ class TestInitialGuesses:
         assert np.all(np.abs(z0.real) > 1e-3)
         assert np.all(np.abs(z0.imag) > 1e-3)
 
+    def test_matches_the_per_start_reference_bit_for_bit(self):
+        # geometric coefficients a few ulps apart put near-collinear vertices
+        # on the hull, whose edges often round to one radius and merge
+        rng = np.random.default_rng(34)
+        merged = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 13))
+            c = float(rng.choice([0.7, 1.0, 2.0, 3.0, 10.0])) ** np.arange(n + 1)
+            c *= 1 + rng.integers(-2, 3, n + 1) * 2.0 ** -52
+            c[1:-1][rng.random(n - 1) < 0.3] = 0.0
+            c *= rng.choice([-1.0, 1.0], n + 1)
+            want, merges = _initial_guesses_reference(c)
+            assert roots.initial_guesses(c).tobytes() == want.tobytes(), c
+            merged += merges > 0
+        assert merged >= 100
+
+
+def _initial_guesses_reference(coeffs):
+    """(starts, merges): roots.initial_guesses as it was before it built its
+    starts as Python complex numbers, with one radius and one angle list
+    entry per start, and the count of starts moved into a later circle."""
+    deg = coeffs.size - 1
+    nonzero = np.flatnonzero(coeffs)
+    hull = []
+    for point in zip(nonzero.tolist(), np.log(np.abs(coeffs[nonzero])).tolist()):
+        while len(hull) >= 2:
+            (i0, y0), (i1, y1) = hull[-2], hull[-1]
+            if (i1 - i0) * (point[1] - y0) < (point[0] - i0) * (y1 - y0):
+                break
+            hull.pop()
+        hull.append(point)
+    radii, angles, merges = [], [], 0
+    for (a, ya), (b, yb) in zip(hull, hull[1:]):
+        radius = math.exp((ya - yb) / (b - a))
+        while radii and radii[-1] == radius:
+            del radii[-1], angles[-1]
+            a -= 1
+            merges += 1
+        count = b - a
+        offset = 2.0 * math.pi * b / deg + roots._START_ROTATION
+        radii += [radius] * count
+        angles += [2.0 * math.pi * m / count + offset for m in range(count)]
+    starts = [complex(r * math.cos(t), r * math.sin(t)) for r, t in zip(radii, angles)]
+    return np.array(starts), merges
+
 
 
 def _starts(p):
