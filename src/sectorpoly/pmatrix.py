@@ -50,7 +50,7 @@ from .errors import (
 )
 from .poly import SignClass, classify_signs, principal_arg, sign_rule
 from .roots import find_roots
-from .synthesis import ANGLE_TOL, synthesize
+from .synthesis import ANGLE_TOL, build_core
 
 DEFAULT_DIM_CAP = 12
 HARD_DIM_CAP = 20
@@ -329,19 +329,19 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     """Complete an admissible eigenvalue into a full n-point spectrum of the
     requested class.
 
-    Synthesizes the degree-n polynomial q = core * lift of the matching sign
-    class vanishing at -lambda; the spectrum is its roots, negated. Most of
-    them are known in closed form: lambda and its conjugate (the core's
+    Builds only the core of q = core * lift, the degree-n polynomial of the
+    matching sign class vanishing at -lambda, with ``build_core`` (the first
+    half of ``synthesize``): q is never formed. The spectrum is q's roots,
+    negated, most in closed form: lambda and its conjugate (the core's
     quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), the g lift roots on
     the unit circle and, on the boundary |theta - pi| = pi/k, the other k - 2
-    roots of the nonnegative core t^k + c on the circle |t| = |lambda|, which
-    ``_circle_values`` gives with no solve. For every other core, the
-    positive one of degree k + 1 on the boundary included, they are the
-    roots of the quotient left by deflating that quadratic: in closed form
-    for cores of degree 3 and 4 (one real root, or the stable quadratic
-    formula, ``_quotient_values``), from the solver from degree 5 on. A
-    linear core, t + |lambda| for lambda on the positive real axis (within
-    ANGLE_TOL of it), contributes lambda alone.
+    roots of the nonnegative core t^k + c on |t| = |lambda| (``_circle_values``,
+    no solve). For every other core, the positive one of degree k + 1 on the
+    boundary included, they are the roots of the quotient left by deflating
+    that quadratic: in closed form for cores of degree 3 and 4 (one real
+    root, or the stable quadratic formula, ``_quotient_values``), from the
+    solver from degree 5 on. A linear core, t + |lambda| for lambda on the
+    positive real axis (within ANGLE_TOL of it), contributes lambda alone.
 
     The result contains lambda itself and has exactly n values, built in
     conjugate pairs. Its ``feasibility`` is spectrum_feasible(values), the
@@ -355,26 +355,24 @@ def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     if not kellogg_admissible(lam, n, mode):
         raise NotAdmissible(f"lambda={lam!r} is not admissible for {mode.value}, n={n}")
     sign = SignClass.POSITIVE if mode is MatrixClass.P else SignClass.NONNEGATIVE
-    result = synthesize(-lam, n, sign)
-    core = result.core
+    core, k_used = build_core(-lam, n, sign)[:2]
     values = [lam]
     if core.size > 2:
         values.append(lam.conjugate())
-    if result.k_used.boundary and mode is MatrixClass.P0:
+    if k_used.boundary and mode is MatrixClass.P0:
         # t^k + c: its i = 1 pair is lambda and its conjugate
         values.extend(_circle_values(core.size - 1, abs(lam), 3))
     elif core.size > 3:
         values.extend(_quotient_values(_deflate(core, lam)))
-    g = result.lift_terms       # the lift 1 + t + ... + t^g in positive mode, else t^g + 1
-    values.extend(_circle_values(g + 1, 1.0, 2) if result.mode is SignClass.POSITIVE
+    g = n + 1 - core.size       # the lift 1 + t + ... + t^g in P mode, else t^g + 1
+    values.extend(_circle_values(g + 1, 1.0, 2) if mode is MatrixClass.P
                   else _circle_values(g, 1.0, 1))
     values = np.array(values, dtype=np.complex128)
     feasibility = spectrum_feasible(values)
     if mode is MatrixClass.P and feasibility is not MatrixClass.P:
-        raise FeasibleButUnwitnessed(
-            f"the witness for lambda={lam!r} reads {feasibility.value}, "
-            "too close to the boundary to tell from P0"
-        )
+        raise FeasibleButUnwitnessed(f"the witness for lambda={lam!r} reads "
+                                     f"{feasibility.value}, too close to the boundary to "
+                                     "tell from P0")
     return SpectrumMultiset(values=values, feasibility=feasibility)
 
 

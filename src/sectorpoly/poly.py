@@ -247,8 +247,8 @@ def is_conjugate_closed(values, tol: float = 1e-9) -> bool:
 
     Greedy pairing: every value must have an unmatched partner within
     ``tol * (1 + |value|)`` of its conjugate. The pairing runs on Python
-    complex numbers; a modulus beyond float64 reads inf, so such a distance
-    is no match and such a value's reach is inf.
+    complex numbers, with abs inline; a modulus beyond float64 reads inf, so
+    such a distance is no match and such a value's reach is inf.
     """
     vals = np.asarray(values, dtype=np.complex128).tolist()
     used = [False] * len(vals)
@@ -260,13 +260,15 @@ def is_conjugate_closed(values, tol: float = 1e-9) -> bool:
         for j, w in enumerate(vals):
             if used[j]:
                 continue
-            d = _modulus(w - target)
+            try:
+                d = abs(w - target)
+            except OverflowError:       # inf: never below best_d
+                continue
             if d < best_d:
                 best, best_d = j, d
         if best < 0 or best_d > tol * (1.0 + _modulus(v)):
             return False
-        used[i] = True
-        used[best] = True
+        used[i] = used[best] = True
     return True
 
 

@@ -15,9 +15,9 @@ sector, and at the boundary angle pi/k the k-1 of degree k + 1 with the lift
 Everything hinges on one decision: is alpha the boundary angle pi/k or not?
 ``sector_index`` alone makes it: an alpha within ANGLE_TOL (absolute) of pi/m
 is pi/m, and any other alpha lies at least ANGLE_TOL inside its sector.
-``synthesize`` and the matrix witnesses read its ``SectorIndex``; the public
-builders call it again on their own angle, ``build_qj`` through
-``sign_lemma_check`` and ``build_q_avg`` directly.
+``build_core``, the half of ``synthesize`` that the matrix witnesses share,
+reads its ``SectorIndex``; the public builders call it again on their own
+angle, ``build_qj`` through ``sign_lemma_check`` and ``build_q_avg`` directly.
 """
 
 from __future__ import annotations
@@ -225,14 +225,13 @@ def _lifted(p: np.ndarray, gap: int, mode: SignClass) -> np.ndarray:
         factor = np.ones(gap + 1)
     else:
         factor = np.zeros(gap + 1)
-        factor[0] = 1.0
-        factor[gap] = 1.0
+        factor[0] = factor[gap] = 1.0
     return np.convolve(p, factor)
 
 
-def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisResult:
-    """Construct a monic degree-n polynomial in the requested sign class with
-    mu as a zero and positive constant term.
+def build_core(mu: complex, n: int, mode: SignClass, j: int = 1):
+    """The checks of ``synthesize`` and the core it lifts, as (core, k_used,
+    construction, j_used, conjugated); no degree-n polynomial is formed.
 
     Nonnegative mode needs |arg mu| >= pi/n (equality allowed); positive mode
     needs n > 1 and |arg mu| > pi/n. One degree rule says which: the core has
@@ -240,7 +239,7 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     core degree beyond n raises AngleTooSmall. Negative arguments reduce to
     the conjugate (real coefficients make mu a zero either way); ``j``
     selects which trinomial carries the nonnegative construction. At
-    alpha = pi (k = 1) both modes lift the linear core t + r.
+    alpha = pi (k = 1) both modes build the linear core t + r.
 
     Raises ZeroModulus, DegreeOne or AngleTooSmall when the hypothesis
     fails, and DomainError for a non-finite mu, one whose |mu|^n overflows
@@ -281,8 +280,7 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
         strict = "<=" if positive else "<"
         raise AngleTooSmall(f"|alpha|={alpha!r} {strict} pi/{n}")
 
-    if k_used.k == 1:
-        # alpha = pi: mu sits on the negative real axis
+    if k_used.k == 1:           # alpha = pi: mu sits on the negative real axis
         core = np.array([r, 1.0])
         construction, j_used = "linear", None
     elif positive:
@@ -298,18 +296,20 @@ def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisRes
     _check_core(c, mode)
     if c[0] < sys.float_info.min:
         raise DomainError(f"the core's constant term {c[0]!r} is subnormal")
-    out = _lifted(core, n - degree(core), mode)
-    return SynthesisResult(
-        coeffs=out,
-        core=core,
-        mode=mode,
-        k_used=k_used,
-        construction=construction,
-        j=j_used,
-        lift_terms=n - degree(core),
-        conjugated=conjugated,
-        residual=relative_residual(out, mu),
-    )
+    return core, k_used, construction, j_used, conjugated
+
+
+def synthesize(mu: complex, n: int, mode: SignClass, j: int = 1) -> SynthesisResult:
+    """Construct a monic degree-n polynomial in the requested sign class with
+    mu as a zero and positive constant term, in two halves: ``build_core``'s
+    checks and core, then its lift and ``relative_residual`` at mu. Raises as
+    ``build_core`` does, and DomainError where the residual leaves float64."""
+    core, k_used, construction, j_used, conjugated = build_core(mu, n, mode, j)
+    gap = n - degree(core)
+    out = _lifted(core, gap, mode)
+    return SynthesisResult(coeffs=out, core=core, mode=mode, k_used=k_used,
+                           construction=construction, j=j_used, lift_terms=gap,
+                           conjugated=conjugated, residual=relative_residual(out, mu))
 
 
 def verify_cot(q) -> CotReport:

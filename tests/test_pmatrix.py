@@ -931,6 +931,26 @@ class TestEigenWitness:
             assert abs(q[k]) <= 1e-12 * math.comb(n, k) * r ** (n - k), k
         assert spectrum_feasible(spectrum.values) is MatrixClass.P0
 
+    def test_large_degree_witness_needs_no_lifted_polynomial(self):
+        # the lifted q of degree 776 spans more than float64 holds, so
+        # synthesize raises DomainError from its residual; the witness builds
+        # only the core, and its spectrum is judged P0
+        lam = -from_polar(1.841849081615592, 0.783398284557412)
+        with pytest.raises(DomainError, match="span more than float64"):
+            synthesize(-lam, 776, SignClass.NONNEGATIVE)
+        spectrum = eigen_witness(lam, 776, MatrixClass.P0)
+        assert len(spectrum.values) == 776 and spectrum.values[0] == lam
+        assert spectrum.feasibility is MatrixClass.P0
+
+    def test_large_degree_p_witness_is_judged_not_refused(self):
+        # synthesize raises DomainError from the residual of the lifted q of
+        # degree 345; the witness reaches spectrum_feasible, which reads P0
+        lam = -from_polar(1.355029749540055, -1.0436227405834086)
+        with pytest.raises(DomainError, match="span more than float64"):
+            synthesize(-lam, 345, SignClass.POSITIVE)
+        with pytest.raises(FeasibleButUnwitnessed):
+            eigen_witness(lam, 345, MatrixClass.P)
+
     def test_p_witness_whose_coefficients_span_twelve_decades(self):
         # witness campaign seed 2132340198, case 270: every coefficient of
         # prod (t + v) is positive, the smallest 7.6e-13 of the largest

@@ -9,15 +9,17 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sectorpoly import (
     AngleTooSmall,
     DegreeOne,
     DomainError,
+    MatrixClass,
     PreconditionError,
     SectorIndex,
+    SectorPolyError,
     SignClass,
     ZeroModulus,
     build_q_avg,
@@ -33,9 +35,12 @@ from sectorpoly import (
     synthesize,
     verify_cot,
 )
+from sectorpoly import campaigns
 from sectorpoly.poly import relative_residual
 from sectorpoly.roots import sector_defect
-from sectorpoly.synthesis import ANGLE_TOL, MAX_DEGREE
+from sectorpoly.synthesis import ANGLE_TOL, MAX_DEGREE, build_core
+from test_campaigns import _witness_target
+from test_cli import _COMPLEX
 
 
 def _mp_qj(j, k, r, alpha):
@@ -473,6 +478,63 @@ class TestSynthesize:
         # (t + 2)(t^3 + 1)
         np.testing.assert_allclose(result.coeffs, [2, 1, 0, 2, 1], atol=1e-12)
         assert result.construction == "linear"
+
+
+def _core_targets(suite: str, seed: int, cases: int = 2000):
+    """(mu, n, mode) of the synthesis core of each case of a campaign: synth
+    and cot synthesize their targets, nonnegative at even cases; a witness
+    builds its core at -lambda, positive for its P cases."""
+    for i in range(cases):
+        if suite == "witness":
+            lam, n, matrix_class = _witness_target(seed, i)
+            yield -lam, n, (SignClass.POSITIVE if matrix_class is MatrixClass.P
+                            else SignClass.NONNEGATIVE)
+            continue
+        mode = SignClass.NONNEGATIVE if i % 2 == 0 else SignClass.POSITIVE
+        mu, n = campaigns._sample_target(campaigns._case_rng(seed, i), i,
+                                         mode is SignClass.POSITIVE)
+        yield mu, n, mode
+
+
+class TestBuildCore:
+    """``build_core`` is the first half of ``synthesize``: its checks, in the
+    same order, and the core that synthesize lifts."""
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    @pytest.mark.parametrize("suite", ["synth", "cot", "witness"])
+    def test_campaign_cores_match_synthesize_bit_for_bit(self, suite, seed):
+        for mu, n, mode in _core_targets(suite, seed):
+            core, k_used, construction, j_used, conjugated = build_core(mu, n, mode)
+            result = synthesize(mu, n, mode)
+            assert core.dtype == result.core.dtype
+            assert core.tobytes() == result.core.tobytes(), (mu, n, mode)
+            assert k_used == result.k_used
+            assert (construction, j_used, conjugated) == (
+                result.construction, result.j, result.conjugated)
+            assert n - (core.size - 1) == result.lift_terms
+
+    # the inputs of TestOnlyNamedErrorsEscape's synthesize calls, at n <= 64
+    @settings(deadline=None)
+    @given(mu=_COMPLEX, n=st.integers(-2, 64), mode=st.sampled_from(SignClass),
+           j=st.integers(-2, 66))
+    @example(mu=complex(2.105925851962867e-11, 204.80882695848223), n=64,
+             mode=SignClass.POSITIVE, j=45)
+    def test_extreme_inputs_raise_the_same_class(self, mu, n, mode, j):
+        try:
+            core = build_core(mu, n, mode, j)[0]
+        except SectorPolyError as exc:
+            with pytest.raises(SectorPolyError) as full:
+                synthesize(mu, n, mode, j)
+            assert type(full.value) is type(exc)
+        else:
+            # the second half raises only where the lifted q's residual leaves
+            # float64, which a large |mu| reaches at n = 64 too (the example);
+            # else the core is the same
+            try:
+                result = synthesize(mu, n, mode, j)
+            except DomainError:
+                return
+            assert result.core.tobytes() == core.tobytes()
 
 
 CERTIFIED_NON_BINOMIALS = [
