@@ -7,7 +7,6 @@ from .errors import (
     DegreeOne,
     DimensionCap,
     DomainError,
-    FeasibleButUnwitnessed,
     NotAdmissible,
     NotConjugateClosed,
     PreconditionError,

@@ -63,7 +63,3 @@ class ZeroLambda(SectorPolyError):
 class NotAdmissible(SectorPolyError):
     """The requested eigenvalue lies outside the admissible region."""
 
-
-class FeasibleButUnwitnessed(SectorPolyError):
-    """Admissible P eigenvalue whose witness reads below P: too close to a
-    boundary for spectrum_feasible to tell it from P0."""

@@ -9,14 +9,10 @@ coefficients exactly when the eigenvalue multiset is a P (P0) spectrum.
 That turns eigenvalue-region questions into coefficient-sign questions,
 which the synthesis module answers constructively.
 
-Spectra have a dozen values or fewer, so their per-value algebra (the
-products prod (t + v), the witness quotients of degree 1 and 2, the roots
-of binomials) runs in Python scalars and closed forms: a numpy call on
-arrays this small costs more than its arithmetic. So does the whole
-judgement of a spectrum, ``spectrum_feasible``, but for its moduli: they are
-numpy's complex abs, which on SIMD hosts rounds some values in another last
-bit than Python's abs, and the bounds built on them keep every verdict as it
-was.
+Per-value algebra (the products prod (t + v), the witness quotients of
+degree 1 and 2, the roots of binomials) runs in Python scalars and closed
+forms, as does ``spectrum_feasible`` but for its moduli: on a spectrum of a
+dozen values, a numpy call costs more than its arithmetic.
 
 One pass over the 2^n - 1 principal minors (``principal_minors``, by
 recursive Schur complements in ``kernels.minor_sums``) yields a
@@ -33,6 +29,7 @@ import enum
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +39,6 @@ from .errors import (
     ComplexCharPoly,
     DimensionCap,
     DomainError,
-    FeasibleButUnwitnessed,
     NotAdmissible,
     NotConjugateClosed,
     PreconditionError,
@@ -50,13 +46,17 @@ from .errors import (
 )
 from .poly import SignClass, classify_signs, principal_arg, sign_rule
 from .roots import find_roots
-from .synthesis import ANGLE_TOL, build_core
+from .synthesis import ANGLE_TOL, build_core, sector_index
 
 DEFAULT_DIM_CAP = 12
 HARD_DIM_CAP = 20
 MINOR_TOL = 1e-9
 SPECTRUM_IMAG_TOL = 1e-9
 SIGN_TOL = 1e-12
+# eigen_witness's largest degree: above it the bound (t + 1)^g of the lift's
+# unit-circle values leaves float64's normal range. Unscaled, C(g, g/2) passes
+# 2^1024 near g = 1030; at modulus 1/2, 2^-g is subnormal from g = 1023.
+MAX_WITNESS_DEGREE = 1024
 
 
 class MatrixClass(enum.Enum):
@@ -111,10 +111,14 @@ class MinorReport:
 
 @dataclass(frozen=True)
 class SpectrumMultiset:
-    """An n-point spectrum and its spectrum_feasible class, closure included."""
+    """The spectrum of C(q) + shift * I, for the nonnegative q = prod (t + v -
+    shift) and its companion matrix C(q): first row a_(n-1) ... a_0, -1 on the
+    subdiagonal. Each principal minor of C(q) is a leading coefficient of q or
+    0, so each of C(q) + shift * I on an index set S is at least shift^|S|."""
 
     values: np.ndarray
-    feasibility: MatrixClass     # spectrum_feasible(values)
+    feasibility: MatrixClass     # spectrum_feasible(values - shift); P for P0 at shift > 0
+    shift: float                 # 0.0 in P0 mode
 
 
 def _as_square(a) -> np.ndarray:
@@ -284,8 +288,9 @@ def spectrum_feasible(values) -> MatrixClass:
     the real parts with slack SIGN_TOL times the bound decides: positive is
     P, nonnegative is P0, mixed is Neither. A bound of 0 is an exact zero:
     P0. Raises DomainError for a non-finite value and for a bound or product
-    coefficient that still overflows, or a bound coefficient that is 0 with
-    as many nonzero values as its degree.
+    coefficient that still overflows, or a bound coefficient below the
+    normal range (subnormal or 0) with as many nonzero values as its degree:
+    its slack would lie below the least subnormal.
 
     The whole judgement runs in Python scalars (``aux_coefficients``,
     math.frexp, math.ldexp, the sign rule) except the moduli, which are
@@ -299,7 +304,8 @@ def spectrum_feasible(values) -> MatrixClass:
     scaled = items = vals.tolist()
     moduli = np.abs(vals).tolist()
     # bound coefficient k sums products of n - k moduli: where at least
-    # n - k values are nonzero, a 0 there is an underflow, not an exact zero
+    # n - k values are nonzero, one below the normal range has lost its bits
+    # to underflow, and is no exact zero
     zeros = items.count(0)
     # a non-finite modulus has no scale to try
     exponents = (0, math.frexp(max(moduli))[1]) if all(map(math.isfinite, moduli)) else ()
@@ -309,7 +315,7 @@ def spectrum_feasible(values) -> MatrixClass:
                       for v in items]
             moduli = np.abs(scaled).tolist()
         bound = aux_coefficients(moduli)
-        if all(map(math.isfinite, bound)) and 0.0 not in bound[zeros:]:
+        if all(map(math.isfinite, bound)) and min(bound[zeros:]) >= sys.float_info.min:
             break
     else:
         raise DomainError(_OUT_OF_RANGE)
@@ -327,53 +333,53 @@ def spectrum_feasible(values) -> MatrixClass:
 
 def eigen_witness(lam: complex, n: int, mode: MatrixClass) -> SpectrumMultiset:
     """Complete an admissible eigenvalue into a full n-point spectrum of the
-    requested class.
+    requested class: the P0 witness of lambda - shift, shifted right.
 
-    Builds only the core of q = core * lift, the degree-n polynomial of the
-    matching sign class vanishing at -lambda, with ``build_core`` (the first
-    half of ``synthesize``): q is never formed. The spectrum is q's roots,
-    negated, most in closed form: lambda and its conjugate (the core's
-    quadratic factor t^2 + 2 Re(lambda) t + |lambda|^2), the g lift roots on
-    the unit circle and, on the boundary |theta - pi| = pi/k, the other k - 2
-    roots of the nonnegative core t^k + c on |t| = |lambda| (``_circle_values``,
-    no solve). For every other core, the positive one of degree k + 1 on the
-    boundary included, they are the roots of the quotient left by deflating
-    that quadratic: in closed form for cores of degree 3 and 4 (one real
-    root, or the stable quadratic formula, ``_quotient_values``), from the
-    solver from degree 5 on. A linear core, t + |lambda| for lambda on the
-    positive real axis (within ANGLE_TOL of it), contributes lambda alone.
+    The shift is 0 in P0 mode. In P mode it is half the horizontal distance
+    from lambda to the ray arg lambda = pi -+ pi/m, m = k + boundary for
+    sector_index(|arg(-lambda)|): its sector's edge on the wedge's side, or
+    the next one where lambda sits on an edge; lambda/2 for lambda > 0. The
+    nonnegative core at lambda - shift then has the positive core's degree.
 
-    The result contains lambda itself and has exactly n values, built in
-    conjugate pairs. Its ``feasibility`` is spectrum_feasible(values), the
-    one judgement of the spectrum, closure included: P in P mode, and P0 or
-    P in P0 mode (a P0 witness may classify as P when strictly positive).
+    The P0 witness is the negated roots of q = core * (t^g + 1), from
+    ``build_core`` alone (q is never formed): lambda - shift and its
+    conjugate, the lift's on the unit circle, and the core's others, by
+    ``_circle_values`` on a boundary, else by ``_quotient_values``.
 
-    Raises NotAdmissible outside the region. In P mode raises
-    FeasibleButUnwitnessed for a witness whose feasibility reads below P.
+    The values come in conjugate pairs, lambda first, and are the spectrum of
+    C(q) + shift * I (``SpectrumMultiset``). The one float judgement,
+    spectrum_feasible of the P0 witness, closure included, is
+    ``feasibility`` in P0 mode; in P mode that is P unless it reads Neither.
+    Raises NotAdmissible outside the region, and DomainError above
+    MAX_WITNESS_DEGREE before any value is built.
     """
     lam = complex(lam)
     if not kellogg_admissible(lam, n, mode):
         raise NotAdmissible(f"lambda={lam!r} is not admissible for {mode.value}, n={n}")
-    sign = SignClass.POSITIVE if mode is MatrixClass.P else SignClass.NONNEGATIVE
-    core, k_used = build_core(-lam, n, sign)[:2]
-    values = [lam]
-    if core.size > 2:
-        values.append(lam.conjugate())
-    if k_used.boundary and mode is MatrixClass.P0:
-        # t^k + c: its i = 1 pair is lambda and its conjugate
-        values.extend(_circle_values(core.size - 1, abs(lam), 3))
+    if n > MAX_WITNESS_DEGREE:
+        raise DomainError(f"n={n} is above MAX_WITNESS_DEGREE = {MAX_WITNESS_DEGREE}")
+    shift = 0.0
+    if mode is MatrixClass.P:
+        si = sector_index(abs(principal_arg(-lam)))
+        # each term halved before the sum, which could overflow
+        shift = lam.real / 2 + abs(lam.imag) / (2 * math.tan(math.pi / (si.k + si.boundary)))
+    base = lam - shift
+    core, k_used = build_core(-base, n, SignClass.NONNEGATIVE)[:2]
+    paired = 1 + (core.size > 2)
+    values = [base, base.conjugate()][:paired]
+    if k_used.boundary:
+        # t^k + c: its first pair is lambda - shift and its conjugate
+        values.extend(_circle_values(core.size - 1, abs(base))[2:])
     elif core.size > 3:
-        values.extend(_quotient_values(_deflate(core, lam)))
-    g = n + 1 - core.size       # the lift 1 + t + ... + t^g in P mode, else t^g + 1
-    values.extend(_circle_values(g + 1, 1.0, 2) if mode is MatrixClass.P
-                  else _circle_values(g, 1.0, 1))
-    values = np.array(values, dtype=np.complex128)
-    feasibility = spectrum_feasible(values)
-    if mode is MatrixClass.P and feasibility is not MatrixClass.P:
-        raise FeasibleButUnwitnessed(f"the witness for lambda={lam!r} reads "
-                                     f"{feasibility.value}, too close to the boundary to "
-                                     "tell from P0")
-    return SpectrumMultiset(values=values, feasibility=feasibility)
+        values.extend(_quotient_values(_deflate(core, base)))
+    values.extend(_circle_values(n + 1 - core.size, 1.0))     # the lift t^g + 1
+    spectrum = np.array(values, dtype=np.complex128)
+    feasibility = spectrum_feasible(spectrum)
+    if mode is MatrixClass.P:
+        spectrum = np.array([lam, lam.conjugate()][:paired] + [v + shift for v in values[paired:]])
+        if feasibility is not MatrixClass.NEITHER:
+            feasibility = MatrixClass.P
+    return SpectrumMultiset(values=spectrum, feasibility=feasibility, shift=shift)
 
 
 def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
@@ -400,7 +406,7 @@ def _deflate(core: np.ndarray, lam: complex) -> np.ndarray:
 
 def _quotient_values(q: np.ndarray) -> list[complex]:
     """The negated roots of the deflated quotient ``q`` of a core other than
-    the nonnegative boundary binomial (its roots come from ``_circle_values``):
+    the boundary binomial (its roots come from ``_circle_values``):
     in closed form for degree 1 and 2 (cores of degree 3 and 4), else from
     ``find_roots``.
 
@@ -426,18 +432,16 @@ def _quotient_values(q: np.ndarray) -> list[complex]:
     return list(-find_roots(q).roots)
 
 
-def _circle_values(m: int, rho: float, first: int) -> list[complex]:
-    """-rho e^{+-i i pi/m} for i = first, first + 2, ... below m, as exact
-    conjugate pairs, then rho where i reaches m: negated roots on |t| = rho.
-    (k, |lambda|, 3) gives those of the boundary core t^k + |lambda|^k but
-    lambda and its conjugate, (g, 1.0, 1) those of the lift t^g + 1, and
-    (g + 1, 1.0, 2) those of the lift 1 + t + ... + t^g."""
+def _circle_values(m: int, rho: float) -> list[complex]:
+    """-rho e^{+-i i pi/m} for odd i below m, as exact conjugate pairs, then
+    rho for odd m: the negated roots of t^m + rho^m, those of the lift t^g + 1
+    at (g, 1.0), and, less the first pair, those of a boundary core."""
     values = []
-    for i in range(first, m, 2):
+    for i in range(1, m, 2):
         a = i * math.pi / m
         v = complex(-rho * math.cos(a), -rho * math.sin(a))
         values += [v, v.conjugate()]
-    if first <= m and (m - first) % 2 == 0:
+    if m % 2:
         values.append(complex(rho))
     return values
 

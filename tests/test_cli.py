@@ -782,8 +782,7 @@ class TestOracleCommand:
 # the "error" of the CLI's exit-2 payload and the oracle's error_<name>
 WIRE_NAMES = ("SectorPolyError", "DomainError", "PreconditionError", "DegenerateInput",
               "AngleTooSmall", "ZeroModulus", "DegreeOne", "DimensionCap",
-              "ComplexCharPoly", "NotConjugateClosed", "ZeroLambda", "NotAdmissible",
-              "FeasibleButUnwitnessed")
+              "ComplexCharPoly", "NotConjugateClosed", "ZeroLambda", "NotAdmissible")
 
 
 class TestErrorWireNames:

@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import time
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath
@@ -13,7 +16,6 @@ from sectorpoly import (
     ComplexCharPoly,
     DimensionCap,
     DomainError,
-    FeasibleButUnwitnessed,
     MatrixClass,
     NotAdmissible,
     NotConjugateClosed,
@@ -34,7 +36,7 @@ from sectorpoly import (
 from sectorpoly import campaigns, find_roots, pmatrix, synthesize
 from sectorpoly.pmatrix import MINOR_TOL, spectrum_aux_poly
 from sectorpoly.poly import is_conjugate_closed, ldexp_complex, relative_residual
-from sectorpoly.synthesis import ANGLE_TOL
+from sectorpoly.synthesis import ANGLE_TOL, build_core
 from test_boundary import TIER1_OFFSETS
 from test_campaigns import _witness_target
 
@@ -492,6 +494,17 @@ class TestSpectrumFeasible:
         with pytest.raises(DomainError, match="float64"):
             spectrum_feasible([1e-200, 1e-200, 1e-200, 1e200])
 
+    @pytest.mark.parametrize("spread", [0.5, 0.2])
+    def test_subnormal_bound_coefficient_raises(self, spread):
+        # 1,700 values of modulus 0.52 in conjugate pairs: the bound's
+        # constant term 0.52^1700 ~ 2^-1604 is stuck at the least subnormal,
+        # where its slack cannot reach; it read P0 with arguments in (0, 0.5),
+        # and NotConjugateClosed in (0, 0.2), on a constant term of
+        # 5e-324 + 5e-324j
+        half = 0.52 * np.exp(1j * np.random.default_rng(0).uniform(0.0, spread, 850))
+        with pytest.raises(DomainError, match="float64"):
+            spectrum_feasible(np.concatenate([half, half.conj()]))
+
     def test_wide_spread_in_range_keeps_its_verdict(self):
         # every product of [1e-300, 1e300] is in range as given
         assert spectrum_feasible([1e-300, 1e300]) is MatrixClass.P
@@ -528,7 +541,9 @@ def _spectrum_feasible_reference(values):
         else:
             scaled = vals
         bound = spectrum_aux_poly(moduli).real
-        lost = (bound == 0) & (np.count_nonzero(vals) >= np.arange(vals.size, -1, -1))
+        # a coefficient below the normal range has lost bits to underflow
+        lost = ((bound < sys.float_info.min)
+                & (np.count_nonzero(vals) >= np.arange(vals.size, -1, -1)))
         if np.isfinite(bound).all() and not lost.any():
             break
     else:
@@ -556,7 +571,7 @@ def _witness_spectra(targets):
     for lam, n, mode in targets:
         try:
             spectra.append(eigen_witness(lam, n, mode).values)
-        except (NotAdmissible, FeasibleButUnwitnessed):
+        except NotAdmissible:
             pass
     return spectra
 
@@ -684,6 +699,8 @@ class TestSpectrumFeasibleReference:
         [1.5e308 + 1.5e308j, 1.5e308 - 1.5e308j],
         [complex(math.nan, 1.0), complex(math.nan, -1.0), 1e-300],
         [1e-300, math.inf, 2.0],
+        # the bound's constant term is subnormal, though no value is 0
+        [1e-15j, -1e-15j, 4.1e-111, 4.1e-111, 1e-23j, -1e-23j, 1e-15, 0.2j, -0.2j],
     ]
 
     @pytest.mark.parametrize("values", KINDS)
@@ -795,45 +812,28 @@ class TestBoundaryValues:
             assert spectrum.feasibility is MatrixClass.P0
 
 
-def _circle_forms():
-    """(m, rho, first) for each form eigen_witness calls _circle_values in,
-    m up to 13, with the negated roots it stands for, formed at the working
-    precision of the call."""
-    forms = []
-    for g in range(0, 14):
-        # the lift factor t^g + 1: -e^{i(2j+1)pi/g}
-        forms.append(((g, 1.0, 1), lambda g=g: [
-            -mpmath.expjpi(mpmath.mpf(2 * j + 1) / g) for j in range(g)]))
-    for g in range(0, 13):
-        # the lift factor 1 + t + ... + t^g: the nontrivial (g+1)-th roots of unity
-        forms.append(((g + 1, 1.0, 2), lambda g=g: [
-            -mpmath.expjpi(mpmath.mpf(2 * j) / (g + 1)) for j in range(1, g + 1)]))
-    for k, rho in itertools.product(range(1, 14), (1e-20, 1e-3, 1.0, 7.0, 1e3, 1e20)):
-        # the boundary core t^k + rho^k less the pair -rho e^{+-i pi/k}
-        forms.append(((k, rho, 3), lambda k=k, rho=rho: [
-            -mpmath.mpf(rho) * mpmath.expjpi(mpmath.mpf(2 * j + 1) / k)
-            for j in range(1, k - 1)]))
-    return [pytest.param(form, exact, id="m={},rho={!r},first={}".format(*form))
-            for form, exact in forms]
-
-
 class TestCircleValues:
-    """_circle_values against the 40-digit roots of the polynomial each of its
-    forms stands for: every root once, within 8 eps of the modulus, in exact
-    conjugate pairs and with the real root exactly real."""
+    """_circle_values(m, rho) against the 40-digit negated roots of t^m +
+    rho^m, -rho e^{i(2j+1)pi/m}: those of the lift t^g + 1 at rho = 1, and of
+    a boundary core t^k + |lambda|^k. Every root once, within 8 eps of the
+    modulus, in exact conjugate pairs, the first pair at j = 0 (lambda and
+    its conjugate on a boundary), and the real root exactly real."""
 
-    @pytest.mark.parametrize("form, exact", _circle_forms())
-    def test_match_forty_digit_roots(self, form, exact):
-        m, rho, first = form
+    @pytest.mark.parametrize("m", range(0, 14))
+    @pytest.mark.parametrize("rho", [1e-20, 1e-3, 1.0, 7.0, 1e3, 1e20])
+    def test_match_forty_digit_roots(self, m, rho):
         eps = np.finfo(np.float64).eps
-        values = pmatrix._circle_values(m, rho, first)
+        values = pmatrix._circle_values(m, rho)
         with mpmath.workdps(40):
-            left = exact()
+            left = [-mpmath.mpf(rho) * mpmath.expjpi(mpmath.mpf(2 * j + 1) / m)
+                    for j in range(m)]
             assert len(values) == len(left)
+            if m > 1:
+                assert abs(mpmath.mpc(values[0]) - left[0]) / rho <= 8 * eps
             for v in values:
                 errs = [abs(mpmath.mpc(v) - z) / rho for z in left]
                 i = min(range(len(left)), key=errs.__getitem__)
-                assert errs[i] <= 8 * eps, (form, v)
+                assert errs[i] <= 8 * eps, (m, rho, v)
                 del left[i]
         pairs, real = divmod(len(values), 2)
         for v, w in zip(values[0:2 * pairs:2], values[1:2 * pairs:2]):
@@ -844,16 +844,18 @@ class TestCircleValues:
 
 class TestEigenWitness:
     def test_campaign_witnesses_expand_to_their_synthesis(self):
-        # prod (t + v) over a witness is the polynomial synthesized at -lambda,
-        # each coefficient within SIGN_TOL of the bound prod (t + |v|) that
-        # spectrum_feasible judges against: a check on every value, where the
-        # campaign's match distance reads lambda itself
+        # prod (t + v - shift) over a witness is the nonnegative polynomial
+        # synthesized at -(lambda - shift), each coefficient within SIGN_TOL
+        # of the bound prod (t + |v - shift|) that spectrum_feasible judges
+        # against: a check on every value, where the campaign's match
+        # distance reads lambda itself
         worst = 0.0
         for i in range(2000):
             lam, n, mode = _witness_target(5, i)
-            values = eigen_witness(lam, n, mode).values
-            sign = SignClass.POSITIVE if mode is MatrixClass.P else SignClass.NONNEGATIVE
-            q = synthesize(-lam, n, sign).coeffs
+            spectrum = eigen_witness(lam, n, mode)
+            assert (spectrum.shift > 0.0) is (mode is MatrixClass.P)
+            values = spectrum.values - spectrum.shift
+            q = synthesize(-(lam - spectrum.shift), n, SignClass.NONNEGATIVE).coeffs
             gap = np.abs(spectrum_aux_poly(values) - q) / spectrum_aux_poly(np.abs(values)).real
             worst = max(worst, float(gap.max()))
         assert worst <= pmatrix.SIGN_TOL
@@ -889,19 +891,25 @@ class TestEigenWitness:
         with pytest.raises(DomainError, match="outside the float64 range"):
             eigen_witness(lam, 3, mode)
 
-    @pytest.mark.parametrize("lam, expected", [
-        # theta - pi = -pi/2, so pi/(theta - pi) = -2: the core is the positive
-        # boundary core (1 + 2t + t^2 + 2t^3) / 2, whose third root is -1/2
-        (1j, [1j, -1j, 0.5]),
-        # 2 I is a P matrix; the core t + 2 lifts by 1 + t + t^2
-        (2.0, [2.0, complex(0.5, -math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2)]),
+    @pytest.mark.parametrize("lam, shift, expected", [
+        # theta - pi = -pi/2, on the edge pi/2: the shift is half the way to
+        # the next edge pi/3, 1/(2 tan(pi/3)); the P0 core at 1j - shift has
+        # degree 3, with the real root 1/sqrt(3) before the shift
+        (1j, 1 / (2 * math.sqrt(3)), [1j, -1j, math.sqrt(3) / 2]),
+        # a positive real lambda is shifted by lambda/2: the P0 core t + 1
+        # lifts by t^2 + 1, whose roots +-i move to 1 -+ i
+        (2.0, 1.0, [2.0, 1 - 1j, 1 + 1j]),
     ], ids=["1j", "2.0"])
-    def test_p_witness_at_integer_ratio(self, lam, expected):
+    def test_p_witness_at_integer_ratio(self, lam, shift, expected):
         spectrum = eigen_witness(lam, 3, MatrixClass.P)
         assert spectrum.values[0] == lam
+        assert spectrum.shift == pytest.approx(shift, rel=1e-15)
         np.testing.assert_allclose(spectrum.values, expected, atol=1e-15)
         assert spectrum.feasibility is MatrixClass.P
-        assert spectrum_feasible(spectrum.values) is MatrixClass.P
+        # the values are the eigenvalues of C(q) + shift I, by LAPACK
+        q = [float(c) for c in _certificate_polynomial(lam, 3, spectrum.shift)]
+        eig = np.sort_complex(np.linalg.eigvals(_companion_plus_shift(q, spectrum.shift)))
+        np.testing.assert_allclose(eig, np.sort_complex(np.asarray(expected)), atol=1e-14)
 
     def test_weak_mode_covers_integer_ratio(self):
         spectrum = eigen_witness(1j, 3, MatrixClass.P0)
@@ -944,19 +952,53 @@ class TestEigenWitness:
 
     def test_large_degree_p_witness_is_judged_not_refused(self):
         # synthesize raises DomainError from the residual of the lifted q of
-        # degree 345; the witness reaches spectrum_feasible, which reads P0
+        # degree 345; the witness builds its core and lift only, and is P
         lam = -from_polar(1.355029749540055, -1.0436227405834086)
         with pytest.raises(DomainError, match="span more than float64"):
             synthesize(-lam, 345, SignClass.POSITIVE)
-        with pytest.raises(FeasibleButUnwitnessed):
-            eigen_witness(lam, 345, MatrixClass.P)
+        spectrum = eigen_witness(lam, 345, MatrixClass.P)
+        assert len(spectrum.values) == 345 and spectrum.values[0] == lam
+        assert spectrum.feasibility is MatrixClass.P
+
+    @pytest.mark.parametrize("n", [48, 64, 128])
+    def test_p_witnesses_at_large_degree(self, n):
+        # no float verdict on the values tells P from P0 here: a lift's g
+        # unit-circle values have a bound near (t + 1)^g, whose middle
+        # coefficient passes 1/SIGN_TOL from g = 44; the shift makes them P
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            r = rng.uniform(0.1, 10.0)
+            gap = rng.uniform(math.pi / (n - 1), math.pi) * rng.choice([-1.0, 1.0])
+            lam = from_polar(r, math.pi + gap)
+            spectrum = eigen_witness(lam, n, MatrixClass.P)
+            values = spectrum.values
+            assert len(values) == n and values[0] == lam, (r, gap)
+            assert is_conjugate_closed(values), (r, gap)
+            assert spectrum.feasibility is MatrixClass.P and spectrum.shift > 0.0, (r, gap)
+
+    @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
+    @pytest.mark.parametrize("lam", [1.0, 1j, 0.5 + 0.5j])
+    def test_degree_cap(self, mode, lam):
+        n = pmatrix.MAX_WITNESS_DEGREE
+        spectrum = eigen_witness(lam, n, mode)
+        assert len(spectrum.values) == n and spectrum.values[0] == lam
+        assert spectrum.feasibility is not MatrixClass.NEITHER
+        with pytest.raises(DomainError, match="MAX_WITNESS_DEGREE"):
+            eigen_witness(lam, n + 1, mode)
+
+    def test_degree_above_the_cap_is_refused_before_any_value(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="MAX_WITNESS_DEGREE"):
+            eigen_witness(1j, 16000, MatrixClass.P0)
+        assert time.perf_counter() - start < 0.05
 
     def test_p_witness_whose_coefficients_span_twelve_decades(self):
         # witness campaign seed 2132340198, case 270: every coefficient of
-        # prod (t + v) is positive, the smallest 7.6e-13 of the largest
+        # the positive-core witness's prod (t + v) was positive, the smallest
+        # 7.6e-13 of the largest
         lam = complex(-7.240350349062167, 1.9457822337685502)
         spectrum = eigen_witness(lam, 12, MatrixClass.P)
-        assert spectrum_feasible(spectrum.values) is MatrixClass.P
+        _assert_p_certificate(spectrum)
 
     @pytest.mark.parametrize("d", [1e-12, 1e-11, 3e-10, 9e-10])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 11])
@@ -969,6 +1011,26 @@ class TestEigenWitness:
             assert lam in spectrum.values
             assert is_conjugate_closed(spectrum.values)
             assert spectrum.feasibility is not MatrixClass.NEITHER
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_shifted_core_has_the_positive_core_degree(self, n):
+        # lambda - shift lies halfway to its sector's edge on the wedge's
+        # side, or to the next edge from one: inside, near and on every edge
+        # the nonnegative core there has the degree of the positive core at
+        # lambda, so the solver sees the same degrees
+        built = 0
+        for k, d, r, side in itertools.product(range(1, n + 1), TIER1_OFFSETS,
+                                               (1e-3, 1.0, 7.0), (1.0, -1.0)):
+            gap = math.pi / k * (1.0 + d)
+            lam = from_polar(r, math.pi + side * gap)
+            if gap > math.pi or not kellogg_admissible(lam, n, MatrixClass.P):
+                continue
+            shift = eigen_witness(lam, n, MatrixClass.P).shift
+            assert shift > 0.0
+            shifted = build_core(shift - lam, n, SignClass.NONNEGATIVE)[0]
+            assert shifted.size == build_core(-lam, n, SignClass.POSITIVE)[0].size, (k, d, r)
+            built += 1
+        assert built > 0
 
     @pytest.mark.parametrize("mode", [MatrixClass.P, MatrixClass.P0])
     @pytest.mark.parametrize("r", [1e-3, 1.0, 7.0])
@@ -997,23 +1059,116 @@ class TestEigenWitness:
                     lam = from_polar(r, math.pi + side * gap)
                     if not kellogg_admissible(lam, n, mode):
                         continue
-                    try:
-                        spectrum = eigen_witness(lam, n, mode)
-                    except FeasibleButUnwitnessed:
-                        continue
+                    spectrum = eigen_witness(lam, n, mode)
                     values = spectrum.values
                     where = (r, gap, side)
                     assert len(values) == n, where
                     assert lam in values, where
                     assert is_conjugate_closed(spectrum.values), where
-                    feasibility = spectrum_feasible(values)
-                    assert spectrum.feasibility is feasibility, where
                     if mode is MatrixClass.P:
-                        assert feasibility is MatrixClass.P, where
+                        _assert_p_certificate(spectrum, where)
                     else:
+                        feasibility = spectrum_feasible(values)
+                        assert spectrum.feasibility is feasibility, where
                         assert feasibility is not MatrixClass.NEITHER, where
                     built += 1
         assert built > 0
+
+
+def _p_targets(seed, cases, max_n):
+    """The P targets (lambda, n) of the first ``cases`` cases of a witness
+    campaign at ``seed`` with n <= max_n."""
+    targets = [_witness_target(seed, i) for i in range(0, cases, 2)]
+    return [(lam, n) for lam, n, mode in targets if n <= max_n]
+
+
+def _certificate_polynomial(lam, n, shift) -> list:
+    """q = core * (t^g + 1), ascending, the nonnegative polynomial the
+    witness of (lambda, n) stands for: the core that build_core makes at
+    -(lambda - shift), lifted to degree n in exact arithmetic."""
+    core = [Fraction(c) for c in build_core(-(lam - shift), n, SignClass.NONNEGATIVE)[0]]
+    gap = n + 1 - len(core)
+    if gap == 0:
+        return core
+    q = core + [Fraction(0)] * gap
+    for j, c in enumerate(core):
+        q[j + gap] += c
+    return q
+
+
+def _companion_plus_shift(q: list, shift) -> list:
+    """C(q) + shift I as rows: first row q's coefficients a_(n-1) .. a_0, -1
+    on the subdiagonal, shift added on the diagonal."""
+    n = len(q) - 1
+    rows = [[shift if i == j else -1 if i == j + 1 else 0 for j in range(n)]
+            for i in range(n)]
+    rows[0] = [c + (shift if j == 0 else 0) for j, c in enumerate(q[-2::-1])]
+    return rows
+
+
+def _determinant(rows: list) -> Fraction:
+    """The determinant of a square Fraction matrix, by exact elimination."""
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+class TestPWitnessCertificate:
+    """A P witness is the spectrum of C(q) + shift I, with q nonnegative: P
+    by its construction, checked exactly, whose eigenvalues are the values."""
+
+    def test_every_principal_minor_is_positive_in_exact_arithmetic(self):
+        checked = 0
+        for seed in (3, 5):
+            for lam, n in _p_targets(seed, 600, 6):
+                spectrum = eigen_witness(lam, n, MatrixClass.P)
+                assert spectrum.feasibility is MatrixClass.P and spectrum.shift > 0.0
+                shift = Fraction(spectrum.shift)
+                q = _certificate_polynomial(lam, n, spectrum.shift)
+                assert min(q) >= 0 and q[-1] == 1, (seed, lam, n)
+                matrix = _companion_plus_shift(q, shift)
+                for size in range(1, n + 1):
+                    for s in combinations(range(n), size):
+                        minor = _determinant([[matrix[i][j] for j in s] for i in s])
+                        assert minor >= shift**size > 0, (seed, lam, n, s)
+                checked += 1
+        assert checked == 271
+
+    def test_values_are_the_eigenvalues_of_the_matrix(self):
+        checked = 0
+        for seed in (3, 5, 9):
+            for lam, n in _p_targets(seed, 2000, 12):
+                spectrum = eigen_witness(lam, n, MatrixClass.P)
+                q = [float(c) for c in _certificate_polynomial(lam, n, spectrum.shift)]
+                eig = np.linalg.eigvals(_companion_plus_shift(q, spectrum.shift)).tolist()
+                tol = 1e-8 * (1.0 + abs(lam))
+                # one to one: each value takes its nearest remaining eigenvalue
+                for v in spectrum.values.tolist():
+                    i = min(range(len(eig)), key=lambda i: abs(eig[i] - v))
+                    assert abs(eig.pop(i) - v) <= tol, (seed, lam, n, v)
+                checked += 1
+        assert checked == 3000
+
+
+def _assert_p_certificate(spectrum, where=None):
+    """A P witness is P by construction, not by a float verdict on its
+    values: its P0 part, the values less the shift, is judged P0 or P, and
+    the shift is positive, so C(q) + shift I is P."""
+    assert spectrum.feasibility is MatrixClass.P, where
+    assert spectrum.shift > 0.0, where
+    assert spectrum_feasible(spectrum.values - spectrum.shift) is not MatrixClass.NEITHER, where
 
 
 def _sector_gaps(n):
