@@ -1,10 +1,10 @@
 """Seeded randomized invariant campaigns.
 
 Shared by the CLI ``oracle`` subcommand and the acceptance suite. Every case
-draws every input, a ``kellogg`` case's matrix included, from its one
-generator, ``default_rng([seed, case_index])``: (seed, case) is the whole
-provenance of a case, so campaigns are deterministic, order-independent and
-safe to fan out.
+draws every input, a ``kellogg`` case's matrix included, from its one stream,
+``_case_rng(seed, case_index)``: a Philox generator keyed by the seed, at the
+counter block of the case. (seed, case) is the whole provenance of a case, so
+campaigns are deterministic, order-independent and safe to fan out.
 """
 
 from __future__ import annotations
@@ -51,10 +51,12 @@ class SuiteReport:
 
 
 def _case_rng(seed: int, index: int) -> np.random.Generator:
-    # the list is hashed by SeedSequence, which keeps neighboring (seed, index)
-    # pairs uncorrelated; a plain xor would make nearby seeds permute the same
-    # case set
-    return np.random.default_rng([seed, index])
+    # Philox(seed) derives its key from SeedSequence(seed), which keeps nearby
+    # seeds uncorrelated; case ``index`` starts at counter block index * 2**64,
+    # as Philox(seed).advance(index << 64) does, so no case reads another's
+    # draws (Salmon et al., SC'11). No hash is made per case: _run_cases
+    # moves one generator from block to block
+    return np.random.Generator(np.random.Philox(seed, counter=index << 64))
 
 
 def _run_cases(report: SuiteReport, case) -> SuiteReport:
@@ -67,14 +69,31 @@ def _run_cases(report: SuiteReport, case) -> SuiteReport:
     of its failed checks. A case that raises a SectorPolyError fails as
     ``error_<Name>``. The first failure is kept as ``detail`` plus
     ``"failed"``. A minimum still at its start, math.inf, reads None.
-    Raises DomainError for a case count outside [0, MAX_CASES].
+    Raises DomainError for a case count outside [0, MAX_CASES] or a seed that
+    is not a nonnegative int.
+
+    One generator serves the whole run: case i reads it with its state set to
+    that of ``_case_rng(seed, i)``, so ``rng`` is valid only during its case,
+    and ``case`` must not keep it.
     """
     if not 0 <= report.cases <= MAX_CASES:
         raise DomainError(f"the number of cases must be in [0, {MAX_CASES}]")
+    seed = report.seed
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"the seed must be a nonnegative int, got {seed!r}")
+    rng = _case_rng(seed, 0)
+    bits = rng.bit_generator
+    start = counter = None
+    if report.cases > 1:        # a 1-case run skips the copy
+        start = bits.state      # case 0's, before any draw
+        counter = start["state"]["counter"]
     for i in range(report.cases):
+        if i:
+            counter[1] = i      # counter i << 64: the state of _case_rng(seed, i)
+            bits.state = start
         detail = {"case": i}
         try:
-            bad = case(_case_rng(report.seed, i), i, detail, report.metrics)
+            bad = case(rng, i, detail, report.metrics)
         except SectorPolyError as exc:
             bad = [f"error_{exc.name}"]
         if not bad:

@@ -16,8 +16,9 @@ Everything hinges on one decision: is alpha the boundary angle pi/k or not?
 ``sector_index`` alone makes it: an alpha within ANGLE_TOL (absolute) of pi/m
 is pi/m, and any other alpha lies at least ANGLE_TOL inside its sector.
 ``build_core``, the half of ``synthesize`` that the matrix witnesses share,
-reads its ``SectorIndex``; the public builders call it again on their own
-angle, ``build_qj`` through ``sign_lemma_check`` and ``build_q_avg`` directly.
+reads its ``SectorIndex`` once and hands it to the builders' private cores;
+the public builders compute it on their own angle, ``build_qj`` through
+``sign_lemma_check`` and ``build_q_avg`` directly.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def sign_lemma_check(j: int, k: int, alpha: float) -> tuple[float, float, float]
     alpha = pi/k, sin k*alpha is exactly 0.0; inside the sector, alpha is at
     least ANGLE_TOL from both ends and every sign is strict.
     """
+    j, k = _lemma_indices(j, k)
+    return _sign_lemma(j, k, alpha, sector_index(alpha))
+
+
+def _lemma_indices(j, k) -> tuple[int, int]:
+    """j and k as ints with 1 <= j < k, else PreconditionError."""
     try:
         j = operator.index(j)
         k = operator.index(k)
@@ -115,7 +122,12 @@ def sign_lemma_check(j: int, k: int, alpha: float) -> tuple[float, float, float]
         raise PreconditionError(f"j and k must be integers, got j={j!r}, k={k!r}")
     if not 1 <= j < k:
         raise PreconditionError(f"need 1 <= j < k, got j={j}, k={k}")
-    si = sector_index(alpha)
+    return j, k
+
+
+def _sign_lemma(j: int, k: int, alpha: float, si: SectorIndex) -> tuple[float, float, float]:
+    """``sign_lemma_check`` past its index checks, with ``si`` the sector of
+    alpha."""
     if si.k != k:
         raise PreconditionError(f"alpha={alpha!r} outside [pi/{k}, pi/{k - 1})")
     s_k = 0.0 if si.boundary else math.sin(k * alpha)
@@ -138,7 +150,13 @@ def build_qj(j: int, k: int, r: float, alpha: float) -> np.ndarray:
     """
     if r <= 0.0:
         raise PreconditionError(f"modulus must be positive, got r={r!r}")
-    middle, constant = _trinomial(j, k, r, *sign_lemma_check(j, k, alpha))
+    return _qj(j, k, r, sign_lemma_check(j, k, alpha))
+
+
+def _qj(j: int, k: int, r: float, sines: tuple[float, float, float]) -> np.ndarray:
+    """``build_qj``'s trinomial from its checked ``sines``, as
+    ``sign_lemma_check`` returns them."""
+    middle, constant = _trinomial(j, k, r, *sines)
     coeffs = np.zeros(k + 1)
     coeffs[0], coeffs[j], coeffs[k] = constant, middle, 1.0
     return coeffs
@@ -168,7 +186,14 @@ def build_q_avg(k: int, r: float, alpha: float) -> np.ndarray:
     si = sector_index(alpha)
     if si.k != k:
         raise PreconditionError(f"alpha={alpha!r} outside [pi/{k}, pi/{k - 1})")
-    # the sign lemma holds for every j once the sector is checked
+    return _q_avg(r, alpha, si)
+
+
+def _q_avg(r: float, alpha: float, si: SectorIndex) -> np.ndarray:
+    """``build_q_avg``'s polynomial at r > 0, with ``si`` the sector of alpha
+    and si.k >= 2."""
+    # the sign lemma holds for every j once the sector is known
+    k = si.k
     m = k + si.boundary
     s_m = math.sin(m * alpha)
     acc = [0.0] * (m + 1)
@@ -284,10 +309,11 @@ def build_core(mu: complex, n: int, mode: SignClass, j: int = 1):
         core = np.array([r, 1.0])
         construction, j_used = "linear", None
     elif positive:
-        core = build_q_avg(k_used.k, r, alpha)
+        core = _q_avg(r, alpha, k_used)
         construction, j_used = "q_avg", None
     else:
-        core = build_qj(j, k_used.k, r, alpha)
+        j_int, k = _lemma_indices(j, k_used.k)
+        core = _qj(j_int, k, r, _sign_lemma(j_int, k, alpha, k_used))
         construction, j_used = "qj", j
 
     # the core is monic and in the mode's sign class unless a coefficient left

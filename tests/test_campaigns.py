@@ -90,13 +90,38 @@ def test_kellogg_matrix_comes_from_the_case_generator_alone(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, index", [(0, 0), (5, 1), (9, 4999), (2**32, 7), (2**70, 3)])
-def test_case_rng_is_the_seed_sequence_stream(seed, index):
+def test_case_rng_is_the_philox_stream_at_the_case_block(seed, index):
     # every committed report reads this stream. The golden reports are
-    # compared under one numpy version only; this pins the stream under any
+    # compared under one numpy version only; this pins the stream under any:
+    # the key from SeedSequence(seed), the counter at block index * 2**64
     got = campaigns._case_rng(seed, index)
-    want = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    want = np.random.Generator(np.random.Philox(seed).advance(index << 64))
     assert got.integers(0, 2**63, 8).tolist() == want.integers(0, 2**63, 8).tolist()
     assert got.uniform(size=8).tolist() == want.uniform(size=8).tolist()
+
+
+@pytest.mark.parametrize("cases", [1, 2, 7, 40])
+def test_each_case_in_a_run_reads_its_own_stream(cases):
+    # case i draws what _case_rng(seed, i) draws, however many draws the
+    # cases before it made and however long the run is: a run of fewer cases
+    # checks a prefix of the same cases
+    seed = 11
+    drawn = []
+
+    def draws(rng, i):
+        # uneven draws, ending inside a Philox block of four words, and half a
+        # word left over from the 32-bit draw
+        return (rng.integers(0, 2**63, i % 5 + 1).tolist(), rng.uniform(size=3).tolist(),
+                int(rng.integers(0, 10, dtype=np.int32)))
+
+    def case(rng, i, detail, metrics):
+        drawn.append(draws(rng, i))
+        return []
+
+    report = campaigns._run_cases(campaigns.SuiteReport("synth", cases, seed), case)
+    assert report.passes == cases
+    for i, got in enumerate(drawn):
+        assert got == draws(campaigns._case_rng(seed, i), i), i
 
 
 @pytest.mark.parametrize("seed", [5, 9])
@@ -165,6 +190,16 @@ def test_case_counts_outside_the_range_raise(monkeypatch, cases):
         run_suite("witness", cases, seed=357)
     with pytest.raises(DomainError, match="number of cases"):
         run_synth_suite(cases, 357, SignClass.POSITIVE, verify_forward=True)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "5", None, np.int64(5)])
+def test_seeds_other_than_nonnegative_ints_raise(monkeypatch, seed):
+    # a bool is not read as 0 or 1; refused before any case runs
+    monkeypatch.setattr(campaigns, "_case_rng", None)
+    with pytest.raises(DomainError, match="seed"):
+        run_suite("witness", 3, seed)
+    with pytest.raises(DomainError, match="seed"):
+        run_synth_suite(3, seed, SignClass.POSITIVE, verify_forward=True)
 
 
 # Failure paths: each test patches one dependency of a suite so that exactly

@@ -894,7 +894,7 @@ class TestScaleInvariance:
                 assert result.residual <= campaigns.RESIDUAL_BOUND, (i, e)
                 assert verify_cot(result.coeffs).status == status, (i, e)
                 checked += 1
-        assert checked == 23
+        assert checked == 35
 
 
 def _check_positive(mu, n):
